@@ -19,7 +19,7 @@ from .decoy import (
     bound_statistic,
     estimate_single_photon_statistic,
 )
-from .homodyne import SampleBatch, joint_pdf_fock
+from .homodyne import CHUNK_SIZE, SampleBatch, joint_pdf_fock
 
 OUTCOME_PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
@@ -87,17 +87,70 @@ class ChshResult:
                 raise ValueError("|S| exceeds algebraic maximum 4")
 
 
-def bin_coincidences(batch: SampleBatch, T: float) -> CoincidenceCounts:
-    if T < 0:
+@dataclass(frozen=True, eq=False)
+class ThresholdCounts:
+    """Coincidence counts of one batch at every threshold of a grid.
+
+    `counts[k]` holds (n00, n01, n10, n11) at threshold `thresholds[k]`; the
+    thresholds are sorted and distinct. This is all the threshold scan needs
+    of a batch, so the raw samples can be dropped once it is built.
+    """
+
+    thresholds: np.ndarray
+    counts: np.ndarray
+    total: int
+
+    def __len__(self) -> int:
+        return self.total
+
+    def at(self, T: float) -> CoincidenceCounts:
+        k = int(np.searchsorted(self.thresholds, T))
+        if k == len(self.thresholds) or self.thresholds[k] != T:
+            raise ValueError(f"threshold {T!r} is not on this table's grid")
+        n00, n01, n10, n11 = (int(n) for n in self.counts[k])
+        return CoincidenceCounts(
+            n00, n01, n10, n11, self.total - n00 - n01 - n10 - n11, self.total
+        )
+
+
+def threshold_counts(batch: SampleBatch, t_grid) -> ThresholdCounts:
+    """Bin `batch` at every threshold of `t_grid` in one pass.
+
+    A record survives T exactly when min(|x_a|, |x_b|) > T, and the signs of
+    x_a and x_b then pick the outcome pair. So each record is counted once,
+    under its sign quadrant and the number of thresholds below its min(|x|)
+    (a NaN in either arm survives none), and a reverse cumulative sum turns
+    those counts into survivors per threshold. Work goes in CHUNK_SIZE
+    slices so the temporaries stay small; integer sums keep it exact.
+    """
+    grid = np.asarray(t_grid, dtype=float).ravel()
+    if not np.all(grid >= 0):
         raise ValueError("threshold must be non-negative")
-    lo_a, hi_a = batch.x_a < -T, batch.x_a > T
-    lo_b, hi_b = batch.x_b < -T, batch.x_b > T
-    n00 = int(np.count_nonzero(lo_a & lo_b))
-    n01 = int(np.count_nonzero(lo_a & hi_b))
-    n10 = int(np.count_nonzero(hi_a & lo_b))
-    n11 = int(np.count_nonzero(hi_a & hi_b))
-    total = len(batch)
-    return CoincidenceCounts(n00, n01, n10, n11, total - n00 - n01 - n10 - n11, total)
+    levels = np.unique(grid)
+    width = len(levels) + 1
+    hist = np.zeros(4 * width, dtype=np.int64)
+    for start in range(0, len(batch), CHUNK_SIZE):
+        x_a = batch.x_a[start : start + CHUNK_SIZE]
+        x_b = batch.x_b[start : start + CHUNK_SIZE]
+        depth = np.minimum(np.abs(x_a), np.abs(x_b))
+        depth[np.isnan(depth)] = 0.0
+        key = np.searchsorted(levels, depth)
+        key += width * (2 * (x_a > 0) + (x_b > 0))
+        hist += np.bincount(key, minlength=4 * width)
+    survivors = np.cumsum(hist.reshape(4, width)[:, ::-1], axis=1)[:, -2::-1]
+    return ThresholdCounts(levels, survivors.T, len(batch))
+
+
+def _as_table(source, t_grid) -> ThresholdCounts:
+    if isinstance(source, ThresholdCounts):
+        return source
+    return threshold_counts(source, t_grid)
+
+
+def bin_coincidences(source, T: float) -> CoincidenceCounts:
+    """Counts at threshold T from a SampleBatch, or looked up in a
+    ThresholdCounts table built over a grid that contains T."""
+    return _as_table(source, [T]).at(T)
 
 
 def correlation(counts: CoincidenceCounts) -> float:
@@ -213,7 +266,8 @@ def decoy_coincidence_bounds(
     """Per-outcome decoy-bounded single-photon coincidence probabilities.
 
     `batches_by_intensity` maps intensity label (0 = vacuum, 1..L = decoy
-    levels in increasing order) to a SampleBatch at a single fixed setting.
+    levels in increasing order) to a SampleBatch, or its ThresholdCounts, at
+    a single fixed setting.
     """
     probs = {
         label: bin_coincidences(batch, T).probabilities()
@@ -244,9 +298,11 @@ def scan_threshold(
 ) -> list[ChshResult]:
     """Full decoy CHSH pipeline per threshold.
 
-    `batches` maps ((label_a, label_b), intensity_label) -> SampleBatch over
-    the 4 CHSH settings and intensity labels 0..L. Thresholds where any
-    setting loses all survivors are marked invalid rather than NaN.
+    `batches` maps ((label_a, label_b), intensity_label) -> SampleBatch, or
+    ThresholdCounts covering `t_grid`, over the 4 CHSH settings and
+    intensity labels 0..L. Batches are binned once for the whole grid.
+    Thresholds where any setting loses all survivors are marked invalid
+    rather than NaN.
     """
     expected = {
         (combo, j) for combo in CHSH_COMBOS for j in range(intensity_set.num_levels + 1)
@@ -254,12 +310,13 @@ def scan_threshold(
     missing = expected - set(batches)
     if missing:
         raise ValueError(f"missing batches for {sorted(missing)}")
+    tables = {key: _as_table(source, t_grid) for key, source in batches.items()}
     results = []
     for T in t_grid:
         try:
             bounds = [
                 decoy_correlation(
-                    {j: batches[(combo, j)] for j in range(intensity_set.num_levels + 1)},
+                    {j: tables[(combo, j)] for j in range(intensity_set.num_levels + 1)},
                     intensity_set,
                     T,
                 )

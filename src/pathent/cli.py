@@ -60,15 +60,17 @@ def _simulate_point(
     )
 
 
-def _chsh_batches(config: ExperimentConfig) -> dict:
-    batches = {}
+def _chsh_points(config: ExperimentConfig, reduce) -> dict:
+    """`reduce` of each (CHSH setting, intensity label) batch, applied as soon
+    as the batch is sampled, so only what `reduce` returns stays alive."""
+    out = {}
     index = 0
     for combo in chsh_mod.CHSH_COMBOS:
         settings = MeasurementSettings.chsh(*combo)
         for label in range(len(config.intensities) + 1):
-            batches[(combo, label)] = _simulate_point(config, settings, label, index)
+            out[(combo, label)] = reduce(_simulate_point(config, settings, label, index))
             index += 1
-    return batches
+    return out
 
 
 def _write_manifest(out_dir: str, config: ExperimentConfig, files: list) -> str:
@@ -86,7 +88,7 @@ def _write_manifest(out_dir: str, config: ExperimentConfig, files: list) -> str:
 
 def cmd_simulate(config: ExperimentConfig, out_dir: str) -> int:
     files = []
-    for (combo, label), batch in _chsh_batches(config).items():
+    for (combo, label), batch in _chsh_points(config, lambda batch: batch).items():
         name = f"batch_a{combo[0]}b{combo[1]}_mu{label}.csv"
         batch.save(os.path.join(out_dir, name))
         files += [name, name.replace(".csv", ".meta.json")]
@@ -117,8 +119,9 @@ def cmd_correlation_scan(config: ExperimentConfig, out_dir: str) -> int:
 
 
 def cmd_chsh_scan(config: ExperimentConfig, out_dir: str) -> int:
-    batches = _chsh_batches(config)
-    results = chsh_mod.scan_threshold(batches, config.intensity_set, config.t_grid())
+    t_grid = config.t_grid()
+    tables = _chsh_points(config, lambda batch: chsh_mod.threshold_counts(batch, t_grid))
+    results = chsh_mod.scan_threshold(tables, config.intensity_set, t_grid)
     path = os.path.join(out_dir, "chsh_scan.csv")
     with open(path, "w") as fh:
         fh.write("T,s_est,s_lower,s_upper\n")
@@ -137,13 +140,15 @@ def cmd_chsh_scan(config: ExperimentConfig, out_dir: str) -> int:
 def cmd_decoy_estimate(config: ExperimentConfig, out_dir: str) -> int:
     """Decoy-bounded single-photon coincidence probabilities at t_fixed for
     each CHSH setting pair."""
-    batches = _chsh_batches(config)
+    tables = _chsh_points(
+        config, lambda batch: chsh_mod.threshold_counts(batch, [config.t_fixed])
+    )
     path = os.path.join(out_dir, "decoy_estimate.csv")
     with open(path, "w") as fh:
         fh.write("setting_a,setting_b,outcome_a,outcome_b,estimate,lower,upper\n")
         for combo in chsh_mod.CHSH_COMBOS:
             by_intensity = {
-                label: batches[(combo, label)]
+                label: tables[(combo, label)]
                 for label in range(len(config.intensities) + 1)
             }
             bounds = chsh_mod.decoy_coincidence_bounds(

@@ -55,10 +55,16 @@ class ExperimentConfig:
             raise ConfigError("sample counts must be at least 1")
         if self.t_step <= 0 or self.t_max < self.t_min:
             raise ConfigError("threshold grid is empty")
+        if not (self.t_min >= 0 and self.t_fixed >= 0):
+            raise ConfigError("thresholds t_min and t_fixed must be non-negative")
         if self.n_phases < 1:
             raise ConfigError("phase grid is empty")
         if self.scale < 1 or self.workers < 1:
             raise ConfigError("scale and workers must be at least 1")
+        if self.cutoff < 1:
+            raise ConfigError("tomography cutoff must be at least 1")
+        if not self.tolerance > 0:
+            raise ConfigError("tomography tolerance must be positive")
         try:
             DecoyIntensitySet(self.intensities)
             NoiseModel(self.eta_pd, self.v_e)

@@ -8,6 +8,7 @@ densities: the gain entries may be numpy arrays and everything broadcasts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -38,7 +39,12 @@ class DecoyIntensitySet:
 
     def estimator_coefficients(self) -> tuple[np.ndarray, float]:
         """Linear weights (w_1..w_L, w_0) so the single-photon estimate is
-        sum_j w_j Q_{mu_j} + w_0 Q_{mu_0}."""
+        sum_j w_j Q_{mu_j} + w_0 Q_{mu_0}. Computed once per set; the weight
+        array is read-only because every caller shares it."""
+        return self._coefficients
+
+    @cached_property
+    def _coefficients(self) -> tuple[np.ndarray, float]:
         mus = np.asarray(self.intensities)
         L = len(mus)
         prod = np.prod(mus)
@@ -47,6 +53,7 @@ class DecoyIntensitySet:
             den = np.prod([mus[i] - mus[j] for i in range(L) if i != j]) if L > 1 else 1.0
             w[j] = prod * np.exp(mus[j]) / (mus[j] ** 2 * den)
         w0 = float(-np.sum(w * np.exp(-mus)))
+        w.flags.writeable = False
         return w, w0
 
 

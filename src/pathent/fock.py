@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import erf
 
 HERMITIAN_TOL = 1e-12
 PSD_EIG_TOL = 1e-8
@@ -165,8 +164,3 @@ def psd_operator_sqrt(op: TruncatedOperator) -> TruncatedOperator:
     root = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
     root = 0.5 * (root + root.conj().T)
     return TruncatedOperator(op.cutoff, op.modes, root)
-
-
-def gaussian_window_mass(T: float) -> float:
-    """Closed-form vacuum window mass, integral of |phi_0|^2 over [-T, T]."""
-    return float(erf(T))

@@ -19,8 +19,6 @@ from .fock import TruncatedOperator, hermite_functions
 from .homodyne import SampleBatch
 from .states import TwoModeFockState
 
-COMPLETENESS_TOL = 1e-8
-
 
 @dataclass(frozen=True)
 class MleConfig:

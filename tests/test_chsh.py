@@ -16,9 +16,10 @@ from pathent.chsh import (
     ideal_single_photon_chsh,
     ideal_single_photon_correlation,
     scan_threshold,
+    threshold_counts,
 )
 from pathent.decoy import BoundedEstimate, DecoyIntensitySet
-from pathent.homodyne import MeasurementSettings, SampleBatch, sample_batch
+from pathent.homodyne import CHUNK_SIZE, MeasurementSettings, SampleBatch, sample_batch
 from scipy.special import erf
 
 
@@ -72,8 +73,79 @@ class TestBinning:
             CoincidenceCounts(1, 1, 1, 1, 1, 4)
 
     def test_negative_threshold_rejected(self):
+        batch = make_batch([0.0], [0.0])
         with pytest.raises(ValueError):
-            bin_coincidences(make_batch([0.0], [0.0]), -1.0)
+            bin_coincidences(batch, -1.0)
+        with pytest.raises(ValueError):
+            threshold_counts(batch, [0.5, -0.1])
+        with pytest.raises(ValueError):
+            bin_coincidences(threshold_counts(batch, [0.5]), -0.5)
+
+
+def reference_counts(x_a, x_b, T):
+    """The binning rule applied directly, one mask per arm and outcome."""
+    lo_a, hi_a = x_a < -T, x_a > T
+    lo_b, hi_b = x_b < -T, x_b > T
+    n = [int(np.count_nonzero(a & b)) for a, b in ((lo_a, lo_b), (lo_a, hi_b), (hi_a, lo_b), (hi_a, hi_b))]
+    return CoincidenceCounts(*n, len(x_a) - sum(n), len(x_a))
+
+
+# Unsorted, with a duplicate and a value at 0.
+ADVERSARIAL_GRID = [0.5, 0.0, 1.25, 0.5, 0.02]
+
+
+def adversarial_values(grid):
+    """Values exactly at and one ulp either side of each +-T, signed zeros,
+    infinities and NaN."""
+    out = [0.0, -0.0, np.inf, -np.inf, np.nan]
+    for t in grid:
+        for v in (t, np.nextafter(t, np.inf), np.nextafter(t, -np.inf)):
+            out += [v, -v]
+    return np.array(out)
+
+
+class TestThresholdCounts:
+    def check_against_reference(self, x_a, x_b, grid):
+        batch = make_batch(x_a, x_b)
+        table = threshold_counts(batch, grid)
+        assert len(table) == len(x_a)
+        assert table.thresholds.tolist() == sorted(set(grid))
+        for T in grid:
+            expect = reference_counts(batch.x_a, batch.x_b, T)
+            assert table.at(T) == expect
+            assert bin_coincidences(table, T) == expect
+            assert bin_coincidences(batch, T) == expect
+
+    def test_adversarial_records(self):
+        values = adversarial_values(ADVERSARIAL_GRID)
+        x_a, x_b = (v.ravel() for v in np.meshgrid(values, values))
+        self.check_against_reference(x_a, x_b, ADVERSARIAL_GRID)
+
+    def test_nan_in_either_arm_is_discarded(self):
+        x_a = np.array([np.nan, 3.0, np.nan, -3.0])
+        x_b = np.array([3.0, np.nan, np.nan, -3.0])
+        table = threshold_counts(make_batch(x_a, x_b), [0.0, 1.0])
+        for T in (0.0, 1.0):
+            counts = table.at(T)
+            assert (counts.n00, counts.n01, counts.n10, counts.n11) == (1, 0, 0, 0)
+            assert counts.n_discarded == 3
+
+    def test_length_not_a_multiple_of_the_chunk(self):
+        rng = np.random.default_rng(4)
+        n = 2 * CHUNK_SIZE + 123
+        specials = adversarial_values(ADVERSARIAL_GRID)
+        x_a = np.where(rng.random(n) < 0.2, rng.choice(specials, n), rng.normal(size=n))
+        x_b = np.where(rng.random(n) < 0.2, rng.choice(specials, n), rng.normal(size=n))
+        self.check_against_reference(x_a, x_b, ADVERSARIAL_GRID)
+
+    def test_empty_grid_and_threshold_off_grid(self):
+        batch = make_batch([1.0, -2.0], [2.0, -1.0])
+        assert threshold_counts(batch, []).counts.shape == (0, 4)
+        table = threshold_counts(batch, [0.5])
+        with pytest.raises(ValueError):
+            table.at(0.25)
+        with pytest.raises(ValueError):
+            bin_coincidences(table, np.nan)
 
 
 class TestCorrelation:
@@ -261,6 +333,21 @@ class TestDecoyPipeline:
         results = scan_threshold(batches, self.iset, [0.5, 9.0])
         assert results[0].valid
         assert not results[1].valid
+
+    def test_scan_same_from_batches_and_tables(self):
+        grid = [0.6, 0.0, 0.3, 0.6, 9.0]
+        batches = {}
+        for idx, combo in enumerate(CHSH_COMBOS):
+            by_label = self.make_batches(MeasurementSettings.chsh(*combo), 90 + 10 * idx)
+            batches.update({(combo, j): batch for j, batch in by_label.items()})
+        tables = {key: threshold_counts(batch, grid) for key, batch in batches.items()}
+        from_tables = scan_threshold(tables, self.iset, grid)
+        assert from_tables == scan_threshold(batches, self.iset, grid)
+        # Each threshold on its own, binned through a one-value grid.
+        assert from_tables == [scan_threshold(batches, self.iset, [T])[0] for T in grid]
+        assert [r.valid for r in from_tables] == [True, True, True, True, False]
+        with pytest.raises(ValueError):
+            scan_threshold(tables, self.iset, [0.45])
 
     def test_scan_rejects_missing_batches(self):
         with pytest.raises(ValueError):

@@ -110,6 +110,30 @@ class TestExitCodes:
         rc = main(["chsh-scan", "--config", bad, "--out", str(tmp_path / "o")])
         assert rc == EXIT_CONFIG
 
+    @pytest.mark.parametrize(
+        "section, key, value, command",
+        [
+            ("tomography", "cutoff", "0", "tomography"),
+            ("tomography", "tolerance", "0", "tomography"),
+            ("chsh", "t_fixed", "-1", "decoy-estimate"),
+            ("chsh", "t_min", "-0.5", "chsh-scan"),
+        ],
+        ids=["cutoff", "tolerance", "t_fixed", "t_min"],
+    )
+    def test_invalid_value_exits_before_sampling(
+        self, tmp_path, monkeypatch, capsys, section, key, value, command
+    ):
+        import pathent.cli as cli_mod
+
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before the config was validated")
+
+        monkeypatch.setattr(cli_mod, "sample_batch", no_sampling)
+        bad = write_config(tmp_path, f"[{section}]\n{key} = {value}\n")
+        rc = main([command, "--config", bad, "--out", str(tmp_path / "o")])
+        assert rc == EXIT_CONFIG
+        assert key in capsys.readouterr().err
+
     def test_fair_sampling_pass(self, tmp_path):
         out = tmp_path / "fs"
         rc = main(["fair-sampling-check", "--out", str(out), "--seed", "5"])

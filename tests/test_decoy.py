@@ -41,6 +41,16 @@ class TestIntensitySet:
         assert w[0] == pytest.approx(math.exp(mu) / mu, abs=1e-12)
         assert w0 == pytest.approx(-1.0 / mu, abs=1e-12)
 
+    def test_coefficients_computed_once_and_read_only(self):
+        iset = DecoyIntensitySet(NOMINAL_INTENSITIES)
+        w, w0 = iset.estimator_coefficients()
+        assert iset.estimator_coefficients()[0] is w
+        with pytest.raises(ValueError):
+            w[0] = 1.0
+        fresh, fresh_w0 = DecoyIntensitySet(NOMINAL_INTENSITIES).estimator_coefficients()
+        assert fresh is not w
+        assert fresh.tolist() == w.tolist() and fresh_w0 == w0
+
 
 class TestEstimator:
     def test_exact_when_no_multiphoton(self):
