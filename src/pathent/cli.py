@@ -179,29 +179,36 @@ def cmd_tomography(config: ExperimentConfig, out_dir: str) -> int:
     # reconstruction far better than pinning one arm at phase 0.
     phase_pairs = [(float(dt) / 2.0, -float(dt) / 2.0) for dt in dthetas]
     index = 20_000
+    # Each batch is reduced to its count table as soon as it is sampled, so
+    # no raw batch outlives its reduction.
     if config.pipeline == "ideal-fock":
         by_setting = {}
         for s, (pa, pb) in enumerate(phase_pairs):
-            by_setting[s] = sample_batch(
-                mu=0.0,
-                settings=MeasurementSettings(phi_a=pa, phi_b=pb),
-                count=config.scaled(config.samples_per_point),
-                pipeline="ideal-fock",
-                seed=_batch_seed(config.seed, index),
-                fock_n=1,
-                workers=config.workers,
+            by_setting[s] = tomo_mod.histogram_counts(
+                sample_batch(
+                    mu=0.0,
+                    settings=MeasurementSettings(phi_a=pa, phi_b=pb),
+                    count=config.scaled(config.samples_per_point),
+                    pipeline="ideal-fock",
+                    seed=_batch_seed(config.seed, index),
+                    fock_n=1,
+                    workers=config.workers,
+                ),
+                edges,
             )
             index += 1
         hist = tomo_mod.histogram_from_batches(by_setting, phase_pairs, edges)
     else:
-        batches = {}
+        tables = {}
         for s, (pa, pb) in enumerate(phase_pairs):
             settings = MeasurementSettings(phi_a=pa, phi_b=pb)
             for label in range(len(config.intensities) + 1):
-                batches[(s, label)] = _simulate_point(config, settings, label, index)
+                tables[(s, label)] = tomo_mod.histogram_counts(
+                    _simulate_point(config, settings, label, index), edges
+                )
                 index += 1
         hist = tomo_mod.decoy_corrected_histogram(
-            batches, config.intensity_set, phase_pairs, edges
+            tables, config.intensity_set, phase_pairs, edges
         )
     povm = tomo_mod.build_povm_elements(phase_pairs, edges, config.cutoff)
     result = tomo_mod.mle_reconstruct(hist, povm, mle_config)

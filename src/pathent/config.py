@@ -53,6 +53,8 @@ class ExperimentConfig:
             raise ConfigError(f"unknown pipeline {self.pipeline!r}")
         if self.samples_per_point < 1 or self.vacuum_samples < 1:
             raise ConfigError("sample counts must be at least 1")
+        if not (np.isfinite(self.t_max) and np.isfinite(self.t_step)):
+            raise ConfigError("thresholds t_max and t_step must be finite")
         if self.t_step <= 0 or self.t_max < self.t_min:
             raise ConfigError("threshold grid is empty")
         if not (self.t_min >= 0 and self.t_fixed >= 0):
@@ -65,6 +67,13 @@ class ExperimentConfig:
             raise ConfigError("tomography cutoff must be at least 1")
         if not self.tolerance > 0:
             raise ConfigError("tomography tolerance must be positive")
+        if self.max_iterations < 1:
+            raise ConfigError("tomography max_iterations must be at least 1")
+        for key in ("bin_width", "x_range"):
+            if not 0 < getattr(self, key) < np.inf:
+                raise ConfigError(f"tomography {key} must be positive and finite")
+        if round(2.0 * self.x_range / self.bin_width) < 1:
+            raise ConfigError("tomography bin_width leaves no bin in [-x_range, x_range]")
         try:
             DecoyIntensitySet(self.intensities)
             NoiseModel(self.eta_pd, self.v_e)

@@ -20,6 +20,7 @@ import json
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -198,19 +199,17 @@ def joint_pdf_fock(n, x_a, x_b, dtheta: float, cutoff: int | None = None):
     return np.abs(amp) ** 2
 
 
-_ENVELOPE_CACHE: dict[tuple[int, float], float] = {}
-
-
+@lru_cache(maxsize=256)
 def _envelope_bound(n: int, dtheta: float) -> float:
-    """Numeric bound on pdf / product-Normal(0,1) envelope, with 5% margin."""
-    key = (n, round(float(dtheta), 12))
-    if key not in _ENVELOPE_CACHE:
-        grid = np.linspace(-8.0, 8.0, 641)
-        xa, xb = np.meshgrid(grid, grid)
-        pdf = joint_pdf_fock(n, xa, xb, dtheta)
-        env = np.exp(-0.5 * (xa**2 + xb**2)) / (2.0 * np.pi)
-        _ENVELOPE_CACHE[key] = float(np.max(pdf / env)) * 1.05
-    return _ENVELOPE_CACHE[key]
+    """Numeric bound on pdf / product-Normal(0,1) envelope, with 5% margin.
+
+    Callers round dtheta to 12 digits, so nearby phase gaps share a cache entry.
+    """
+    grid = np.linspace(-8.0, 8.0, 641)
+    xa, xb = np.meshgrid(grid, grid)
+    pdf = joint_pdf_fock(n, xa, xb, dtheta)
+    env = np.exp(-0.5 * (xa**2 + xb**2)) / (2.0 * np.pi)
+    return float(np.max(pdf / env)) * 1.05
 
 
 def sample_fock_pair(
@@ -223,7 +222,7 @@ def sample_fock_pair(
     """
     if n < 0:
         raise ValueError("photon number must be non-negative")
-    bound = _envelope_bound(n, dtheta)
+    bound = _envelope_bound(n, round(float(dtheta), 12))
     out_a = np.empty(count)
     out_b = np.empty(count)
     filled = 0

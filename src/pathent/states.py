@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from math import comb
 
 import numpy as np
-from scipy.stats import poisson
 
 
 @dataclass(frozen=True)
@@ -98,6 +97,8 @@ def poisson_weights(mu: float, cutoff: int) -> tuple[np.ndarray, float]:
         raise ValueError("intensity must be non-negative")
     if cutoff < 0:
         raise ValueError("cutoff must be non-negative")
+    from scipy.stats import poisson  # imported here: it takes ~1 s, most of `import pathent`
+
     n = np.arange(cutoff + 1)
     weights = poisson.pmf(n, mu)
     tail = float(poisson.sf(cutoff, mu))

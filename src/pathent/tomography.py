@@ -1,11 +1,18 @@
 """Decoy-corrected joint-quadrature histograms and iterative
 maximum-likelihood reconstruction of the two-mode density matrix.
 
+Each batch is reduced to integer counts over the 2-D bin grid as soon as it
+is sampled (`histogram_counts`); densities and the decoy correction work on
+those counts.
+
 POVM elements factorize per mode: the element for 2-D bin (B_a, B_b) at LO
 phases (phi_a, phi_b) is E(B_a, phi_a) (x) E(B_b, phi_b) with single-mode
-entries e^(i(n-m)phi) * integral of phi_m phi_n over the bin. The iteration
-is the standard R-rho-R fixed point, run with the Kronecker structure kept
-implicit for speed.
+entries e^(i(n-m)phi) * integral of phi_m phi_n over the bin. The integrals
+are real and the same for every setting, and on the realigned density
+matrix R~[(m_a,n_a),(m_b,n_b)] = rho[(m_a,m_b),(n_a,n_b)] a setting's phases
+are only an elementwise factor. So each step of the standard R-rho-R fixed
+point is a handful of real matrix products with one phase-free bin operator,
+stacked over all settings.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ import numpy as np
 
 from .decoy import DecoyIntensitySet, GainVector, estimate_single_photon_statistic
 from .fock import TruncatedOperator, hermite_functions
-from .homodyne import SampleBatch
+from .homodyne import CHUNK_SIZE
 from .states import TwoModeFockState
 
 
@@ -80,12 +87,21 @@ class TomographyResult:
     converged: bool
 
 
-class PovmSet:
-    """Single-mode bin operators per setting, Kronecker-implicit.
+def _realign(op: np.ndarray, d: int) -> np.ndarray:
+    """R~[(m_a, n_a), (m_b, n_b)] = op[(m_a, m_b), (n_a, n_b)]; its own inverse."""
+    return op.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
 
-    For setting s, `mode_a[s]` has shape (n_bins, d, d); the two-mode element
-    for bin (i, j) is kron(mode_a[s][i], mode_b[s][j]). `complement[s]` is
-    the two-mode out-of-range remainder, I - sum of in-range elements.
+
+class PovmSet:
+    """Binned POVM for every setting, built from one phase-free operator.
+
+    `bins[i]` is the real single-mode overlap matrix of bin i (integrals of
+    phi_m phi_n over the bin) flattened to length d^2, the same for both
+    modes and every setting. `phases[s]` = outer(f_a, f_b) with
+    f[(m, n)] = e^(i(m-n)phi) is all that setting s adds: the probability of
+    2-D bin (i, j) is (bins @ Re(R~ o phases[s]) @ bins.T)[i, j] on the
+    realigned density matrix R~. `mode_a`, `mode_b` and `complement`
+    rebuild the explicit phased operators, for checks at small cutoffs.
     """
 
     def __init__(self, phase_pairs, edges, cutoff):
@@ -94,16 +110,14 @@ class PovmSet:
         if np.any(np.diff(self.edges) <= 0):
             raise ValueError("bin edges must be strictly increasing (no overlap)")
         self.cutoff = int(cutoff)
-        base = _bin_overlap_tensor(self.edges, self.cutoff)  # (n_bins, d, d), phi = 0
         d = self.cutoff + 1
-        phases = np.arange(d)
-        self.mode_a = []
-        self.mode_b = []
-        for phi_a, phi_b in self.phase_pairs:
-            pa = np.exp(1j * (phases[None, :] - phases[:, None]) * phi_a)
-            pb = np.exp(1j * (phases[None, :] - phases[:, None]) * phi_b)
-            self.mode_a.append(base * pa[None, :, :])
-            self.mode_b.append(base * pb[None, :, :])
+        self.bins = _bin_overlap_tensor(self.edges, self.cutoff).reshape(-1, d * d)
+        self._bins_t = np.ascontiguousarray(self.bins.T)  # stacked matmuls want it contiguous
+        m, n = np.divmod(np.arange(d * d), d)
+        phi = np.array(self.phase_pairs, dtype=float).reshape(-1, 2)
+        f_a = np.exp(1j * (m - n)[None, :] * phi[:, :1])
+        f_b = np.exp(1j * (m - n)[None, :] * phi[:, 1:])
+        self.phases = f_a[:, :, None] * f_b[:, None, :]  # (settings, d^2, d^2)
 
     @property
     def n_settings(self) -> int:
@@ -113,26 +127,46 @@ class PovmSet:
     def n_bins(self) -> int:
         return len(self.edges) - 1
 
+    def _mode_operators(self, phi: float) -> np.ndarray:
+        """(n_bins, d, d) single-mode elements B_i o e^(i(n-m)phi)."""
+        d = self.cutoff + 1
+        k = np.arange(d)
+        factor = np.exp(1j * (k[None, :] - k[:, None]) * phi)
+        return self.bins.reshape(-1, d, d) * factor[None, :, :]
+
+    @property
+    def mode_a(self) -> list:
+        """Arm a's single-mode elements, one (n_bins, d, d) array per setting."""
+        return [self._mode_operators(phi_a) for phi_a, _ in self.phase_pairs]
+
+    @property
+    def mode_b(self) -> list:
+        """Arm b's single-mode elements, one (n_bins, d, d) array per setting."""
+        return [self._mode_operators(phi_b) for _, phi_b in self.phase_pairs]
+
     def complement(self, s: int) -> np.ndarray:
+        """The two-mode out-of-range remainder, I - sum of in-range elements."""
         d2 = (self.cutoff + 1) ** 2
-        total = np.kron(self.mode_a[s].sum(axis=0), self.mode_b[s].sum(axis=0))
+        phi_a, phi_b = self.phase_pairs[s]
+        total = np.kron(
+            self._mode_operators(phi_a).sum(axis=0), self._mode_operators(phi_b).sum(axis=0)
+        )
         return np.eye(d2, dtype=complex) - total
 
-    def elements(self, s: int) -> list[TruncatedOperator]:
-        """Explicit two-mode elements for setting s (tests / small cutoffs)."""
-        out = []
-        for ea in self.mode_a[s]:
-            for eb in self.mode_b[s]:
-                out.append(TruncatedOperator(self.cutoff, 2, np.kron(ea, eb)))
-        return out
+    def probabilities(self, rho: np.ndarray, s: int | None = None) -> np.ndarray:
+        """Tr(rho * kron(Ea_i, Eb_j)) for every in-range bin (i, j), of
+        setting s, or of every setting stacked when s is None."""
+        r = _realign(np.asarray(rho), self.cutoff + 1)
+        phases = self.phases if s is None else self.phases[s : s + 1]
+        p = self.bins @ (r * phases).real @ self._bins_t
+        return p if s is None else p[0]
 
-    def probabilities(self, rho: np.ndarray, s: int) -> np.ndarray:
-        """Tr(rho * kron(Ea_i, Eb_j)) for every in-range bin."""
-        d = self.cutoff + 1
-        rho4 = rho.reshape(d, d, d, d).transpose(0, 2, 1, 3)  # (ra, ca, rb, cb)
-        return np.einsum(
-            "acbd,ica,jdb->ij", rho4, self.mode_a[s], self.mode_b[s], optimize=True
-        ).real
+    def likelihood_operator(self, weights: np.ndarray) -> np.ndarray:
+        """sum over settings s and bins (i, j) of weights[s, i, j] *
+        kron(Ea_i, Eb_j), as a d^2 x d^2 matrix: the realigned sum over s
+        of (bins.T @ weights[s] @ bins) o conj(phases[s])."""
+        m = self._bins_t @ weights @ self.bins  # (settings, d^2, d^2), real
+        return _realign(np.conj((m * self.phases).sum(axis=0)), self.cutoff + 1)
 
 
 def _bin_overlap_tensor(edges: np.ndarray, cutoff: int, order: int = 24) -> np.ndarray:
@@ -156,14 +190,75 @@ def build_povm_elements(phase_pairs, edges, cutoff: int) -> PovmSet:
     return PovmSet(phase_pairs, edges, cutoff)
 
 
-def histogram_density(batch: SampleBatch, edges: np.ndarray) -> np.ndarray:
-    """Empirical joint density over the bin grid (out-of-range mass dropped,
-    normalization by total sample count so densities stay comparable across
-    intensities)."""
-    counts, _, _ = np.histogram2d(batch.x_a, batch.x_b, bins=(edges, edges))
+@dataclass(frozen=True, eq=False)
+class HistogramCounts:
+    """Joint quadrature counts of one batch over a 2-D bin grid.
+
+    `counts[i, j]` is the number of records with x_a in bin i and x_b in bin
+    j, binned as `np.histogram2d` bins them; `total` counts every record,
+    in range or not. This is all tomography needs of a batch, so the raw
+    samples can be dropped once it is built.
+    """
+
+    edges: np.ndarray
+    counts: np.ndarray
+    total: int
+
+    def __len__(self) -> int:
+        return self.total
+
+
+def histogram_counts(batch, edges) -> HistogramCounts:
+    """Count `batch` over the grid `edges` x `edges` in CHUNK_SIZE slices.
+
+    Bin i holds edges[i] <= x < edges[i + 1], and the last edge falls in the
+    last bin; NaN and +-inf fall outside, as in `np.histogram2d`. Per arm,
+    the number of edges at or below x is estimated as
+    floor((x - edges[0]) / width) + 1. With evenly spaced edges that is off
+    by at most one, next to an edge, and one comparison each way against
+    the edges (padded with NaN, which compares false) makes it exact. Index
+    0 and n_bins + 1 collect what falls outside the grid.
+    """
+    edges = np.asarray(edges, dtype=float)
+    n_bins = len(edges) - 1
+    width = (edges[-1] - edges[0]) / n_bins if n_bins > 0 else 0.0
+    if not (width > 0 and np.allclose(np.diff(edges), width, rtol=1e-6, atol=0.0)):
+        raise ValueError("bin edges must be evenly spaced and increasing")
+    padded = np.concatenate(([np.nan], edges, [np.nan]))
+    side = n_bins + 2
+
+    def index(x: np.ndarray) -> np.ndarray:
+        est = (x - edges[0]) / width + 1.0
+        np.fmax(est, 0.0, out=est)  # NaN becomes 0
+        np.fmin(est, n_bins + 1.0, out=est)
+        k = est.astype(np.intp)
+        k -= x < padded[k]
+        k += x >= padded[k + 1]
+        k -= x == edges[-1]
+        return k
+
+    flat = np.zeros(side * side, dtype=np.int64)
+    for start in range(0, len(batch), CHUNK_SIZE):
+        key = index(batch.x_a[start : start + CHUNK_SIZE]) * side
+        key += index(batch.x_b[start : start + CHUNK_SIZE])
+        flat += np.bincount(key, minlength=side * side)
+    counts = flat.reshape(side, side)[1:-1, 1:-1].copy()
+    return HistogramCounts(edges, counts, len(batch))
+
+
+def histogram_density(source, edges: np.ndarray) -> np.ndarray:
+    """Empirical joint density over the bin grid from a SampleBatch or its
+    HistogramCounts over `edges` (out-of-range mass dropped, normalization
+    by total sample count so densities stay comparable across intensities)."""
+    if isinstance(source, HistogramCounts):
+        if not np.array_equal(source.edges, edges):
+            raise ValueError("count table was built over different bin edges")
+        table = source
+    else:
+        table = histogram_counts(source, edges)
     w = np.diff(edges)
     area = w[0] * w[0]
-    return counts / (len(batch) * area)
+    return table.counts / (len(table) * area)
 
 
 def decoy_corrected_histogram(
@@ -174,9 +269,10 @@ def decoy_corrected_histogram(
 ) -> BinnedHistogram:
     """Per-bin decoy estimate of the single-photon density.
 
-    `batches` maps (setting index, intensity label) -> SampleBatch, with
-    intensity label 0 the vacuum. Negative corrected densities are clamped
-    to zero and each setting renormalized to unit mass.
+    `batches` maps (setting index, intensity label) -> SampleBatch, or its
+    HistogramCounts over `edges`, with intensity label 0 the vacuum.
+    Negative corrected densities are clamped to zero and each setting
+    renormalized to unit mass.
     """
     L = intensity_set.num_levels
     nb = len(edges) - 1
@@ -211,13 +307,16 @@ def decoy_corrected_histogram(
 
 
 def histogram_from_batches(batches_by_setting: dict, phase_pairs, edges) -> BinnedHistogram:
-    """Uncorrected (single-intensity) histogram, e.g. for ideal Fock data."""
+    """Uncorrected (single-intensity) histogram, e.g. for ideal Fock data,
+    from a SampleBatch or HistogramCounts per setting."""
     nb = len(edges) - 1
     densities = np.empty((len(phase_pairs), nb, nb))
     w = np.diff(edges)
     area = float(w[0] * w[0])
     for s in range(len(phase_pairs)):
         dens = histogram_density(batches_by_setting[s], edges)
+        if not dens.sum() > 0:
+            raise ArithmeticError(f"no records inside the bin grid at setting {s}")
         densities[s] = dens / (dens.sum() * area)
     return BinnedHistogram(phase_pairs=list(phase_pairs), edges=np.asarray(edges), densities=densities)
 
@@ -236,39 +335,24 @@ def mle_reconstruct(
         raise ValueError("histogram and POVM settings differ")
     if hist.densities.shape[1] != povm.n_bins:
         raise ValueError("histogram and POVM bins differ")
-    d = config.cutoff + 1
-    d2 = d * d
-    area = hist.bin_area
-    n_set = povm.n_settings
-    freqs = hist.densities * area / n_set  # (s, i, j), sums to ~1 overall
+    if povm.cutoff != config.cutoff:
+        raise ValueError("POVM and MLE cutoffs differ")
+    d2 = (config.cutoff + 1) ** 2
+    freqs = hist.densities * hist.bin_area / povm.n_settings  # sums to ~1 overall
+    observed = freqs > 0
+    f_observed = freqs[observed]
 
     rho = np.eye(d2, dtype=complex) / d2
     ll_trace: list[float] = []
     converged = False
     it = 0
     for it in range(1, config.max_iterations + 1):
-        rho4 = rho.reshape(d, d, d, d).transpose(0, 2, 1, 3)  # (ra, ca, rb, cb)
-        r_op = np.zeros((d, d, d, d), dtype=complex)
-        ll = 0.0
-        for s in range(n_set):
-            # p[i, j] = sum_{ma,na,mb,nb} rho[(ma,mb),(na,nb)] Ea[i,na,ma] Eb[j,nb,mb]
-            p = np.einsum(
-                "acbd,ica,jdb->ij", rho4, povm.mode_a[s], povm.mode_b[s], optimize=True
-            ).real
-            p = np.clip(p, 1e-300, None)
-            f = freqs[s]
-            mask = f > 0
-            ll += float(np.sum(f[mask] * np.log(p[mask])))
-            wgt = np.where(mask, f / p, 0.0)
-            # R += sum_ij wgt[i,j] kron(Ea_i, Eb_j), kept as (ra, ca, rb, cb)
-            r_op += np.einsum(
-                "ij,iac,jbd->acbd", wgt, povm.mode_a[s], povm.mode_b[s], optimize=True
-            )
-        ll_trace.append(ll)
+        p = np.clip(povm.probabilities(rho), 1e-300, None)
+        ll_trace.append(float(np.sum(f_observed * np.log(p[observed]))))
         if len(ll_trace) >= 2 and ll_trace[-1] - ll_trace[-2] < config.tolerance:
             converged = ll_trace[-1] >= ll_trace[-2] - 1e-10
             break
-        r_mat = r_op.transpose(0, 2, 1, 3).reshape(d2, d2)
+        r_mat = povm.likelihood_operator(freqs / p)
         rho = r_mat @ rho @ r_mat
         rho = 0.5 * (rho + rho.conj().T)
         rho = rho / np.trace(rho).real

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -104,6 +106,17 @@ class TestConfig:
         assert ExperimentConfig().content_hash() != ExperimentConfig(seed=1).content_hash()
 
 
+class TestStartup:
+    def test_import_leaves_scipy_stats_unloaded(self):
+        """scipy.stats takes about a second to import and no subcommand needs it."""
+        import pathent
+
+        src = os.path.dirname(os.path.dirname(os.path.abspath(pathent.__file__)))
+        code = "import sys, pathent.cli; sys.exit('scipy.stats' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src))
+        assert proc.returncode == 0
+
+
 class TestExitCodes:
     def test_config_error_exit(self, tmp_path):
         bad = write_config(tmp_path, "[bogus]\nx = 1\n")
@@ -117,8 +130,23 @@ class TestExitCodes:
             ("tomography", "tolerance", "0", "tomography"),
             ("chsh", "t_fixed", "-1", "decoy-estimate"),
             ("chsh", "t_min", "-0.5", "chsh-scan"),
+            ("tomography", "bin_width", "0", "tomography"),
+            ("tomography", "x_range", "-1", "tomography"),
+            ("tomography", "max_iterations", "0", "tomography"),
+            ("chsh", "t_max", "inf", "chsh-scan"),
+            ("chsh", "t_step", "nan", "chsh-scan"),
         ],
-        ids=["cutoff", "tolerance", "t_fixed", "t_min"],
+        ids=[
+            "cutoff",
+            "tolerance",
+            "t_fixed",
+            "t_min",
+            "bin_width",
+            "x_range",
+            "max_iterations",
+            "t_max",
+            "t_step",
+        ],
     )
     def test_invalid_value_exits_before_sampling(
         self, tmp_path, monkeypatch, capsys, section, key, value, command

@@ -197,10 +197,20 @@ class TestFockSampling:
         exy = float(np.sum(w[:, None] * w[None, :] * x[:, None] * x[None, :] * pdf))
         assert np.mean(xa * xb) == pytest.approx(exy, abs=0.006)
 
+    def test_envelope_bound_cached_per_rounded_gap(self):
+        import pathent.homodyne as hm
+
+        hm._envelope_bound.cache_clear()
+        rng = np.random.default_rng(16)
+        sample_fock_pair(1, 0.3, rng, 10)
+        sample_fock_pair(1, 0.3 + 1e-14, rng, 10)
+        info = hm._envelope_bound.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
     def test_envelope_breach_detected(self, monkeypatch):
         import pathent.homodyne as hm
 
-        monkeypatch.setitem(hm._ENVELOPE_CACHE, (1, 0.0), 1e-3)
+        monkeypatch.setattr(hm, "_envelope_bound", lambda n, dtheta: 1e-3)
         rng = np.random.default_rng(15)
         with pytest.raises(RuntimeError):
             sample_fock_pair(1, 0.0, rng, 100)

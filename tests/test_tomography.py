@@ -3,7 +3,7 @@ import pytest
 
 from pathent.decoy import DecoyIntensitySet
 from pathent.fock import TruncatedOperator, hermite_functions
-from pathent.homodyne import MeasurementSettings, sample_batch
+from pathent.homodyne import CHUNK_SIZE, MeasurementSettings, SampleBatch, sample_batch
 from pathent.states import TwoModeFockState, bell_state
 from pathent.tomography import (
     BinnedHistogram,
@@ -11,6 +11,7 @@ from pathent.tomography import (
     build_povm_elements,
     decoy_corrected_histogram,
     fidelity,
+    histogram_counts,
     histogram_density,
     histogram_from_batches,
     load_density_matrix,
@@ -22,6 +23,63 @@ from pathent.tomography import (
 PHASE_PAIRS_4 = [
     (dt / 2.0, -dt / 2.0) for dt in (-np.pi, -np.pi / 2, 0.0, np.pi / 2)
 ]
+
+
+def make_batch(x_a, x_b):
+    return SampleBatch(
+        x_a=x_a,
+        x_b=x_b,
+        settings=MeasurementSettings(0.0, 0.0),
+        intensity_label=0,
+        seed=0,
+        pipeline="equivalent",
+    )
+
+
+def adversarial_values(edges):
+    """Every edge exactly and one ulp either side of it (the outer edges are
+    +-x_range), signed zeros, infinities and NaN."""
+    out = [0.0, -0.0, np.inf, -np.inf, np.nan]
+    for e in edges:
+        out += [e, np.nextafter(e, np.inf), np.nextafter(e, -np.inf)]
+    return np.array(out)
+
+
+def reference_mle(hist, povm, config):
+    """The R-rho-R loop with one einsum per setting and direction, on the
+    explicit phased single-mode operators."""
+    d = config.cutoff + 1
+    d2 = d * d
+    n_set = povm.n_settings
+    mode_a, mode_b = povm.mode_a, povm.mode_b
+    freqs = hist.densities * hist.bin_area / n_set
+    rho = np.eye(d2, dtype=complex) / d2
+    ll_trace = []
+    converged = False
+    it = 0
+    for it in range(1, config.max_iterations + 1):
+        rho4 = rho.reshape(d, d, d, d).transpose(0, 2, 1, 3)
+        r_op = np.zeros((d, d, d, d), dtype=complex)
+        ll = 0.0
+        for s in range(n_set):
+            p = np.einsum(
+                "acbd,ica,jdb->ij", rho4, mode_a[s], mode_b[s], optimize=True
+            ).real
+            p = np.clip(p, 1e-300, None)
+            f = freqs[s]
+            mask = f > 0
+            ll += float(np.sum(f[mask] * np.log(p[mask])))
+            wgt = np.where(mask, f / p, 0.0)
+            r_op += np.einsum("ij,iac,jbd->acbd", wgt, mode_a[s], mode_b[s], optimize=True)
+        ll_trace.append(ll)
+        if len(ll_trace) >= 2 and ll_trace[-1] - ll_trace[-2] < config.tolerance:
+            converged = ll_trace[-1] >= ll_trace[-2] - 1e-10
+            break
+        r_mat = r_op.transpose(0, 2, 1, 3).reshape(d2, d2)
+        rho = r_mat @ rho @ r_mat
+        rho = 0.5 * (rho + rho.conj().T)
+        rho = rho / np.trace(rho).real
+    return rho, ll_trace, it, converged
 
 
 def vacuum_state(cutoff):
@@ -99,9 +157,91 @@ class TestPovm:
                     float(np.trace(rho @ el).real), abs=1e-12
                 )
 
+    def test_stacked_probabilities_match_each_setting(self):
+        edges = np.linspace(-3.0, 3.0, 7)
+        povm = build_povm_elements(PHASE_PAIRS_4, edges, 2)
+        rng = np.random.default_rng(8)
+        g = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
+        rho = g @ g.conj().T / np.trace(g @ g.conj().T).real
+        stacked = povm.probabilities(rho)
+        assert stacked.shape == (4, 6, 6)
+        for s in range(4):
+            assert np.array_equal(stacked[s], povm.probabilities(rho, s))
+
+    def test_likelihood_operator_matches_explicit_kron(self):
+        edges = np.linspace(-3.0, 3.0, 5)
+        povm = build_povm_elements(PHASE_PAIRS_4, edges, 1)
+        weights = np.random.default_rng(9).random((4, 4, 4))
+        expect = sum(
+            weights[s, i, j] * np.kron(povm.mode_a[s][i], povm.mode_b[s][j])
+            for s in range(4)
+            for i in range(4)
+            for j in range(4)
+        )
+        assert np.max(np.abs(povm.likelihood_operator(weights) - expect)) < 1e-14
+
     def test_rejects_overlapping_bins(self):
         with pytest.raises(ValueError):
             build_povm_elements(PHASE_PAIRS_4, np.array([0.0, 1.0, 0.5]), 1)
+
+
+class TestHistogramCounts:
+    GRIDS = {
+        "default": MleConfig().bin_edges(),
+        "inexact-steps": MleConfig(bin_width=0.3, x_range=1.1).bin_edges(),
+        "one-bin": np.array([-1.0, 1.0]),
+    }
+
+    def check_against_histogram2d(self, x_a, x_b, edges):
+        table = histogram_counts(make_batch(x_a, x_b), edges)
+        expect, _, _ = np.histogram2d(x_a, x_b, bins=(edges, edges))
+        assert len(table) == len(x_a)
+        assert table.counts.dtype == np.int64
+        assert np.array_equal(table.counts, expect)
+
+    @pytest.mark.parametrize("grid", sorted(GRIDS))
+    def test_adversarial_records(self, grid):
+        edges = self.GRIDS[grid]
+        values = adversarial_values(edges)
+        x_a, x_b = (v.ravel() for v in np.meshgrid(values, values))
+        self.check_against_histogram2d(x_a, x_b, edges)
+
+    def test_last_edge_in_last_bin_and_non_finite_dropped(self):
+        edges = np.array([-1.0, 0.0, 1.0])
+        x_a = np.array([1.0, np.nan, 0.5, np.inf, -np.inf, 0.5, -1.0])
+        x_b = np.array([1.0, 0.5, np.nan, 0.5, 0.5, -np.inf, -0.0])
+        table = histogram_counts(make_batch(x_a, x_b), edges)
+        assert table.counts.tolist() == [[0, 1], [0, 1]]
+        assert len(table) == 7
+
+    def test_length_not_a_multiple_of_the_chunk(self):
+        rng = np.random.default_rng(4)
+        edges = self.GRIDS["default"]
+        n = 2 * CHUNK_SIZE + 123
+        specials = adversarial_values(edges)
+        x_a = np.where(rng.random(n) < 0.2, rng.choice(specials, n), rng.normal(0, 2.5, n))
+        x_b = np.where(rng.random(n) < 0.2, rng.choice(specials, n), rng.normal(0, 2.5, n))
+        self.check_against_histogram2d(x_a, x_b, edges)
+
+    def test_density_same_from_batch_and_table(self):
+        edges = self.GRIDS["default"]
+        batch = sample_batch(0.5, MeasurementSettings(0.3, -0.3), 20_000, seed=22)
+        table = histogram_counts(batch, edges)
+        from_batch = histogram_density(batch, edges)
+        assert np.array_equal(from_batch, histogram_density(table, edges))
+        counts, _, _ = np.histogram2d(batch.x_a, batch.x_b, bins=(edges, edges))
+        w = np.diff(edges)
+        assert np.array_equal(from_batch, counts / (len(batch) * (w[0] * w[0])))
+
+    def test_uneven_or_mismatched_edges_rejected(self):
+        batch = make_batch([0.5], [0.5])
+        with pytest.raises(ValueError):
+            histogram_counts(batch, np.array([0.0, 1.0, 3.0]))
+        with pytest.raises(ValueError):
+            histogram_counts(batch, np.array([0.0]))
+        table = histogram_counts(batch, np.linspace(-1.0, 1.0, 3))
+        with pytest.raises(ValueError):
+            histogram_density(table, np.linspace(-1.0, 1.0, 5))
 
 
 class TestHistograms:
@@ -167,6 +307,13 @@ class TestHistograms:
                 {(0, 0): batch(0.5), (0, 1): batch(50.0)}, iset, [(0.0, 0.0)], edges
             )
 
+    def test_uncorrected_histogram_without_records_in_range_raises(self):
+        edges = np.linspace(-1.0, 1.0, 3)
+        tables = {0: histogram_counts(make_batch([0.5], [0.5]), edges)}
+        tables[1] = histogram_counts(make_batch([3.0, np.nan], [0.5, 0.5]), edges)
+        with pytest.raises(ArithmeticError):
+            histogram_from_batches(tables, [(0.0, 0.0), (0.5, 0.0)], edges)
+
     def test_missing_batch_rejected(self):
         iset = DecoyIntensitySet((0.1,))
         with pytest.raises(ValueError):
@@ -221,6 +368,50 @@ class TestMle:
         assert np.diff(result.log_likelihood).min() >= -1e-10
         assert fidelity(result.rho, bell_state(2)) > 0.95
         assert multiphoton_mass(result.rho) < 0.05
+
+    CUTOFF = 2
+
+    def decoy_histogram(self, edges):
+        iset = DecoyIntensitySet((0.0872, 0.2314, 0.9840))
+        tables = {}
+        for s, pair in enumerate(PHASE_PAIRS_4):
+            settings = MeasurementSettings(*pair)
+            for j, mu in enumerate((0.0,) + iset.intensities):
+                batch = sample_batch(mu, settings, 60_000, seed=600 + 4 * s + j)
+                tables[(s, j)] = histogram_counts(batch, edges)
+        return decoy_corrected_histogram(tables, iset, PHASE_PAIRS_4, edges)
+
+    def fock_histogram(self, edges):
+        tables = {
+            s: histogram_counts(
+                sample_batch(
+                    0.0,
+                    MeasurementSettings(*pair),
+                    20_000,
+                    pipeline="ideal-fock",
+                    seed=700 + s,
+                    fock_n=1,
+                ),
+                edges,
+            )
+            for s, pair in enumerate(PHASE_PAIRS_4)
+        }
+        return histogram_from_batches(tables, PHASE_PAIRS_4, edges)
+
+    @pytest.mark.parametrize("source", ["decoy", "ideal-fock"])
+    def test_same_as_reference_loop(self, source):
+        cfg = MleConfig(
+            cutoff=self.CUTOFF, max_iterations=300, tolerance=1e-9, bin_width=0.5, x_range=4.0
+        )
+        edges = cfg.bin_edges()
+        hist = self.decoy_histogram(edges) if source == "decoy" else self.fock_histogram(edges)
+        povm = build_povm_elements(PHASE_PAIRS_4, edges, cfg.cutoff)
+        result = mle_reconstruct(hist, povm, cfg)
+        rho, ll_trace, iterations, converged = reference_mle(hist, povm, cfg)
+        assert result.iterations == iterations
+        assert result.converged == converged
+        assert np.max(np.abs(result.rho.entries - rho)) < 1e-12
+        assert np.max(np.abs(np.array(result.log_likelihood) - ll_trace)) < 1e-12
 
     def test_mismatched_settings_rejected(self):
         cfg = MleConfig(cutoff=1, bin_width=0.5, x_range=2.0)
