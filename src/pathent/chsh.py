@@ -3,6 +3,11 @@ CHSH assembly, plus the ideal single-photon reference curve.
 
 Binning rule: outcome 0 when x < -T, outcome 1 when x > T, discard
 otherwise, independently per arm; a record survives only if both arms do.
+
+Analysis takes count tables only: each batch is reduced once, right after it
+is sampled, to its coincidence counts at every threshold of the scan grid
+(`threshold_counts`), and the decoy bounds, correlations and CHSH scan read
+those tables.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from .decoy import (
     bound_statistic,
     estimate_single_photon_statistic,
 )
-from .homodyne import CHUNK_SIZE, SampleBatch, joint_pdf_fock
+from .homodyne import SampleBatch, chunked_bincount, joint_pdf_fock
 
 OUTCOME_PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
@@ -120,37 +125,30 @@ def threshold_counts(batch: SampleBatch, t_grid) -> ThresholdCounts:
     x_a and x_b then pick the outcome pair. So each record is counted once,
     under its sign quadrant and the number of thresholds below its min(|x|)
     (a NaN in either arm survives none), and a reverse cumulative sum turns
-    those counts into survivors per threshold. Work goes in CHUNK_SIZE
-    slices so the temporaries stay small; integer sums keep it exact.
+    those counts into survivors per threshold. Integer sums keep it exact.
     """
     grid = np.asarray(t_grid, dtype=float).ravel()
     if not np.all(grid >= 0):
         raise ValueError("threshold must be non-negative")
     levels = np.unique(grid)
     width = len(levels) + 1
-    hist = np.zeros(4 * width, dtype=np.int64)
-    for start in range(0, len(batch), CHUNK_SIZE):
-        x_a = batch.x_a[start : start + CHUNK_SIZE]
-        x_b = batch.x_b[start : start + CHUNK_SIZE]
+
+    def key(x_a, x_b):
         depth = np.minimum(np.abs(x_a), np.abs(x_b))
         depth[np.isnan(depth)] = 0.0
-        key = np.searchsorted(levels, depth)
-        key += width * (2 * (x_a > 0) + (x_b > 0))
-        hist += np.bincount(key, minlength=4 * width)
+        k = np.searchsorted(levels, depth)
+        k += width * (2 * (x_a > 0) + (x_b > 0))
+        return k
+
+    hist = chunked_bincount(batch, key, 4 * width)
     survivors = np.cumsum(hist.reshape(4, width)[:, ::-1], axis=1)[:, -2::-1]
     return ThresholdCounts(levels, survivors.T, len(batch))
 
 
-def _as_table(source, t_grid) -> ThresholdCounts:
-    if isinstance(source, ThresholdCounts):
-        return source
-    return threshold_counts(source, t_grid)
-
-
-def bin_coincidences(source, T: float) -> CoincidenceCounts:
-    """Counts at threshold T from a SampleBatch, or looked up in a
-    ThresholdCounts table built over a grid that contains T."""
-    return _as_table(source, [T]).at(T)
+def bin_coincidences(table: ThresholdCounts, T: float) -> CoincidenceCounts:
+    """Counts at threshold T, looked up in a table built over a grid that
+    contains T."""
+    return table.at(T)
 
 
 def correlation(counts: CoincidenceCounts) -> float:
@@ -259,19 +257,19 @@ def ideal_single_photon_chsh(T: float) -> float:
 
 
 def decoy_coincidence_bounds(
-    batches_by_intensity: dict,
+    tables_by_intensity: dict,
     intensity_set: DecoyIntensitySet,
     T: float,
 ) -> dict:
     """Per-outcome decoy-bounded single-photon coincidence probabilities.
 
-    `batches_by_intensity` maps intensity label (0 = vacuum, 1..L = decoy
-    levels in increasing order) to a SampleBatch, or its ThresholdCounts, at
-    a single fixed setting.
+    `tables_by_intensity` maps intensity label (0 = vacuum, 1..L = decoy
+    levels in increasing order) to the ThresholdCounts of a single fixed
+    setting.
     """
     probs = {
-        label: bin_coincidences(batch, T).probabilities()
-        for label, batch in batches_by_intensity.items()
+        label: bin_coincidences(table, T).probabilities()
+        for label, table in tables_by_intensity.items()
     }
     out = {}
     for pair in OUTCOME_PAIRS:
@@ -285,32 +283,30 @@ def decoy_coincidence_bounds(
 
 
 def decoy_correlation(
-    batches_by_intensity: dict, intensity_set: DecoyIntensitySet, T: float
+    tables_by_intensity: dict, intensity_set: DecoyIntensitySet, T: float
 ) -> CorrelationBound:
-    p = decoy_coincidence_bounds(batches_by_intensity, intensity_set, T)
+    p = decoy_coincidence_bounds(tables_by_intensity, intensity_set, T)
     return correlation_bounds(p[(0, 0)], p[(0, 1)], p[(1, 0)], p[(1, 1)])
 
 
 def scan_threshold(
-    batches: dict,
+    tables: dict,
     intensity_set: DecoyIntensitySet,
     t_grid,
 ) -> list[ChshResult]:
     """Full decoy CHSH pipeline per threshold.
 
-    `batches` maps ((label_a, label_b), intensity_label) -> SampleBatch, or
-    ThresholdCounts covering `t_grid`, over the 4 CHSH settings and
-    intensity labels 0..L. Batches are binned once for the whole grid.
+    `tables` maps ((label_a, label_b), intensity_label) -> ThresholdCounts
+    covering `t_grid`, over the 4 CHSH settings and intensity labels 0..L.
     Thresholds where any setting loses all survivors are marked invalid
     rather than NaN.
     """
     expected = {
         (combo, j) for combo in CHSH_COMBOS for j in range(intensity_set.num_levels + 1)
     }
-    missing = expected - set(batches)
+    missing = expected - set(tables)
     if missing:
-        raise ValueError(f"missing batches for {sorted(missing)}")
-    tables = {key: _as_table(source, t_grid) for key, source in batches.items()}
+        raise ValueError(f"missing tables for {sorted(missing)}")
     results = []
     for T in t_grid:
         try:

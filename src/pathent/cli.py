@@ -10,17 +10,16 @@ byte-identical output files. Exit codes: 0 success, 2 config error,
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
-
-import numpy as np
 
 from . import chsh as chsh_mod
 from . import tomography as tomo_mod
 from .config import ConfigError, ExperimentConfig, load_config, with_overrides
 from .homodyne import MeasurementSettings, sample_batch
-from .states import bell_state, compensated_intensity
+from .states import IDEAL_NOISE, bell_state, compensated_intensity
 from .fairsampling import verification_report
 
 EXIT_OK = 0
@@ -28,188 +27,156 @@ EXIT_CONFIG = 2
 EXIT_BREACH = 3
 EXIT_NUMERICAL = 4
 
+CHSH_SETTINGS = {combo: MeasurementSettings.chsh(*combo) for combo in chsh_mod.CHSH_COMBOS}
+
 
 def _batch_seed(master_seed: int, index: int) -> int:
+    """Seed of the batch with this index. Indices count from 0 over the CHSH
+    batches (simulate, chsh-scan, decoy-estimate), from 10_000 in
+    correlation-scan and from 20_000 in tomography."""
     return (master_seed * 1_000_003 + index) % (1 << 63)
 
 
 def _simulate_point(
     config: ExperimentConfig,
     settings: MeasurementSettings,
-    intensity_label: int,
+    intensity_label: int | None,
     batch_index: int,
 ):
-    """One (setting, intensity) batch. Label 0 is the vacuum; labels 1..L the
-    decoy levels, with intensities compensated by 1/eta_tot at the source so
-    the post-loss intensities hit the configured targets."""
-    if intensity_label == 0:
-        mu_target, count = 0.0, config.scaled(config.vacuum_samples)
-    else:
-        mu_target = config.intensities[intensity_label - 1]
-        count = config.scaled(config.samples_per_point)
-    mu_source = compensated_intensity(mu_target, config.noise)
+    """One batch at `settings`. Label 0 is the vacuum; labels 1..L the decoy
+    levels, with intensities compensated by 1/eta_tot at the source so the
+    post-loss intensities hit the configured targets. Label None is the
+    noiseless single-photon source that ideal-fock tomography measures."""
+    mu_target = config.intensities[intensity_label - 1] if intensity_label else 0.0
+    count = config.vacuum_samples if intensity_label == 0 else config.samples_per_point
+    noise = IDEAL_NOISE if intensity_label is None else config.noise
     return sample_batch(
-        mu=mu_source,
+        mu=compensated_intensity(mu_target, noise),
         settings=settings,
-        count=count,
-        noise=config.noise,
+        count=config.scaled(count),
+        noise=noise,
         pipeline=config.pipeline,
         seed=_batch_seed(config.seed, batch_index),
-        intensity_label=intensity_label,
+        intensity_label=intensity_label or 0,
         workers=config.workers,
     )
 
 
-def _chsh_points(config: ExperimentConfig, reduce) -> dict:
-    """`reduce` of each (CHSH setting, intensity label) batch, applied as soon
-    as the batch is sampled, so only what `reduce` returns stays alive."""
-    out = {}
-    index = 0
-    for combo in chsh_mod.CHSH_COMBOS:
-        settings = MeasurementSettings.chsh(*combo)
-        for label in range(len(config.intensities) + 1):
-            out[(combo, label)] = reduce(_simulate_point(config, settings, label, index))
-            index += 1
-    return out
+def _sweep(
+    config: ExperimentConfig, settings: dict, first_index: int, reduce, labels=None
+) -> dict:
+    """`reduce` of one batch per (key of `settings`, intensity label), keyed
+    by that pair. Batches are sampled in that order, the i-th with batch
+    index first_index + i, and each is reduced as soon as it is sampled, so
+    only what `reduce` returns stays alive. `labels` defaults to the vacuum
+    and every decoy level."""
+    if labels is None:
+        labels = range(len(config.intensities) + 1)
+    points = itertools.product(settings.items(), labels)
+    return {
+        (key, label): reduce(_simulate_point(config, setting, label, first_index + i))
+        for i, ((key, setting), label) in enumerate(points)
+    }
 
 
-def _write_manifest(out_dir: str, config: ExperimentConfig, files: list) -> str:
+def _tables_at_t_fixed(config: ExperimentConfig, settings: dict, first_index: int) -> dict:
+    """Per key of `settings`, its count tables at t_fixed by intensity label."""
+    tables = _sweep(
+        config, settings, first_index, lambda b: chsh_mod.threshold_counts(b, [config.t_fixed])
+    )
+    return {key: {j: t for (k, j), t in tables.items() if k == key} for key in settings}
+
+
+def _write_csv(out_dir: str, name: str, header: str, rows) -> str:
+    """Write `rows` under `header`: numbers as .17g, strings as they are."""
+    with open(os.path.join(out_dir, name), "w") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(v if isinstance(v, str) else f"{v:.17g}" for v in row) + "\n")
+    return name
+
+
+def _write_manifest(out_dir: str, config: ExperimentConfig, files: list) -> None:
     for f in files:
         path = os.path.join(out_dir, f)
         if not (os.path.exists(path) and os.path.getsize(path) > 0):
             raise RuntimeError(f"manifest references missing or empty file {f}")
     manifest = {"config_hash": config.content_hash(), "files": sorted(files)}
-    path = os.path.join(out_dir, "manifest.json")
-    with open(path, "w") as fh:
+    with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    return path
 
 
-def cmd_simulate(config: ExperimentConfig, out_dir: str) -> int:
-    files = []
-    for (combo, label), batch in _chsh_points(config, lambda batch: batch).items():
-        name = f"batch_a{combo[0]}b{combo[1]}_mu{label}.csv"
+def cmd_simulate(config: ExperimentConfig, out_dir: str) -> tuple[int, list]:
+    def save(batch) -> list:
+        settings = batch.settings
+        name = f"batch_a{settings.label_a}b{settings.label_b}_mu{batch.intensity_label}.csv"
         batch.save(os.path.join(out_dir, name))
-        files += [name, name.replace(".csv", ".meta.json")]
-    _write_manifest(out_dir, config, files)
-    return EXIT_OK
+        return [name, name.replace(".csv", ".meta.json")]
+
+    saved = _sweep(config, CHSH_SETTINGS, 0, save)
+    return EXIT_OK, [name for names in saved.values() for name in names]
 
 
-def cmd_correlation_scan(config: ExperimentConfig, out_dir: str) -> int:
+def cmd_correlation_scan(config: ExperimentConfig, out_dir: str) -> tuple[int, list]:
+    settings = {
+        float(dtheta): MeasurementSettings(phi_a=float(dtheta), phi_b=0.0)
+        for dtheta in config.dtheta_grid()
+    }
+    iset = config.intensity_set
     rows = []
-    index = 10_000  # separate seed stream from the CHSH batches
-    for dtheta in config.dtheta_grid():
-        settings = MeasurementSettings(phi_a=float(dtheta), phi_b=0.0)
-        by_intensity = {}
-        for label in range(len(config.intensities) + 1):
-            by_intensity[label] = _simulate_point(config, settings, label, index)
-            index += 1
-        bound = chsh_mod.decoy_correlation(
-            by_intensity, config.intensity_set, config.t_fixed
-        )
-        rows.append((float(dtheta), bound.e_est, bound.e_lower, bound.e_upper))
-    path = os.path.join(out_dir, "correlation_scan.csv")
-    with open(path, "w") as fh:
-        fh.write("dtheta,e_est,e_lower,e_upper\n")
-        for row in rows:
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
-    _write_manifest(out_dir, config, ["correlation_scan.csv"])
-    return EXIT_OK
+    for dtheta, tables in _tables_at_t_fixed(config, settings, 10_000).items():
+        bound = chsh_mod.decoy_correlation(tables, iset, config.t_fixed)
+        rows.append((dtheta, bound.e_est, bound.e_lower, bound.e_upper))
+    header = "dtheta,e_est,e_lower,e_upper"
+    return EXIT_OK, [_write_csv(out_dir, "correlation_scan.csv", header, rows)]
 
 
-def cmd_chsh_scan(config: ExperimentConfig, out_dir: str) -> int:
+def cmd_chsh_scan(config: ExperimentConfig, out_dir: str) -> tuple[int, list]:
     t_grid = config.t_grid()
-    tables = _chsh_points(config, lambda batch: chsh_mod.threshold_counts(batch, t_grid))
-    results = chsh_mod.scan_threshold(tables, config.intensity_set, t_grid)
-    path = os.path.join(out_dir, "chsh_scan.csv")
-    with open(path, "w") as fh:
-        fh.write("T,s_est,s_lower,s_upper\n")
-        for res in results:
-            if res.valid:
-                fh.write(
-                    f"{res.threshold:.17g},{res.s_est:.17g},"
-                    f"{res.s_lower:.17g},{res.s_upper:.17g}\n"
-                )
-            else:
-                fh.write(f"{res.threshold:.17g},invalid,invalid,invalid\n")
-    _write_manifest(out_dir, config, ["chsh_scan.csv"])
-    return EXIT_OK
+    tables = _sweep(config, CHSH_SETTINGS, 0, lambda b: chsh_mod.threshold_counts(b, t_grid))
+    rows = [
+        (r.threshold, r.s_est, r.s_lower, r.s_upper)
+        if r.valid
+        else (r.threshold, "invalid", "invalid", "invalid")
+        for r in chsh_mod.scan_threshold(tables, config.intensity_set, t_grid)
+    ]
+    return EXIT_OK, [_write_csv(out_dir, "chsh_scan.csv", "T,s_est,s_lower,s_upper", rows)]
 
 
-def cmd_decoy_estimate(config: ExperimentConfig, out_dir: str) -> int:
+def cmd_decoy_estimate(config: ExperimentConfig, out_dir: str) -> tuple[int, list]:
     """Decoy-bounded single-photon coincidence probabilities at t_fixed for
     each CHSH setting pair."""
-    tables = _chsh_points(
-        config, lambda batch: chsh_mod.threshold_counts(batch, [config.t_fixed])
-    )
-    path = os.path.join(out_dir, "decoy_estimate.csv")
-    with open(path, "w") as fh:
-        fh.write("setting_a,setting_b,outcome_a,outcome_b,estimate,lower,upper\n")
-        for combo in chsh_mod.CHSH_COMBOS:
-            by_intensity = {
-                label: tables[(combo, label)]
-                for label in range(len(config.intensities) + 1)
-            }
-            bounds = chsh_mod.decoy_coincidence_bounds(
-                by_intensity, config.intensity_set, config.t_fixed
-            )
-            for pair in chsh_mod.OUTCOME_PAIRS:
-                b = bounds[pair]
-                fh.write(
-                    f"{combo[0]},{combo[1]},{pair[0]},{pair[1]},"
-                    f"{b.estimate:.17g},{b.lower:.17g},{b.upper:.17g}\n"
-                )
-    _write_manifest(out_dir, config, ["decoy_estimate.csv"])
-    return EXIT_OK
+    iset = config.intensity_set
+    rows = []
+    for combo, tables in _tables_at_t_fixed(config, CHSH_SETTINGS, 0).items():
+        bounds = chsh_mod.decoy_coincidence_bounds(tables, iset, config.t_fixed)
+        for pair in chsh_mod.OUTCOME_PAIRS:
+            b = bounds[pair]
+            rows.append((*combo, *pair, b.estimate, b.lower, b.upper))
+    header = "setting_a,setting_b,outcome_a,outcome_b,estimate,lower,upper"
+    return EXIT_OK, [_write_csv(out_dir, "decoy_estimate.csv", header, rows)]
 
 
-def cmd_tomography(config: ExperimentConfig, out_dir: str) -> int:
-    mle_config = tomo_mod.MleConfig(
-        cutoff=config.cutoff,
-        max_iterations=config.max_iterations,
-        tolerance=config.tolerance,
-        bin_width=config.bin_width,
-        x_range=config.x_range,
-    )
+def cmd_tomography(config: ExperimentConfig, out_dir: str) -> tuple[int, list]:
+    mle_config = config.mle
     edges = mle_config.bin_edges()
-    dthetas = config.dtheta_grid()
     # Split each phase difference symmetrically across the two arms: the data
     # depend only on dtheta, but varying both LO phases conditions the
     # reconstruction far better than pinning one arm at phase 0.
-    phase_pairs = [(float(dt) / 2.0, -float(dt) / 2.0) for dt in dthetas]
-    index = 20_000
-    # Each batch is reduced to its count table as soon as it is sampled, so
-    # no raw batch outlives its reduction.
+    phase_pairs = [(float(dt) / 2.0, -float(dt) / 2.0) for dt in config.dtheta_grid()]
+    settings = {s: MeasurementSettings(*pair) for s, pair in enumerate(phase_pairs)}
+
+    def reduce(batch):
+        return tomo_mod.histogram_counts(batch, edges)
+
     if config.pipeline == "ideal-fock":
-        by_setting = {}
-        for s, (pa, pb) in enumerate(phase_pairs):
-            by_setting[s] = tomo_mod.histogram_counts(
-                sample_batch(
-                    mu=0.0,
-                    settings=MeasurementSettings(phi_a=pa, phi_b=pb),
-                    count=config.scaled(config.samples_per_point),
-                    pipeline="ideal-fock",
-                    seed=_batch_seed(config.seed, index),
-                    fock_n=1,
-                    workers=config.workers,
-                ),
-                edges,
-            )
-            index += 1
+        tables = _sweep(config, settings, 20_000, reduce, labels=[None])
+        by_setting = {s: table for (s, _), table in tables.items()}
         hist = tomo_mod.histogram_from_batches(by_setting, phase_pairs, edges)
     else:
-        tables = {}
-        for s, (pa, pb) in enumerate(phase_pairs):
-            settings = MeasurementSettings(phi_a=pa, phi_b=pb)
-            for label in range(len(config.intensities) + 1):
-                tables[(s, label)] = tomo_mod.histogram_counts(
-                    _simulate_point(config, settings, label, index), edges
-                )
-                index += 1
-        hist = tomo_mod.decoy_corrected_histogram(
-            tables, config.intensity_set, phase_pairs, edges
-        )
+        tables = _sweep(config, settings, 20_000, reduce)
+        hist = tomo_mod.decoy_corrected_histogram(tables, config.intensity_set, phase_pairs, edges)
     povm = tomo_mod.build_povm_elements(phase_pairs, edges, config.cutoff)
     result = tomo_mod.mle_reconstruct(hist, povm, mle_config)
     target = bell_state(config.cutoff)
@@ -228,15 +195,17 @@ def cmd_tomography(config: ExperimentConfig, out_dir: str) -> int:
             + ",".join(f"{v:.17g}" for v in hist.clamp_fraction)
             + "\n"
         )
-    _write_manifest(out_dir, config, ["density_matrix.txt", "tomography_summary.txt"])
+    files = ["density_matrix.txt", "tomography_summary.txt"]
     if not result.converged:
         tail = ",".join(f"{v:.12g}" for v in result.log_likelihood[-10:])
         print(f"warning: MLE did not converge; last log-likelihoods: {tail}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    return EXIT_OK
+        return EXIT_NUMERICAL, files
+    return EXIT_OK, files
 
 
-def cmd_fair_sampling_check(config: ExperimentConfig, out_dir: str, cutoff: int = 1) -> int:
+def cmd_fair_sampling_check(
+    config: ExperimentConfig, out_dir: str, cutoff: int = 1
+) -> tuple[int, list]:
     report = verification_report(seed=config.seed, cutoff=cutoff)
     path = os.path.join(out_dir, "fair_sampling_report.txt")
     with open(path, "w") as fh:
@@ -250,10 +219,8 @@ def cmd_fair_sampling_check(config: ExperimentConfig, out_dir: str, cutoff: int 
         if cutoff > 1:
             verdict = "REPORT-ONLY (cutoff > 1: factorization scoped to the qubit subspace)"
         fh.write(f"{verdict}\n")
-    _write_manifest(out_dir, config, ["fair_sampling_report.txt"])
-    if cutoff == 1 and not report["passed"]:
-        return EXIT_BREACH
-    return EXIT_OK
+    code = EXIT_BREACH if cutoff == 1 and not report["passed"] else EXIT_OK
+    return code, ["fair_sampling_report.txt"]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -283,6 +250,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Each subcommand returns its exit code and the files it wrote, which `main`
+# lists in the manifest.
 COMMANDS = {
     "simulate": cmd_simulate,
     "correlation-scan": cmd_correlation_scan,
@@ -305,8 +274,11 @@ def main(argv=None) -> int:
     os.makedirs(args.out, exist_ok=True)
     try:
         if args.command == "fair-sampling-check":
-            return cmd_fair_sampling_check(config, args.out, cutoff=args.cutoff)
-        return COMMANDS[args.command](config, args.out)
+            code, files = cmd_fair_sampling_check(config, args.out, cutoff=args.cutoff)
+        else:
+            code, files = COMMANDS[args.command](config, args.out)
+        _write_manifest(args.out, config, files)
+        return code
     except (ArithmeticError, RuntimeError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

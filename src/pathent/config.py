@@ -12,12 +12,13 @@ from __future__ import annotations
 import configparser
 import hashlib
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .decoy import DecoyIntensitySet
 from .states import NoiseModel
+from .tomography import MleConfig
 
 DEFAULT_INTENSITIES = (0.0872, 0.2314, 0.9840)
 
@@ -63,20 +64,10 @@ class ExperimentConfig:
             raise ConfigError("phase grid is empty")
         if self.scale < 1 or self.workers < 1:
             raise ConfigError("scale and workers must be at least 1")
-        if self.cutoff < 1:
-            raise ConfigError("tomography cutoff must be at least 1")
-        if not self.tolerance > 0:
-            raise ConfigError("tomography tolerance must be positive")
         if self.max_iterations < 1:
             raise ConfigError("tomography max_iterations must be at least 1")
-        for key in ("bin_width", "x_range"):
-            if not 0 < getattr(self, key) < np.inf:
-                raise ConfigError(f"tomography {key} must be positive and finite")
-        if round(2.0 * self.x_range / self.bin_width) < 1:
-            raise ConfigError("tomography bin_width leaves no bin in [-x_range, x_range]")
-        try:
-            DecoyIntensitySet(self.intensities)
-            NoiseModel(self.eta_pd, self.v_e)
+        try:  # each object checks its own rules as it is built
+            self.intensity_set, self.noise, self.mle
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
@@ -87,6 +78,10 @@ class ExperimentConfig:
     @property
     def noise(self) -> NoiseModel:
         return NoiseModel(self.eta_pd, self.v_e)
+
+    @property
+    def mle(self) -> MleConfig:
+        return MleConfig(**{f.name: getattr(self, f.name) for f in fields(MleConfig)})
 
     def t_grid(self) -> np.ndarray:
         n = int(round((self.t_max - self.t_min) / self.t_step))

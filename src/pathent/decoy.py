@@ -7,7 +7,7 @@ densities: the gain entries may be numpy arrays and everything broadcasts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -62,12 +62,10 @@ class GainVector:
     """Measured statistics per intensity: vacuum first, then mu_1..mu_L.
 
     Entries may be scalars (probabilities) or arrays (binned densities).
-    Sample counts are carried for external standard-error computation only.
     """
 
     vacuum: np.ndarray | float
     gains: tuple
-    counts: tuple = field(default=())
 
 
 @dataclass(frozen=True)

@@ -131,6 +131,17 @@ class SampleBatch:
         )
 
 
+def chunked_bincount(batch: SampleBatch, key, size: int) -> np.ndarray:
+    """Sum over CHUNK_SIZE slices of `batch` of np.bincount(key(x_a, x_b)),
+    as `size` exact int64 counts. `key` maps a slice of each arm to an index
+    in [0, size) per record; slicing keeps the temporaries small."""
+    counts = np.zeros(size, dtype=np.int64)
+    for start in range(0, len(batch), CHUNK_SIZE):
+        stop = start + CHUNK_SIZE
+        counts += np.bincount(key(batch.x_a[start:stop], batch.x_b[start:stop]), minlength=size)
+    return counts
+
+
 def _sidecar_path(path: str) -> str:
     root, _ = os.path.splitext(path)
     return root + ".meta.json"

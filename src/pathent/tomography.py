@@ -1,9 +1,10 @@
 """Decoy-corrected joint-quadrature histograms and iterative
 maximum-likelihood reconstruction of the two-mode density matrix.
 
-Each batch is reduced to integer counts over the 2-D bin grid as soon as it
-is sampled (`histogram_counts`); densities and the decoy correction work on
-those counts.
+Analysis takes count tables only: each batch is reduced to integer counts
+over the 2-D bin grid as soon as it is sampled (`histogram_counts`), and the
+densities, the decoy correction and the uncorrected histogram read those
+tables.
 
 POVM elements factorize per mode: the element for 2-D bin (B_a, B_b) at LO
 phases (phi_a, phi_b) is E(B_a, phi_a) (x) E(B_b, phi_b) with single-mode
@@ -23,7 +24,7 @@ import numpy as np
 
 from .decoy import DecoyIntensitySet, GainVector, estimate_single_photon_statistic
 from .fock import TruncatedOperator, hermite_functions
-from .homodyne import CHUNK_SIZE
+from .homodyne import SampleBatch, chunked_bincount
 from .states import TwoModeFockState
 
 
@@ -38,10 +39,15 @@ class MleConfig:
     def __post_init__(self):
         if self.cutoff < 1:
             raise ValueError("cutoff must be at least 1")
-        if self.tolerance <= 0:
+        if self.max_iterations < 0:
+            raise ValueError("max_iterations must be non-negative")
+        if not self.tolerance > 0:
             raise ValueError("tolerance must be positive")
-        if self.bin_width <= 0 or self.x_range <= 0:
-            raise ValueError("bin geometry must be positive")
+        for key in ("bin_width", "x_range"):
+            if not 0 < getattr(self, key) < np.inf:
+                raise ValueError(f"{key} must be positive and finite")
+        if round(2.0 * self.x_range / self.bin_width) < 1:
+            raise ValueError("bin_width leaves no bin in [-x_range, x_range]")
 
     def bin_edges(self) -> np.ndarray:
         n_bins = int(round(2.0 * self.x_range / self.bin_width))
@@ -208,8 +214,8 @@ class HistogramCounts:
         return self.total
 
 
-def histogram_counts(batch, edges) -> HistogramCounts:
-    """Count `batch` over the grid `edges` x `edges` in CHUNK_SIZE slices.
+def histogram_counts(batch: SampleBatch, edges) -> HistogramCounts:
+    """Count `batch` over the grid `edges` x `edges` in one pass.
 
     Bin i holds edges[i] <= x < edges[i + 1], and the last edge falls in the
     last bin; NaN and +-inf fall outside, as in `np.histogram2d`. Per arm,
@@ -237,88 +243,78 @@ def histogram_counts(batch, edges) -> HistogramCounts:
         k -= x == edges[-1]
         return k
 
-    flat = np.zeros(side * side, dtype=np.int64)
-    for start in range(0, len(batch), CHUNK_SIZE):
-        key = index(batch.x_a[start : start + CHUNK_SIZE]) * side
-        key += index(batch.x_b[start : start + CHUNK_SIZE])
-        flat += np.bincount(key, minlength=side * side)
+    flat = chunked_bincount(batch, lambda x_a, x_b: index(x_a) * side + index(x_b), side * side)
     counts = flat.reshape(side, side)[1:-1, 1:-1].copy()
     return HistogramCounts(edges, counts, len(batch))
 
 
-def histogram_density(source, edges: np.ndarray) -> np.ndarray:
-    """Empirical joint density over the bin grid from a SampleBatch or its
-    HistogramCounts over `edges` (out-of-range mass dropped, normalization
-    by total sample count so densities stay comparable across intensities)."""
-    if isinstance(source, HistogramCounts):
-        if not np.array_equal(source.edges, edges):
-            raise ValueError("count table was built over different bin edges")
-        table = source
-    else:
-        table = histogram_counts(source, edges)
+def histogram_density(table: HistogramCounts, edges: np.ndarray) -> np.ndarray:
+    """Empirical joint density over the bin grid from a table built over
+    `edges` (out-of-range mass dropped, normalization by total sample count
+    so densities stay comparable across intensities)."""
+    if not np.array_equal(table.edges, edges):
+        raise ValueError("count table was built over different bin edges")
     w = np.diff(edges)
     area = w[0] * w[0]
     return table.counts / (len(table) * area)
 
 
+def _normalized(estimates: list, phase_pairs, edges, clamp: bool) -> BinnedHistogram:
+    """Scale each setting's density estimate to unit mass, after clamping its
+    negative entries to zero when `clamp` is set (the removed mass, relative
+    to what remains, is the setting's clamp fraction)."""
+    edges = np.asarray(edges, dtype=float)
+    w = np.diff(edges)
+    area = float(w[0] * w[0])
+    densities = np.empty((len(estimates), len(edges) - 1, len(edges) - 1))
+    clamp_fraction = np.zeros(len(estimates))
+    for s, est in enumerate(estimates):
+        kept = np.clip(est, 0.0, None) if clamp else est
+        mass = kept.sum() * area
+        if not mass > 0:
+            raise ArithmeticError(f"no positive mass inside the bin grid at setting {s}")
+        if clamp:
+            clamp_fraction[s] = (-np.clip(est, None, 0.0)).sum() * area / mass
+        densities[s] = kept / mass
+    return BinnedHistogram(
+        phase_pairs=list(phase_pairs),
+        edges=edges,
+        densities=densities,
+        clamp_fraction=clamp_fraction,
+    )
+
+
 def decoy_corrected_histogram(
-    batches: dict,
+    tables: dict,
     intensity_set: DecoyIntensitySet,
     phase_pairs,
     edges: np.ndarray,
 ) -> BinnedHistogram:
     """Per-bin decoy estimate of the single-photon density.
 
-    `batches` maps (setting index, intensity label) -> SampleBatch, or its
-    HistogramCounts over `edges`, with intensity label 0 the vacuum.
-    Negative corrected densities are clamped to zero and each setting
-    renormalized to unit mass.
+    `tables` maps (setting index, intensity label) -> HistogramCounts over
+    `edges`, with intensity label 0 the vacuum. Negative corrected densities
+    are clamped to zero and each setting renormalized to unit mass.
     """
     L = intensity_set.num_levels
-    nb = len(edges) - 1
-    w = np.diff(edges)
-    area = float(w[0] * w[0])
-    densities = np.empty((len(phase_pairs), nb, nb))
-    clamp_fraction = np.zeros(len(phase_pairs))
+    estimates = []
     for s in range(len(phase_pairs)):
         for j in range(L + 1):
-            if (s, j) not in batches:
-                raise ValueError(f"missing batch for setting {s}, intensity label {j}")
+            if (s, j) not in tables:
+                raise ValueError(f"missing table for setting {s}, intensity label {j}")
         gains = GainVector(
-            vacuum=histogram_density(batches[(s, 0)], edges),
-            gains=tuple(histogram_density(batches[(s, j)], edges) for j in range(1, L + 1)),
+            vacuum=histogram_density(tables[(s, 0)], edges),
+            gains=tuple(histogram_density(tables[(s, j)], edges) for j in range(1, L + 1)),
         )
-        est = estimate_single_photon_statistic(gains, intensity_set)
-        neg = -np.clip(est, None, 0.0)
-        clamped = np.clip(est, 0.0, None)
-        mass = clamped.sum() * area
-        if mass <= 0:
-            raise ArithmeticError(
-                f"degenerate corrected histogram at setting {s} (no positive mass)"
-            )
-        clamp_fraction[s] = neg.sum() * area / max(mass, 1e-300)
-        densities[s] = clamped / mass
-    return BinnedHistogram(
-        phase_pairs=list(phase_pairs),
-        edges=np.asarray(edges, dtype=float),
-        densities=densities,
-        clamp_fraction=clamp_fraction,
-    )
+        estimates.append(estimate_single_photon_statistic(gains, intensity_set))
+    return _normalized(estimates, phase_pairs, edges, clamp=True)
 
 
-def histogram_from_batches(batches_by_setting: dict, phase_pairs, edges) -> BinnedHistogram:
+def histogram_from_batches(tables_by_setting: dict, phase_pairs, edges) -> BinnedHistogram:
     """Uncorrected (single-intensity) histogram, e.g. for ideal Fock data,
-    from a SampleBatch or HistogramCounts per setting."""
-    nb = len(edges) - 1
-    densities = np.empty((len(phase_pairs), nb, nb))
-    w = np.diff(edges)
-    area = float(w[0] * w[0])
-    for s in range(len(phase_pairs)):
-        dens = histogram_density(batches_by_setting[s], edges)
-        if not dens.sum() > 0:
-            raise ArithmeticError(f"no records inside the bin grid at setting {s}")
-        densities[s] = dens / (dens.sum() * area)
-    return BinnedHistogram(phase_pairs=list(phase_pairs), edges=np.asarray(edges), densities=densities)
+    from one HistogramCounts per setting index."""
+    densities = [histogram_density(tables_by_setting[s], edges) for s in range(len(phase_pairs))]
+    return _normalized(densities, phase_pairs, edges, clamp=False)
 
 
 def mle_reconstruct(

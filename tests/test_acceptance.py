@@ -18,6 +18,7 @@ from pathent.chsh import (
     correlation,
     decoy_correlation,
     ideal_single_photon_chsh,
+    threshold_counts,
 )
 from pathent.cli import EXIT_OK, main
 from pathent.decoy import (
@@ -41,6 +42,7 @@ from pathent.tomography import (
     MleConfig,
     build_povm_elements,
     fidelity,
+    histogram_counts,
     histogram_from_batches,
     mle_reconstruct,
     multiphoton_mass,
@@ -112,24 +114,24 @@ def test_criterion_3_decoy_containment():
 
 
 def test_criterion_4_chsh_monte_carlo_vs_oracle():
-    batches = []
+    thresholds = (0.0, 0.5, 0.82, 1.0)
+    tables = []
     for idx, (la, lb) in enumerate(CHSH_COMBOS):
-        batches.append(
-            sample_batch(
-                0.0,
-                MeasurementSettings.chsh(la, lb),
-                1_000_000,
-                pipeline="ideal-fock",
-                seed=9000 + idx,
-                fock_n=1,
-                workers=4,
-            )
+        batch = sample_batch(
+            0.0,
+            MeasurementSettings.chsh(la, lb),
+            1_000_000,
+            pipeline="ideal-fock",
+            seed=9000 + idx,
+            fock_n=1,
+            workers=4,
         )
+        tables.append(threshold_counts(batch, thresholds))
     worst_sigma = 0.0
-    for T in (0.0, 0.5, 0.82, 1.0):
+    for T in thresholds:
         s_est, var = 0.0, 0.0
-        for idx, batch in enumerate(batches):
-            counts = bin_coincidences(batch, T)
+        for idx, table in enumerate(tables):
+            counts = bin_coincidences(table, T)
             e = correlation(counts)
             var += (1.0 - e * e) / counts.survivors
             s_est += -e if idx == 3 else e
@@ -155,9 +157,8 @@ def test_criterion_5_decoy_chsh_violation():
         settings = MeasurementSettings.chsh(*combo)
         by_intensity = {}
         for j, mu in enumerate((0.0,) + iset.intensities):
-            by_intensity[j] = sample_batch(
-                mu, settings, 1_000_000, seed=1000 + idx, workers=4
-            )
+            batch = sample_batch(mu, settings, 1_000_000, seed=1000 + idx, workers=4)
+            by_intensity[j] = threshold_counts(batch, [0.82])
             idx += 1
         bounds.append(decoy_correlation(by_intensity, iset, 0.82))
     res = chsh_from_correlations(*bounds, threshold=0.82)
@@ -203,19 +204,22 @@ def test_criterion_7_tomography_self_consistency():
     edges = cfg.bin_edges()
     dthetas = -np.pi + (np.pi / 4.0) * np.arange(8)
     phase_pairs = [(dt / 2.0, -dt / 2.0) for dt in dthetas]
-    batches = {
-        s: sample_batch(
-            0.0,
-            MeasurementSettings(*pair),
-            100_000,
-            pipeline="ideal-fock",
-            seed=77 + s,
-            fock_n=1,
-            workers=4,
+    tables = {
+        s: histogram_counts(
+            sample_batch(
+                0.0,
+                MeasurementSettings(*pair),
+                100_000,
+                pipeline="ideal-fock",
+                seed=77 + s,
+                fock_n=1,
+                workers=4,
+            ),
+            edges,
         )
         for s, pair in enumerate(phase_pairs)
     }
-    hist = histogram_from_batches(batches, phase_pairs, edges)
+    hist = histogram_from_batches(tables, phase_pairs, edges)
     povm = build_povm_elements(phase_pairs, edges, cfg.cutoff)
     result = mle_reconstruct(hist, povm, cfg)
     fid = fidelity(result.rho, bell_state(cfg.cutoff))

@@ -37,7 +37,7 @@ def make_batch(x_a, x_b):
 class TestBinning:
     def test_four_record_example(self):
         batch = make_batch([-2.0, 2.0, -2.0, 0.5], [-2.0, 2.0, 2.0, -2.0])
-        counts = bin_coincidences(batch, 1.0)
+        counts = bin_coincidences(threshold_counts(batch, [1.0]), 1.0)
         assert (counts.n00, counts.n01, counts.n10, counts.n11) == (1, 1, 0, 1)
         assert counts.n_discarded == 1
         assert counts.survivors == 3
@@ -45,22 +45,24 @@ class TestBinning:
     def test_zero_threshold_keeps_everything(self):
         rng = np.random.default_rng(0)
         batch = make_batch(rng.normal(size=1000), rng.normal(size=1000))
-        counts = bin_coincidences(batch, 0.0)
+        counts = bin_coincidences(threshold_counts(batch, [0.0]), 0.0)
         assert counts.n_discarded == 0
 
     def test_survivors_shrink_with_threshold(self):
         rng = np.random.default_rng(1)
         batch = make_batch(rng.normal(size=5000), rng.normal(size=5000))
+        grid = (0.0, 0.3, 0.8, 1.5)
+        table = threshold_counts(batch, grid)
         prev = None
-        for T in (0.0, 0.3, 0.8, 1.5):
-            surv = bin_coincidences(batch, T).survivors
+        for T in grid:
+            surv = bin_coincidences(table, T).survivors
             if prev is not None:
                 assert surv <= prev
             prev = surv
 
     def test_vacuum_survival_probability(self):
         batch = sample_batch(0.0, MeasurementSettings(0.0, 0.0), 200_000, seed=17)
-        counts = bin_coincidences(batch, 1.0)
+        counts = bin_coincidences(threshold_counts(batch, [1.0]), 1.0)
         # Per arm P(|x| > T) = 1 - erf(T) for the vacuum; arms independent.
         expect = (1.0 - erf(1.0)) ** 2
         se = np.sqrt(expect * (1 - expect) / counts.total)
@@ -75,7 +77,7 @@ class TestBinning:
     def test_negative_threshold_rejected(self):
         batch = make_batch([0.0], [0.0])
         with pytest.raises(ValueError):
-            bin_coincidences(batch, -1.0)
+            threshold_counts(batch, [-1.0])
         with pytest.raises(ValueError):
             threshold_counts(batch, [0.5, -0.1])
         with pytest.raises(ValueError):
@@ -114,7 +116,7 @@ class TestThresholdCounts:
             expect = reference_counts(batch.x_a, batch.x_b, T)
             assert table.at(T) == expect
             assert bin_coincidences(table, T) == expect
-            assert bin_coincidences(batch, T) == expect
+            assert bin_coincidences(threshold_counts(batch, [T]), T) == expect
 
     def test_adversarial_records(self):
         values = adversarial_values(ADVERSARIAL_GRID)
@@ -288,7 +290,7 @@ class TestMonteCarloAgreement:
             batch = sample_batch(
                 0.0, settings, count, pipeline="ideal-fock", seed=300 + idx, fock_n=1
             )
-            counts = bin_coincidences(batch, T)
+            counts = bin_coincidences(threshold_counts(batch, [T]), T)
             e = correlation(counts)
             var += (1.0 - e * e) / counts.survivors
             s_est += -e if idx == 3 else e
@@ -306,19 +308,25 @@ class TestDecoyPipeline:
             out[j] = sample_batch(mu, settings, 100_000, seed=seed + j)
         return out
 
+    def make_tables(self, settings, seed, grid):
+        return {
+            j: threshold_counts(batch, grid)
+            for j, batch in self.make_batches(settings, seed).items()
+        }
+
     def test_coincidence_bounds_contain_estimates(self):
         settings = MeasurementSettings.chsh(0, 0)
-        bounds = decoy_coincidence_bounds(self.make_batches(settings, 50), self.iset, 0.8)
+        bounds = decoy_coincidence_bounds(self.make_tables(settings, 50, [0.8]), self.iset, 0.8)
         for pair, b in bounds.items():
             assert b.lower <= max(min(b.estimate, 1.0), 0.0) <= b.upper + 1e-12
             assert 0.0 <= b.lower <= b.upper <= 1.0
 
     def test_correlation_sign_tracks_dtheta(self):
         near = decoy_correlation(
-            self.make_batches(MeasurementSettings.chsh(0, 0), 60), self.iset, 0.8
+            self.make_tables(MeasurementSettings.chsh(0, 0), 60, [0.8]), self.iset, 0.8
         )
         far = decoy_correlation(
-            self.make_batches(MeasurementSettings.chsh(1, 1), 70), self.iset, 0.8
+            self.make_tables(MeasurementSettings.chsh(1, 1), 70, [0.8]), self.iset, 0.8
         )
         assert near.e_est > 0.2
         assert far.e_est < -0.2
@@ -330,11 +338,12 @@ class TestDecoyPipeline:
             batches[(combo, 0)] = sample_batch(0.0, settings, 2000, seed=80)
             for j, mu in enumerate(self.iset.intensities, start=1):
                 batches[(combo, j)] = sample_batch(mu, settings, 2000, seed=81 + j)
-        results = scan_threshold(batches, self.iset, [0.5, 9.0])
+        tables = {key: threshold_counts(batch, [0.5, 9.0]) for key, batch in batches.items()}
+        results = scan_threshold(tables, self.iset, [0.5, 9.0])
         assert results[0].valid
         assert not results[1].valid
 
-    def test_scan_same_from_batches_and_tables(self):
+    def test_scan_same_on_full_and_one_value_grids(self):
         grid = [0.6, 0.0, 0.3, 0.6, 9.0]
         batches = {}
         for idx, combo in enumerate(CHSH_COMBOS):
@@ -342,9 +351,15 @@ class TestDecoyPipeline:
             batches.update({(combo, j): batch for j, batch in by_label.items()})
         tables = {key: threshold_counts(batch, grid) for key, batch in batches.items()}
         from_tables = scan_threshold(tables, self.iset, grid)
-        assert from_tables == scan_threshold(batches, self.iset, grid)
         # Each threshold on its own, binned through a one-value grid.
-        assert from_tables == [scan_threshold(batches, self.iset, [T])[0] for T in grid]
+        assert from_tables == [
+            scan_threshold(
+                {key: threshold_counts(batch, [T]) for key, batch in batches.items()},
+                self.iset,
+                [T],
+            )[0]
+            for T in grid
+        ]
         assert [r.valid for r in from_tables] == [True, True, True, True, False]
         with pytest.raises(ValueError):
             scan_threshold(tables, self.iset, [0.45])

@@ -230,6 +230,55 @@ class TestScans:
             assert (out / name).stat().st_size > 0
 
 
+class TestSeedStreams:
+    """Every batch a subcommand samples, in order, has the seed of its batch
+    index; these streams are what keep outputs equal across changes to how
+    the CLI loops over settings and intensities."""
+
+    TOMO_EQUIVALENT = SCAN_CONFIG + "\n[tomography]\ncutoff = 2\nmax_iterations = 3\n"
+
+    @pytest.mark.parametrize(
+        "command, config_text, first, count",
+        [
+            ("chsh-scan", SCAN_CONFIG, 0, 4 * 4),
+            ("decoy-estimate", SCAN_CONFIG, 0, 4 * 4),
+            ("simulate", SCAN_CONFIG, 0, 4 * 4),
+            ("correlation-scan", SCAN_CONFIG, 10_000, 4 * 4),
+            ("tomography", TOMO_EQUIVALENT, 20_000, 4 * 4),
+            ("tomography", TOMO_CONFIG, 20_000, 4),
+        ],
+        ids=[
+            "chsh-scan",
+            "decoy-estimate",
+            "simulate",
+            "correlation-scan",
+            "tomography-equivalent",
+            "tomography-ideal-fock",
+        ],
+    )
+    def test_batch_seeds(self, tmp_path, monkeypatch, command, config_text, first, count):
+        import pathent.cli as cli_mod
+
+        seeds = []
+        sample = cli_mod.sample_batch
+
+        def recording(*args, **kwargs):
+            seeds.append(kwargs["seed"])
+            return sample(*args, **kwargs)
+
+        monkeypatch.setattr(cli_mod, "sample_batch", recording)
+        cfg = write_config(tmp_path, config_text)
+        main([command, "--config", cfg, "--out", str(tmp_path / "o")])
+        assert seeds == [cli_mod._batch_seed(7, i) for i in range(first, first + count)]
+
+    def test_batch_seed_formula(self):
+        from pathent.cli import _batch_seed
+
+        assert _batch_seed(7, 0) == 7_000_021
+        assert _batch_seed(7, 20_003) == 7_020_024
+        assert _batch_seed(-1, 0) == (1 << 63) - 1_000_003
+
+
 class TestDeterminism:
     def run_twice(self, tmp_path, cfg_text, command, artifact, extra=()):
         cfg = write_config(tmp_path, cfg_text)

@@ -103,6 +103,14 @@ class TestMleConfig:
             MleConfig(bin_width=-0.1)
         with pytest.raises(ValueError):
             MleConfig(tolerance=0.0)
+        with pytest.raises(ValueError):
+            MleConfig(bin_width=np.nan)
+        with pytest.raises(ValueError):
+            MleConfig(x_range=np.inf)
+        with pytest.raises(ValueError):
+            MleConfig(bin_width=5.0, x_range=1.0)  # wider than the range: no bin
+        with pytest.raises(ValueError):
+            MleConfig(max_iterations=-3)
 
 
 class TestPovm:
@@ -223,15 +231,13 @@ class TestHistogramCounts:
         x_b = np.where(rng.random(n) < 0.2, rng.choice(specials, n), rng.normal(0, 2.5, n))
         self.check_against_histogram2d(x_a, x_b, edges)
 
-    def test_density_same_from_batch_and_table(self):
+    def test_density_matches_histogram2d(self):
         edges = self.GRIDS["default"]
         batch = sample_batch(0.5, MeasurementSettings(0.3, -0.3), 20_000, seed=22)
-        table = histogram_counts(batch, edges)
-        from_batch = histogram_density(batch, edges)
-        assert np.array_equal(from_batch, histogram_density(table, edges))
+        density = histogram_density(histogram_counts(batch, edges), edges)
         counts, _, _ = np.histogram2d(batch.x_a, batch.x_b, bins=(edges, edges))
         w = np.diff(edges)
-        assert np.array_equal(from_batch, counts / (len(batch) * (w[0] * w[0])))
+        assert np.array_equal(density, counts / (len(batch) * (w[0] * w[0])))
 
     def test_uneven_or_mismatched_edges_rejected(self):
         batch = make_batch([0.5], [0.5])
@@ -248,7 +254,7 @@ class TestHistograms:
     def test_density_normalization(self):
         batch = sample_batch(0.0, MeasurementSettings(0.0, 0.0), 50_000, seed=21)
         edges = np.linspace(-5.0, 5.0, 51)
-        dens = histogram_density(batch, edges)
+        dens = histogram_density(histogram_counts(batch, edges), edges)
         area = 0.2 * 0.2
         # Nearly all vacuum mass lies inside +-5.
         assert dens.sum() * area == pytest.approx(1.0, abs=1e-3)
@@ -269,10 +275,11 @@ class TestHistograms:
         edges = np.linspace(-5.0, 5.0, 26)
         pair = (np.pi / 8, -np.pi / 8)
         settings = MeasurementSettings(*pair)
-        batches = {(0, 0): sample_batch(0.0, settings, 400_000, seed=130)}
+        tables = {(0, 0): histogram_counts(sample_batch(0.0, settings, 400_000, seed=130), edges)}
         for j, mu in enumerate(iset.intensities, start=1):
-            batches[(0, j)] = sample_batch(mu, settings, 150_000, seed=130 + j)
-        hist = decoy_corrected_histogram(batches, iset, [pair], edges)
+            batch = sample_batch(mu, settings, 150_000, seed=130 + j)
+            tables[(0, j)] = histogram_counts(batch, edges)
+        hist = decoy_corrected_histogram(tables, iset, [pair], edges)
         centers = 0.5 * (edges[:-1] + edges[1:])
         expect = joint_pdf_fock(1, centers[:, None], centers[None, :], np.pi / 4)
         area = np.diff(edges)[0] ** 2
@@ -290,8 +297,8 @@ class TestHistograms:
         edges = np.linspace(-1.0, 1.0, 3)
         settings = MeasurementSettings(0.0, 0.0)
 
-        def batch(x):
-            return SampleBatch(
+        def table(x):
+            batch = SampleBatch(
                 x_a=np.full(100, x),
                 x_b=np.full(100, x),
                 settings=settings,
@@ -299,12 +306,13 @@ class TestHistograms:
                 seed=0,
                 pipeline="equivalent",
             )
+            return histogram_counts(batch, edges)
 
         # Vacuum data in-range, decoy data entirely out of range: the
         # corrected density is negative everywhere and clamps to nothing.
         with pytest.raises(ArithmeticError):
             decoy_corrected_histogram(
-                {(0, 0): batch(0.5), (0, 1): batch(50.0)}, iset, [(0.0, 0.0)], edges
+                {(0, 0): table(0.5), (0, 1): table(50.0)}, iset, [(0.0, 0.0)], edges
             )
 
     def test_uncorrected_histogram_without_records_in_range_raises(self):
@@ -336,13 +344,13 @@ class TestMle:
     def test_vacuum_data_recovers_vacuum(self):
         cfg = MleConfig(cutoff=2, max_iterations=300, tolerance=1e-9, bin_width=0.4, x_range=4.0)
         edges = cfg.bin_edges()
-        batches = {
-            s: sample_batch(
-                0.0, MeasurementSettings(*pair), 40_000, seed=400 + s
+        tables = {
+            s: histogram_counts(
+                sample_batch(0.0, MeasurementSettings(*pair), 40_000, seed=400 + s), edges
             )
             for s, pair in enumerate(PHASE_PAIRS_4)
         }
-        hist = histogram_from_batches(batches, PHASE_PAIRS_4, edges)
+        hist = histogram_from_batches(tables, PHASE_PAIRS_4, edges)
         povm = build_povm_elements(PHASE_PAIRS_4, edges, cfg.cutoff)
         result = mle_reconstruct(hist, povm, cfg)
         assert np.diff(result.log_likelihood).min() >= -1e-10
@@ -351,18 +359,21 @@ class TestMle:
     def test_single_photon_data_recovers_entangled_state(self):
         cfg = MleConfig(cutoff=2, max_iterations=2000, tolerance=1e-10, bin_width=0.4, x_range=4.0)
         edges = cfg.bin_edges()
-        batches = {
-            s: sample_batch(
-                0.0,
-                MeasurementSettings(*pair),
-                50_000,
-                pipeline="ideal-fock",
-                seed=500 + s,
-                fock_n=1,
+        tables = {
+            s: histogram_counts(
+                sample_batch(
+                    0.0,
+                    MeasurementSettings(*pair),
+                    50_000,
+                    pipeline="ideal-fock",
+                    seed=500 + s,
+                    fock_n=1,
+                ),
+                edges,
             )
             for s, pair in enumerate(PHASE_PAIRS_4)
         }
-        hist = histogram_from_batches(batches, PHASE_PAIRS_4, edges)
+        hist = histogram_from_batches(tables, PHASE_PAIRS_4, edges)
         povm = build_povm_elements(PHASE_PAIRS_4, edges, cfg.cutoff)
         result = mle_reconstruct(hist, povm, cfg)
         assert np.diff(result.log_likelihood).min() >= -1e-10
