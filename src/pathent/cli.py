@@ -29,6 +29,10 @@ EXIT_NUMERICAL = 4
 
 CHSH_SETTINGS = {combo: MeasurementSettings.chsh(*combo) for combo in chsh_mod.CHSH_COMBOS}
 
+# Subcommands that decoy-bound gains across intensity labels. The ideal-fock
+# pipeline samples one single-photon state for every label, vacuum included.
+DECOY_COMMANDS = ("chsh-scan", "decoy-estimate", "correlation-scan")
+
 
 def _batch_seed(master_seed: int, index: int) -> int:
     """Seed of the batch with this index. Indices count from 0 over the CHSH
@@ -268,6 +272,8 @@ def main(argv=None) -> int:
         config = with_overrides(
             config, seed=args.seed, scale=args.scale, workers=args.workers
         )
+        if args.command in DECOY_COMMANDS and config.pipeline == "ideal-fock":
+            raise ConfigError(f"{args.command} needs decoy data; pipeline ideal-fock has none")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

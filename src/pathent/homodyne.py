@@ -9,9 +9,9 @@ Three pipelines produce (x_a, x_b) pairs:
 - ``ideal-fock``: rejection sampling from the exact joint density of a Fock
   state through the 50:50 splitter.
 
-All sampling is chunked (2^16 records per chunk) with an independent RNG
-stream per (seed, chunk index), so output is reproducible and independent of
-worker scheduling.
+All sampling is chunked (2^16 records per chunk) and drawn in place, with an
+independent RNG stream per (seed, chunk index), so output is reproducible and
+independent of worker scheduling. Vacuum chunks skip the phase draw.
 """
 
 from __future__ import annotations
@@ -152,24 +152,31 @@ def _chunk_rng(seed: int, chunk: int) -> np.random.Generator:
 
 
 def _coherent_arm(
+    out: np.ndarray,
     mu: float,
-    theta: np.ndarray,
+    theta: np.ndarray | None,
     phi: float,
     noise: NoiseModel,
     pipeline: str,
     rng: np.random.Generator,
-) -> np.ndarray:
-    """One arm's quadrature samples for coherent input split 50:50."""
-    if pipeline == "equivalent":
-        mean = np.sqrt(mu * noise.eta_tot) * np.cos(theta - phi)
-        return rng.normal(mean, np.sqrt(0.5))
+) -> None:
+    """Draw one arm's samples for coherent input split 50:50 into `out`
+    (theta is read only when mu > 0). `sqrt(1/2) z + mean` is how
+    `rng.normal(mean, sqrt(1/2))` computes, so the bits are the same, except
+    that a draw of exactly +-0.0 (p ~ 2^-52) may keep a sign that adding a
+    zero mean would flip. Count tables read |x| and x > 0, so bin +-0 alike.
+    """
+    if pipeline not in ("equivalent", "physical"):
+        raise ValueError(f"unknown pipeline {pipeline!r}")
+    eta = noise.eta_tot if pipeline == "equivalent" else noise.eta_pd
+    rng.standard_normal(out=out)
+    out *= np.sqrt(0.5)
+    if mu > 0:
+        out += np.sqrt(mu * eta) * np.cos(theta - phi)
     if pipeline == "physical":
-        mean = np.sqrt(mu * noise.eta_pd) * np.cos(theta - phi)
-        raw = rng.normal(mean, np.sqrt(0.5))
         if noise.v_e > 0:
-            raw = raw + rng.normal(0.0, np.sqrt(noise.v_e / 2.0), size=raw.shape)
-        return np.sqrt(noise.eta_ele) * raw
-    raise ValueError(f"unknown pipeline {pipeline!r}")
+            out += np.sqrt(noise.v_e / 2.0) * rng.standard_normal(out.size)
+        out *= np.sqrt(noise.eta_ele)
 
 
 def sample_coherent_pair(
@@ -184,8 +191,9 @@ def sample_coherent_pair(
     if mu < 0:
         raise ValueError("intensity must be non-negative")
     th = np.asarray([theta], dtype=float)
-    xa = _coherent_arm(mu, th, settings.phi_a, noise, pipeline, rng)
-    xb = _coherent_arm(mu, th, settings.phi_b, noise, pipeline, rng)
+    xa, xb = np.empty(1), np.empty(1)
+    _coherent_arm(xa, mu, th, settings.phi_a, noise, pipeline, rng)
+    _coherent_arm(xb, mu, th, settings.phi_b, noise, pipeline, rng)
     return float(xa[0]), float(xb[0])
 
 
@@ -257,6 +265,8 @@ def sample_fock_pair(
 
 
 def _chunk_samples(
+    out_a: np.ndarray,
+    out_b: np.ndarray,
     mu: float,
     settings: MeasurementSettings,
     noise: NoiseModel,
@@ -264,15 +274,22 @@ def _chunk_samples(
     fock_n: int,
     seed: int,
     chunk: int,
-    size: int,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> None:
+    """Fill `out_a`, `out_b` (one chunk's slices) from the chunk's stream."""
     rng = _chunk_rng(seed, chunk)
+    size = out_a.size
     if pipeline == "ideal-fock":
-        return sample_fock_pair(fock_n, settings.dtheta, rng, size)
-    theta = rng.uniform(0.0, 2.0 * np.pi, size)
-    xa = _coherent_arm(mu, theta, settings.phi_a, noise, pipeline, rng)
-    xb = _coherent_arm(mu, theta, settings.phi_b, noise, pipeline, rng)
-    return xa, xb
+        out_a[:], out_b[:] = sample_fock_pair(fock_n, settings.dtheta, rng, size)
+        return
+    if mu > 0:
+        theta = rng.uniform(0.0, 2.0 * np.pi, size)
+    else:
+        # The vacuum ignores theta. Each uniform double is one PCG64 word, so
+        # skipping `size` words leaves the stream where drawing theta would.
+        theta = None
+        rng.bit_generator.advance(size)
+    _coherent_arm(out_a, mu, theta, settings.phi_a, noise, pipeline, rng)
+    _coherent_arm(out_b, mu, theta, settings.phi_b, noise, pipeline, rng)
 
 
 def sample_batch(
@@ -307,11 +324,9 @@ def sample_batch(
 
     def fill(span):
         i, start, stop = span
-        xa, xb = _chunk_samples(
-            mu, settings, noise, pipeline, fock_n, seed, i, stop - start
+        _chunk_samples(
+            x_a[start:stop], x_b[start:stop], mu, settings, noise, pipeline, fock_n, seed, i
         )
-        x_a[start:stop] = xa
-        x_b[start:stop] = xb
 
     if workers > 1 and len(spans) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -106,8 +106,7 @@ class PovmSet:
     modes and every setting. `phases[s]` = outer(f_a, f_b) with
     f[(m, n)] = e^(i(m-n)phi) is all that setting s adds: the probability of
     2-D bin (i, j) is (bins @ Re(R~ o phases[s]) @ bins.T)[i, j] on the
-    realigned density matrix R~. `mode_a`, `mode_b` and `complement`
-    rebuild the explicit phased operators, for checks at small cutoffs.
+    realigned density matrix R~.
     """
 
     def __init__(self, phase_pairs, edges, cutoff):
@@ -132,32 +131,6 @@ class PovmSet:
     @property
     def n_bins(self) -> int:
         return len(self.edges) - 1
-
-    def _mode_operators(self, phi: float) -> np.ndarray:
-        """(n_bins, d, d) single-mode elements B_i o e^(i(n-m)phi)."""
-        d = self.cutoff + 1
-        k = np.arange(d)
-        factor = np.exp(1j * (k[None, :] - k[:, None]) * phi)
-        return self.bins.reshape(-1, d, d) * factor[None, :, :]
-
-    @property
-    def mode_a(self) -> list:
-        """Arm a's single-mode elements, one (n_bins, d, d) array per setting."""
-        return [self._mode_operators(phi_a) for phi_a, _ in self.phase_pairs]
-
-    @property
-    def mode_b(self) -> list:
-        """Arm b's single-mode elements, one (n_bins, d, d) array per setting."""
-        return [self._mode_operators(phi_b) for _, phi_b in self.phase_pairs]
-
-    def complement(self, s: int) -> np.ndarray:
-        """The two-mode out-of-range remainder, I - sum of in-range elements."""
-        d2 = (self.cutoff + 1) ** 2
-        phi_a, phi_b = self.phase_pairs[s]
-        total = np.kron(
-            self._mode_operators(phi_a).sum(axis=0), self._mode_operators(phi_b).sum(axis=0)
-        )
-        return np.eye(d2, dtype=complex) - total
 
     def probabilities(self, rho: np.ndarray, s: int | None = None) -> np.ndarray:
         """Tr(rho * kron(Ea_i, Eb_j)) for every in-range bin (i, j), of

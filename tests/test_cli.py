@@ -162,6 +162,22 @@ class TestExitCodes:
         assert rc == EXIT_CONFIG
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["chsh-scan", "decoy-estimate", "correlation-scan"])
+    def test_ideal_fock_rejected_by_decoy_commands(self, tmp_path, monkeypatch, capsys, command):
+        import pathent.cli as cli_mod
+
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before the config was validated")
+
+        monkeypatch.setattr(cli_mod, "sample_batch", no_sampling)
+        bad = write_config(tmp_path, "[sampling]\npipeline = ideal-fock\n")
+        out = tmp_path / "o"
+        rc = main([command, "--config", bad, "--out", str(out)])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "ideal-fock" in err
+        assert not out.exists()
+
     def test_fair_sampling_pass(self, tmp_path):
         out = tmp_path / "fs"
         rc = main(["fair-sampling-check", "--out", str(out), "--seed", "5"])

@@ -3,7 +3,9 @@ import pytest
 from scipy import integrate
 from scipy.stats import kstest, ks_2samp, norm
 
+import pathent.homodyne as hm
 from pathent.homodyne import (
+    CHUNK_SIZE,
     MeasurementSettings,
     SampleBatch,
     joint_pdf_fock,
@@ -12,6 +14,25 @@ from pathent.homodyne import (
     sample_fock_pair,
 )
 from pathent.states import IDEAL_NOISE, NoiseModel
+
+
+def reference_chunk(mu, settings, noise, pipeline, seed, chunk, size):
+    """One chunk by the plain formula: a uniform theta (also for the
+    vacuum), then `rng.normal` with an array mean per arm, then the physical
+    pipeline's electronic noise and rescale. `sample_batch` must match its
+    bits."""
+    rng = hm._chunk_rng(seed, chunk)
+    theta = rng.uniform(0.0, 2.0 * np.pi, size)
+    eta = noise.eta_tot if pipeline == "equivalent" else noise.eta_pd
+    arms = []
+    for phi in (settings.phi_a, settings.phi_b):
+        raw = rng.normal(np.sqrt(mu * eta) * np.cos(theta - phi), np.sqrt(0.5))
+        if pipeline == "physical":
+            if noise.v_e > 0:
+                raw = raw + rng.normal(0.0, np.sqrt(noise.v_e / 2.0), size=raw.shape)
+            raw = np.sqrt(noise.eta_ele) * raw
+        arms.append(raw)
+    return arms
 
 
 def pdf_integral(n, dtheta):
@@ -92,6 +113,29 @@ class TestCoherentSampling:
 
 
 class TestDeterminism:
+    @pytest.mark.parametrize("pipeline", ["equivalent", "physical"])
+    @pytest.mark.parametrize("v_e", [0.0, 2.0 / 3.0])
+    @pytest.mark.parametrize("mu", [0.0, 0.0872])
+    def test_bits_match_reference_chunks(self, pipeline, v_e, mu):
+        noise = NoiseModel(0.617, v_e)
+        settings = MeasurementSettings.chsh(1, 0)
+        for count in (1, CHUNK_SIZE, CHUNK_SIZE + 1):
+            starts = range(0, count, CHUNK_SIZE)
+            chunks = [
+                reference_chunk(
+                    mu, settings, noise, pipeline, 5, i, min(CHUNK_SIZE, count - start)
+                )
+                for i, start in enumerate(starts)
+            ]
+            expect_a = np.concatenate([a for a, _ in chunks]).view(np.int64)
+            expect_b = np.concatenate([b for _, b in chunks]).view(np.int64)
+            for workers in (1, 2):
+                batch = sample_batch(
+                    mu, settings, count, noise, pipeline, seed=5, workers=workers
+                )
+                assert np.array_equal(batch.x_a.view(np.int64), expect_a)
+                assert np.array_equal(batch.x_b.view(np.int64), expect_b)
+
     def test_same_seed_identical(self):
         kwargs = dict(
             mu=0.5,
@@ -198,8 +242,6 @@ class TestFockSampling:
         assert np.mean(xa * xb) == pytest.approx(exy, abs=0.006)
 
     def test_envelope_bound_cached_per_rounded_gap(self):
-        import pathent.homodyne as hm
-
         hm._envelope_bound.cache_clear()
         rng = np.random.default_rng(16)
         sample_fock_pair(1, 0.3, rng, 10)
@@ -208,8 +250,6 @@ class TestFockSampling:
         assert (info.misses, info.hits) == (1, 1)
 
     def test_envelope_breach_detected(self, monkeypatch):
-        import pathent.homodyne as hm
-
         monkeypatch.setattr(hm, "_envelope_bound", lambda n, dtheta: 1e-3)
         rng = np.random.default_rng(15)
         with pytest.raises(RuntimeError):

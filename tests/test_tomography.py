@@ -45,13 +45,41 @@ def adversarial_values(edges):
     return np.array(out)
 
 
+def mode_operators(povm, phi):
+    """(n_bins, d, d) single-mode elements B_i o e^(i(n-m)phi) of `povm`."""
+    d = povm.cutoff + 1
+    k = np.arange(d)
+    factor = np.exp(1j * (k[None, :] - k[:, None]) * phi)
+    return povm.bins.reshape(-1, d, d) * factor[None, :, :]
+
+
+def mode_a(povm):
+    """Arm a's single-mode elements, one (n_bins, d, d) array per setting."""
+    return [mode_operators(povm, phi_a) for phi_a, _ in povm.phase_pairs]
+
+
+def mode_b(povm):
+    """Arm b's single-mode elements, one (n_bins, d, d) array per setting."""
+    return [mode_operators(povm, phi_b) for _, phi_b in povm.phase_pairs]
+
+
+def complement(povm, s):
+    """The two-mode out-of-range remainder of setting s, I - sum of in-range
+    elements."""
+    phi_a, phi_b = povm.phase_pairs[s]
+    total = np.kron(
+        mode_operators(povm, phi_a).sum(axis=0), mode_operators(povm, phi_b).sum(axis=0)
+    )
+    return np.eye((povm.cutoff + 1) ** 2, dtype=complex) - total
+
+
 def reference_mle(hist, povm, config):
     """The R-rho-R loop with one einsum per setting and direction, on the
     explicit phased single-mode operators."""
     d = config.cutoff + 1
     d2 = d * d
     n_set = povm.n_settings
-    mode_a, mode_b = povm.mode_a, povm.mode_b
+    ops_a, ops_b = mode_a(povm), mode_b(povm)
     freqs = hist.densities * hist.bin_area / n_set
     rho = np.eye(d2, dtype=complex) / d2
     ll_trace = []
@@ -63,14 +91,14 @@ def reference_mle(hist, povm, config):
         ll = 0.0
         for s in range(n_set):
             p = np.einsum(
-                "acbd,ica,jdb->ij", rho4, mode_a[s], mode_b[s], optimize=True
+                "acbd,ica,jdb->ij", rho4, ops_a[s], ops_b[s], optimize=True
             ).real
             p = np.clip(p, 1e-300, None)
             f = freqs[s]
             mask = f > 0
             ll += float(np.sum(f[mask] * np.log(p[mask])))
             wgt = np.where(mask, f / p, 0.0)
-            r_op += np.einsum("ij,iac,jbd->acbd", wgt, mode_a[s], mode_b[s], optimize=True)
+            r_op += np.einsum("ij,iac,jbd->acbd", wgt, ops_a[s], ops_b[s], optimize=True)
         ll_trace.append(ll)
         if len(ll_trace) >= 2 and ll_trace[-1] - ll_trace[-2] < config.tolerance:
             converged = ll_trace[-1] >= ll_trace[-2] - 1e-10
@@ -119,18 +147,18 @@ class TestPovm:
         povm = build_povm_elements(PHASE_PAIRS_4, edges, 3)
         d2 = 16
         for s in range(povm.n_settings):
-            total = np.kron(povm.mode_a[s].sum(axis=0), povm.mode_b[s].sum(axis=0))
+            total = np.kron(mode_a(povm)[s].sum(axis=0), mode_b(povm)[s].sum(axis=0))
             assert np.max(np.abs(total - np.eye(d2))) < 1e-8
-            assert np.max(np.abs(povm.complement(s))) < 1e-8
+            assert np.max(np.abs(complement(povm, s))) < 1e-8
 
     def test_elements_psd_and_sum_below_identity(self):
         edges = np.linspace(-4.0, 4.0, 17)
         povm = build_povm_elements(PHASE_PAIRS_4, edges, 2)
         for s in range(povm.n_settings):
-            total = np.kron(povm.mode_a[s].sum(axis=0), povm.mode_b[s].sum(axis=0))
+            total = np.kron(mode_a(povm)[s].sum(axis=0), mode_b(povm)[s].sum(axis=0))
             w = np.linalg.eigvalsh(total)
             assert w[0] >= -1e-10 and w[-1] <= 1.0 + 1e-10
-            comp = povm.complement(s)
+            comp = complement(povm, s)
             assert np.linalg.eigvalsh(comp)[0] >= -1e-10
 
     def test_phase_factor_structure(self):
@@ -140,15 +168,15 @@ class TestPovm:
         base = build_povm_elements([(0.0, 0.0)], edges, 2)
         m, n = np.meshgrid(np.arange(3), np.arange(3), indexing="ij")
         factor = np.exp(1j * (n - m) * phi)
-        assert np.allclose(povm.mode_a[0], base.mode_a[0] * factor[None], atol=1e-14)
-        assert np.allclose(povm.mode_b[0], base.mode_b[0], atol=1e-14)
+        assert np.allclose(mode_a(povm)[0], mode_a(base)[0] * factor[None], atol=1e-14)
+        assert np.allclose(mode_b(povm)[0], mode_b(base)[0], atol=1e-14)
 
     def test_vacuum_diagonal_matches_gaussian_mass(self):
         from scipy.special import erf
 
         edges = np.array([-1.0, 1.0])
         povm = build_povm_elements([(0.0, 0.0)], edges, 1)
-        assert povm.mode_a[0][0, 0, 0] == pytest.approx(float(erf(1.0)), abs=1e-12)
+        assert mode_a(povm)[0][0, 0, 0] == pytest.approx(float(erf(1.0)), abs=1e-12)
 
     def test_probabilities_match_explicit_kron(self):
         edges = np.linspace(-3.0, 3.0, 5)
@@ -158,9 +186,10 @@ class TestPovm:
         rho = g @ g.conj().T
         rho /= np.trace(rho).real
         p_fast = povm.probabilities(rho, 0)
+        ops_a, ops_b = mode_a(povm)[0], mode_b(povm)[0]
         for i in range(povm.n_bins):
             for j in range(povm.n_bins):
-                el = np.kron(povm.mode_a[0][i], povm.mode_b[0][j])
+                el = np.kron(ops_a[i], ops_b[j])
                 assert p_fast[i, j] == pytest.approx(
                     float(np.trace(rho @ el).real), abs=1e-12
                 )
@@ -180,8 +209,9 @@ class TestPovm:
         edges = np.linspace(-3.0, 3.0, 5)
         povm = build_povm_elements(PHASE_PAIRS_4, edges, 1)
         weights = np.random.default_rng(9).random((4, 4, 4))
+        ops_a, ops_b = mode_a(povm), mode_b(povm)
         expect = sum(
-            weights[s, i, j] * np.kron(povm.mode_a[s][i], povm.mode_b[s][j])
+            weights[s, i, j] * np.kron(ops_a[s][i], ops_b[s][j])
             for s in range(4)
             for i in range(4)
             for j in range(4)
