@@ -7,7 +7,8 @@ otherwise, independently per arm; a record survives only if both arms do.
 Analysis takes count tables only: each batch is reduced once, right after it
 is sampled, to its coincidence counts at every threshold of the scan grid
 (`threshold_counts`), and the decoy bounds, correlations and CHSH scan read
-those tables.
+those tables. A record's place in the grid comes from an exact lattice
+lookup (`homodyne.grid_index`), not a binary search per record.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .decoy import (
     bound_statistic,
     estimate_single_photon_statistic,
 )
-from .homodyne import SampleBatch, chunked_bincount, joint_pdf_fock
+from .homodyne import SampleBatch, chunked_bincount, grid_index, joint_pdf_fock
 
 OUTCOME_PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
@@ -124,19 +125,19 @@ def threshold_counts(batch: SampleBatch, t_grid) -> ThresholdCounts:
     A record survives T exactly when min(|x_a|, |x_b|) > T, and the signs of
     x_a and x_b then pick the outcome pair. So each record is counted once,
     under its sign quadrant and the number of thresholds below its min(|x|)
-    (a NaN in either arm survives none), and a reverse cumulative sum turns
-    those counts into survivors per threshold. Integer sums keep it exact.
+    (an exact lattice lookup, `homodyne.grid_index`; a NaN in either arm
+    survives none), and a reverse cumulative sum turns those counts into
+    survivors per threshold. Integer sums keep it exact.
     """
     grid = np.asarray(t_grid, dtype=float).ravel()
     if not np.all(grid >= 0):
         raise ValueError("threshold must be non-negative")
     levels = np.unique(grid)
     width = len(levels) + 1
+    depth_index = grid_index(levels)
 
     def key(x_a, x_b):
-        depth = np.minimum(np.abs(x_a), np.abs(x_b))
-        depth[np.isnan(depth)] = 0.0
-        k = np.searchsorted(levels, depth)
+        k = depth_index(np.minimum(np.abs(x_a), np.abs(x_b)))
         k += width * (2 * (x_a > 0) + (x_b > 0))
         return k
 

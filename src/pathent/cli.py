@@ -177,7 +177,7 @@ def cmd_tomography(config: ExperimentConfig, out_dir: str) -> tuple[int, list]:
     if config.pipeline == "ideal-fock":
         tables = _sweep(config, settings, 20_000, reduce, labels=[None])
         by_setting = {s: table for (s, _), table in tables.items()}
-        hist = tomo_mod.histogram_from_batches(by_setting, phase_pairs, edges)
+        hist = tomo_mod.histogram_from_tables(by_setting, phase_pairs, edges)
     else:
         tables = _sweep(config, settings, 20_000, reduce)
         hist = tomo_mod.decoy_corrected_histogram(tables, config.intensity_set, phase_pairs, edges)

@@ -21,6 +21,9 @@ from .states import NoiseModel
 from .tomography import MleConfig
 
 DEFAULT_INTENSITIES = (0.0872, 0.2314, 0.9840)
+# The CHSH scan holds a count table per threshold and batch; the default grid
+# has 101 thresholds.
+MAX_THRESHOLDS = 100_000
 
 
 class ConfigError(ValueError):
@@ -60,6 +63,9 @@ class ExperimentConfig:
             raise ConfigError("threshold grid is empty")
         if not (self.t_min >= 0 and self.t_fixed >= 0):
             raise ConfigError("thresholds t_min and t_fixed must be non-negative")
+        steps = (self.t_max - self.t_min) / self.t_step  # inf when t_step is tiny
+        if not (np.isfinite(steps) and round(steps) < MAX_THRESHOLDS):
+            raise ConfigError(f"t_min, t_max and t_step give over {MAX_THRESHOLDS} thresholds")
         if self.n_phases < 1:
             raise ConfigError("phase grid is empty")
         if self.scale < 1 or self.workers < 1:

@@ -12,6 +12,8 @@ Three pipelines produce (x_a, x_b) pairs:
 All sampling is chunked (2^16 records per chunk) and drawn in place, with an
 independent RNG stream per (seed, chunk index), so output is reproducible and
 independent of worker scheduling. Vacuum chunks skip the phase draw.
+Reductions to count tables run per chunk too (`chunked_bincount`), placing
+each record on a grid by an exact lattice lookup (`grid_index`).
 """
 
 from __future__ import annotations
@@ -140,6 +142,45 @@ def chunked_bincount(batch: SampleBatch, key, size: int) -> np.ndarray:
         stop = start + CHUNK_SIZE
         counts += np.bincount(key(batch.x_a[start:stop], batch.x_b[start:stop]), minlength=size)
     return counts
+
+
+def grid_index(levels, side: str = "left"):
+    """Exact np.searchsorted(levels, x, side) for a chunk x, with NaN mapped
+    to 0, by a lattice lookup built once per grid; `levels` must be finite
+    and sorted. x goes to cell c(x) of 4 * len(levels) equal cells over the
+    levels, computed alike for x and for the levels, so c is monotone:
+    lut[c], the number of levels in cells below c, is at most the answer and
+    short of it by at most the levels that share cell c. That many passes of
+    `k += padded[k] < x` (`<=` for "right"; the NaN pad compares false) close
+    the gap, one pass for an evenly spaced grid.
+    """
+    levels = np.asarray(levels, dtype=float)
+    if not (np.all(np.isfinite(levels)) and np.all(np.diff(levels) >= 0)):
+        raise ValueError("grid levels must be finite and sorted")
+    below = {"left": np.less, "right": np.less_equal}[side]
+    n_cells, lo = 4 * levels.size, levels[0] if levels.size else 0.0
+    with np.errstate(all="ignore"):  # inf for one level, 0 for a span past 1e308
+        scale = n_cells / (levels[-1] - lo) if levels.size else 0.0
+
+    def cell(x: np.ndarray) -> np.ndarray:
+        with np.errstate(all="ignore"):  # overflow, and 0 * inf = NaN at x = lo
+            u = x - lo
+            u *= scale
+        np.fmax(u, 0.0, out=u)  # NaN becomes 0
+        return np.fmin(u, n_cells, out=u).astype(np.intp)
+
+    cells = cell(levels)
+    lut = np.searchsorted(cells, np.arange(n_cells + 1))
+    passes = np.bincount(cells).max() if levels.size else 0
+    padded = np.append(levels, np.nan)
+
+    def index(x: np.ndarray) -> np.ndarray:
+        k = lut[cell(x)]
+        for _ in range(passes):
+            k += below(padded[k], x)
+        return k
+
+    return index
 
 
 def _sidecar_path(path: str) -> str:

@@ -24,7 +24,7 @@ import numpy as np
 
 from .decoy import DecoyIntensitySet, GainVector, estimate_single_photon_statistic
 from .fock import TruncatedOperator, hermite_functions
-from .homodyne import SampleBatch, chunked_bincount
+from .homodyne import SampleBatch, chunked_bincount, grid_index
 from .states import TwoModeFockState
 
 
@@ -192,27 +192,22 @@ def histogram_counts(batch: SampleBatch, edges) -> HistogramCounts:
 
     Bin i holds edges[i] <= x < edges[i + 1], and the last edge falls in the
     last bin; NaN and +-inf fall outside, as in `np.histogram2d`. Per arm,
-    the number of edges at or below x is estimated as
-    floor((x - edges[0]) / width) + 1. With evenly spaced edges that is off
-    by at most one, next to an edge, and one comparison each way against
-    the edges (padded with NaN, which compares false) makes it exact. Index
-    0 and n_bins + 1 collect what falls outside the grid.
+    the number of edges at or below x comes from the exact lattice lookup
+    `homodyne.grid_index(edges, "right")`, less one on the last edge. Index
+    0 (below the grid, and NaN) and n_bins + 1 (above it) collect what falls
+    outside. The edges must be evenly spaced, since the densities assume
+    equal bin widths.
     """
     edges = np.asarray(edges, dtype=float)
     n_bins = len(edges) - 1
     width = (edges[-1] - edges[0]) / n_bins if n_bins > 0 else 0.0
     if not (width > 0 and np.allclose(np.diff(edges), width, rtol=1e-6, atol=0.0)):
         raise ValueError("bin edges must be evenly spaced and increasing")
-    padded = np.concatenate(([np.nan], edges, [np.nan]))
+    edge_index = grid_index(edges, "right")
     side = n_bins + 2
 
     def index(x: np.ndarray) -> np.ndarray:
-        est = (x - edges[0]) / width + 1.0
-        np.fmax(est, 0.0, out=est)  # NaN becomes 0
-        np.fmin(est, n_bins + 1.0, out=est)
-        k = est.astype(np.intp)
-        k -= x < padded[k]
-        k += x >= padded[k + 1]
+        k = edge_index(x)
         k -= x == edges[-1]
         return k
 
@@ -283,7 +278,7 @@ def decoy_corrected_histogram(
     return _normalized(estimates, phase_pairs, edges, clamp=True)
 
 
-def histogram_from_batches(tables_by_setting: dict, phase_pairs, edges) -> BinnedHistogram:
+def histogram_from_tables(tables_by_setting: dict, phase_pairs, edges) -> BinnedHistogram:
     """Uncorrected (single-intensity) histogram, e.g. for ideal Fock data,
     from one HistogramCounts per setting index."""
     densities = [histogram_density(tables_by_setting[s], edges) for s in range(len(phase_pairs))]

@@ -43,7 +43,7 @@ from pathent.tomography import (
     build_povm_elements,
     fidelity,
     histogram_counts,
-    histogram_from_batches,
+    histogram_from_tables,
     mle_reconstruct,
     multiphoton_mass,
 )
@@ -219,7 +219,7 @@ def test_criterion_7_tomography_self_consistency():
         )
         for s, pair in enumerate(phase_pairs)
     }
-    hist = histogram_from_batches(tables, phase_pairs, edges)
+    hist = histogram_from_tables(tables, phase_pairs, edges)
     povm = build_povm_elements(phase_pairs, edges, cfg.cutoff)
     result = mle_reconstruct(hist, povm, cfg)
     fid = fidelity(result.rho, bell_state(cfg.cutoff))

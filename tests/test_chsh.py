@@ -19,7 +19,9 @@ from pathent.chsh import (
     threshold_counts,
 )
 from pathent.decoy import BoundedEstimate, DecoyIntensitySet
-from pathent.homodyne import CHUNK_SIZE, MeasurementSettings, SampleBatch, sample_batch
+from pathent.config import ExperimentConfig
+from pathent.homodyne import CHUNK_SIZE, MeasurementSettings, SampleBatch, grid_index, sample_batch
+from pathent.tomography import MleConfig
 from scipy.special import erf
 
 
@@ -140,6 +142,15 @@ class TestThresholdCounts:
         x_b = np.where(rng.random(n) < 0.2, rng.choice(specials, n), rng.normal(size=n))
         self.check_against_reference(x_a, x_b, ADVERSARIAL_GRID)
 
+    def test_every_level_of_the_default_grid(self):
+        grid = ExperimentConfig().t_grid()  # levels such as 0.06000000000000001
+        rng = np.random.default_rng(6)
+        specials = adversarial_values(grid)
+        n = 4000
+        x_a = np.concatenate([specials, rng.choice(specials, n), rng.normal(size=n)])
+        x_b = np.concatenate([rng.permutation(specials), rng.normal(size=n), rng.choice(specials, n)])
+        self.check_against_reference(x_a, x_b, grid)
+
     def test_empty_grid_and_threshold_off_grid(self):
         batch = make_batch([1.0, -2.0], [2.0, -1.0])
         assert threshold_counts(batch, []).counts.shape == (0, 4)
@@ -148,6 +159,42 @@ class TestThresholdCounts:
             table.at(0.25)
         with pytest.raises(ValueError):
             bin_coincidences(table, np.nan)
+
+
+GRIDS = {
+    "default_thresholds": ExperimentConfig().t_grid(),
+    "adversarial": sorted(ADVERSARIAL_GRID),
+    "default_bin_edges": MleConfig().bin_edges(),
+    "single_level": [0.5],
+    "empty": [],
+    "tiny_gaps": [0.0, 1e-12, 2e-12, 1.0],
+    "far_from_zero": 1e6 + 0.02 * np.arange(101),
+    "cluster_then_sparse": np.concatenate([np.linspace(0.0, 1e-3, 40), np.linspace(1.0, 50.0, 10)]),
+    "span_past_1e308": [-1e308, 0.0, 1e308],
+}
+
+
+class TestGridIndex:
+    @pytest.mark.parametrize("side", ["left", "right"])
+    @pytest.mark.parametrize("name", GRIDS)
+    def test_equals_searchsorted(self, name, side):
+        levels = np.asarray(GRIDS[name], dtype=float)
+        specials = [0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 1e308, -1e308]
+        rng = np.random.default_rng(5)
+        x = [levels, np.nextafter(levels, np.inf), np.nextafter(levels, -np.inf), specials]
+        x.append(rng.normal(size=5000) + (levels[0] if levels.size else 0.0))
+        if levels.size > 1:  # uniform over the grid and a tenth beyond it, and midpoints
+            u = rng.uniform(-0.1, 1.1, 20_000)
+            x += [levels[0] * (1 - u) + levels[-1] * u, levels[:-1] / 2 + levels[1:] / 2]
+        x = np.concatenate(x)
+        index = grid_index(levels, side)
+        np.testing.assert_array_equal(index(x), np.searchsorted(levels, x, side))
+        assert index(np.array([np.nan, np.nan])).tolist() == [0, 0]
+
+    def test_rejects_unsorted_or_non_finite_levels(self):
+        for levels in ([1.0, 0.0], [0.0, np.nan], [0.0, np.inf]):
+            with pytest.raises(ValueError):
+                grid_index(levels)
 
 
 class TestCorrelation:

@@ -6,7 +6,13 @@ import sys
 import pytest
 
 from pathent.cli import EXIT_BREACH, EXIT_CONFIG, EXIT_OK, main
-from pathent.config import ConfigError, ExperimentConfig, load_config, with_overrides
+from pathent.config import (
+    MAX_THRESHOLDS,
+    ConfigError,
+    ExperimentConfig,
+    load_config,
+    with_overrides,
+)
 
 SCAN_CONFIG = """\
 [noise]
@@ -97,6 +103,13 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig(intensities=(0.5, 0.1))
 
+    def test_threshold_grid_size_capped(self):
+        top = MAX_THRESHOLDS - 1
+        assert len(ExperimentConfig(t_max=float(top), t_step=1.0, t_fixed=0.0).t_grid()) == top + 1
+        for t_max, t_step in ((float(top + 1), 1.0), (2.0, 1e-12), (2.0, 5e-324)):
+            with pytest.raises(ConfigError, match="thresholds"):
+                ExperimentConfig(t_max=t_max, t_step=t_step)
+
     def test_scaling(self):
         cfg = ExperimentConfig(scale=1000)
         assert cfg.scaled(2_000_000) == 2000
@@ -135,6 +148,7 @@ class TestExitCodes:
             ("tomography", "max_iterations", "0", "tomography"),
             ("chsh", "t_max", "inf", "chsh-scan"),
             ("chsh", "t_step", "nan", "chsh-scan"),
+            ("chsh", "t_step", "1e-12", "chsh-scan"),
         ],
         ids=[
             "cutoff",
@@ -146,6 +160,7 @@ class TestExitCodes:
             "max_iterations",
             "t_max",
             "t_step",
+            "t_step_too_fine",
         ],
     )
     def test_invalid_value_exits_before_sampling(
@@ -156,7 +171,11 @@ class TestExitCodes:
         def no_sampling(*args, **kwargs):
             raise AssertionError("sampled before the config was validated")
 
+        def no_grid(self):
+            raise AssertionError("built the threshold grid before the config was validated")
+
         monkeypatch.setattr(cli_mod, "sample_batch", no_sampling)
+        monkeypatch.setattr(ExperimentConfig, "t_grid", no_grid)
         bad = write_config(tmp_path, f"[{section}]\n{key} = {value}\n")
         rc = main([command, "--config", bad, "--out", str(tmp_path / "o")])
         assert rc == EXIT_CONFIG

@@ -13,7 +13,7 @@ from pathent.tomography import (
     fidelity,
     histogram_counts,
     histogram_density,
-    histogram_from_batches,
+    histogram_from_tables,
     load_density_matrix,
     mle_reconstruct,
     multiphoton_mass,
@@ -350,7 +350,7 @@ class TestHistograms:
         tables = {0: histogram_counts(make_batch([0.5], [0.5]), edges)}
         tables[1] = histogram_counts(make_batch([3.0, np.nan], [0.5, 0.5]), edges)
         with pytest.raises(ArithmeticError):
-            histogram_from_batches(tables, [(0.0, 0.0), (0.5, 0.0)], edges)
+            histogram_from_tables(tables, [(0.0, 0.0), (0.5, 0.0)], edges)
 
     def test_missing_batch_rejected(self):
         iset = DecoyIntensitySet((0.1,))
@@ -380,7 +380,7 @@ class TestMle:
             )
             for s, pair in enumerate(PHASE_PAIRS_4)
         }
-        hist = histogram_from_batches(tables, PHASE_PAIRS_4, edges)
+        hist = histogram_from_tables(tables, PHASE_PAIRS_4, edges)
         povm = build_povm_elements(PHASE_PAIRS_4, edges, cfg.cutoff)
         result = mle_reconstruct(hist, povm, cfg)
         assert np.diff(result.log_likelihood).min() >= -1e-10
@@ -403,7 +403,7 @@ class TestMle:
             )
             for s, pair in enumerate(PHASE_PAIRS_4)
         }
-        hist = histogram_from_batches(tables, PHASE_PAIRS_4, edges)
+        hist = histogram_from_tables(tables, PHASE_PAIRS_4, edges)
         povm = build_povm_elements(PHASE_PAIRS_4, edges, cfg.cutoff)
         result = mle_reconstruct(hist, povm, cfg)
         assert np.diff(result.log_likelihood).min() >= -1e-10
@@ -437,7 +437,7 @@ class TestMle:
             )
             for s, pair in enumerate(PHASE_PAIRS_4)
         }
-        return histogram_from_batches(tables, PHASE_PAIRS_4, edges)
+        return histogram_from_tables(tables, PHASE_PAIRS_4, edges)
 
     @pytest.mark.parametrize("source", ["decoy", "ideal-fock"])
     def test_same_as_reference_loop(self, source):
