@@ -6,7 +6,6 @@ from .config import ExperimentConfig, load_config
 from .decoy import (
     BoundedEstimate,
     DecoyIntensitySet,
-    GainVector,
     bound_interval,
     bound_statistic,
     estimate_single_photon_statistic,
@@ -42,7 +41,6 @@ __all__ = [
     "BoundedEstimate",
     "DecoyIntensitySet",
     "ExperimentConfig",
-    "GainVector",
     "MeasurementSettings",
     "NoiseModel",
     "PhaseRandomizedSource",

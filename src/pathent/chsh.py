@@ -7,7 +7,8 @@ otherwise, independently per arm; a record survives only if both arms do.
 Analysis takes count tables only: each batch is reduced once, right after it
 is sampled, to its coincidence counts at every threshold of the scan grid
 (`threshold_counts`), and the decoy bounds, correlations and CHSH scan read
-those tables. A record's place in the grid comes from an exact lattice
+those tables, one per intensity label (0 = vacuum, then the decoy levels)
+for each setting. A record's place in the grid comes from an exact lattice
 lookup (`homodyne.grid_index`), not a binary search per record.
 """
 
@@ -21,7 +22,6 @@ import numpy as np
 from .decoy import (
     BoundedEstimate,
     DecoyIntensitySet,
-    GainVector,
     bound_statistic,
     estimate_single_photon_statistic,
 )
@@ -258,35 +258,25 @@ def ideal_single_photon_chsh(T: float) -> float:
 
 
 def decoy_coincidence_bounds(
-    tables_by_intensity: dict,
-    intensity_set: DecoyIntensitySet,
-    T: float,
+    tables: list, intensity_set: DecoyIntensitySet, T: float
 ) -> dict:
     """Per-outcome decoy-bounded single-photon coincidence probabilities.
 
-    `tables_by_intensity` maps intensity label (0 = vacuum, 1..L = decoy
-    levels in increasing order) to the ThresholdCounts of a single fixed
-    setting.
+    `tables[j]` is the ThresholdCounts of one fixed setting at intensity
+    label j (0 = vacuum, 1..L = decoy levels in increasing order).
     """
-    probs = {
-        label: bin_coincidences(table, T).probabilities()
-        for label, table in tables_by_intensity.items()
-    }
+    probs = [bin_coincidences(table, T).probabilities() for table in tables]
     out = {}
     for pair in OUTCOME_PAIRS:
-        gains = GainVector(
-            vacuum=probs[0][pair],
-            gains=tuple(probs[j][pair] for j in range(1, intensity_set.num_levels + 1)),
-        )
-        est = estimate_single_photon_statistic(gains, intensity_set)
+        est = estimate_single_photon_statistic([p[pair] for p in probs], intensity_set)
         out[pair] = bound_statistic(est, intensity_set, probability=True)
     return out
 
 
 def decoy_correlation(
-    tables_by_intensity: dict, intensity_set: DecoyIntensitySet, T: float
+    tables: list, intensity_set: DecoyIntensitySet, T: float
 ) -> CorrelationBound:
-    p = decoy_coincidence_bounds(tables_by_intensity, intensity_set, T)
+    p = decoy_coincidence_bounds(tables, intensity_set, T)
     return correlation_bounds(p[(0, 0)], p[(0, 1)], p[(1, 0)], p[(1, 1)])
 
 
@@ -297,32 +287,19 @@ def scan_threshold(
 ) -> list[ChshResult]:
     """Full decoy CHSH pipeline per threshold.
 
-    `tables` maps ((label_a, label_b), intensity_label) -> ThresholdCounts
-    covering `t_grid`, over the 4 CHSH settings and intensity labels 0..L.
+    `tables` maps each CHSH setting pair (label_a, label_b) to its
+    ThresholdCounts covering `t_grid`, indexed by intensity label 0..L.
     Thresholds where any setting loses all survivors are marked invalid
     rather than NaN.
     """
-    expected = {
-        (combo, j) for combo in CHSH_COMBOS for j in range(intensity_set.num_levels + 1)
-    }
-    missing = expected - set(tables)
-    if missing:
-        raise ValueError(f"missing tables for {sorted(missing)}")
+    if any(len(tables.get(combo, ())) != intensity_set.num_levels + 1 for combo in CHSH_COMBOS):
+        raise ValueError(f"need one table per intensity label for each setting of {CHSH_COMBOS}")
     results = []
     for T in t_grid:
         try:
-            bounds = [
-                decoy_correlation(
-                    {j: tables[(combo, j)] for j in range(intensity_set.num_levels + 1)},
-                    intensity_set,
-                    T,
-                )
-                for combo in CHSH_COMBOS
-            ]
-        except (ZeroDivisionError, EmptySurvivorError):
+            bounds = [decoy_correlation(tables[combo], intensity_set, T) for combo in CHSH_COMBOS]
+        except ZeroDivisionError:
             results.append(ChshResult(float(T), 0.0, 0.0, 0.0, valid=False))
             continue
-        results.append(
-            chsh_from_correlations(*bounds, threshold=float(T))
-        )
+        results.append(chsh_from_correlations(*bounds, threshold=float(T)))
     return results

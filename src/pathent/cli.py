@@ -69,26 +69,25 @@ def _simulate_point(
 def _sweep(
     config: ExperimentConfig, settings: dict, first_index: int, reduce, labels=None
 ) -> dict:
-    """`reduce` of one batch per (key of `settings`, intensity label), keyed
-    by that pair. Batches are sampled in that order, the i-th with batch
-    index first_index + i, and each is reduced as soon as it is sampled, so
-    only what `reduce` returns stays alive. `labels` defaults to the vacuum
-    and every decoy level."""
+    """Per key of `settings`, `reduce` of one batch per intensity label, in
+    label order. Batches are sampled key by key and label by label, the i-th
+    with batch index first_index + i, and each is reduced as soon as it is
+    sampled, so only what `reduce` returns stays alive. `labels` defaults to
+    the vacuum and every decoy level."""
     if labels is None:
         labels = range(len(config.intensities) + 1)
-    points = itertools.product(settings.items(), labels)
+    index = itertools.count(first_index)
     return {
-        (key, label): reduce(_simulate_point(config, setting, label, first_index + i))
-        for i, ((key, setting), label) in enumerate(points)
+        key: [reduce(_simulate_point(config, setting, label, next(index))) for label in labels]
+        for key, setting in settings.items()
     }
 
 
 def _tables_at_t_fixed(config: ExperimentConfig, settings: dict, first_index: int) -> dict:
     """Per key of `settings`, its count tables at t_fixed by intensity label."""
-    tables = _sweep(
+    return _sweep(
         config, settings, first_index, lambda b: chsh_mod.threshold_counts(b, [config.t_fixed])
     )
-    return {key: {j: t for (k, j), t in tables.items() if k == key} for key in settings}
 
 
 def _write_csv(out_dir: str, name: str, header: str, rows) -> str:
@@ -119,7 +118,7 @@ def cmd_simulate(config: ExperimentConfig, out_dir: str) -> tuple[int, list]:
         return [name, name.replace(".csv", ".meta.json")]
 
     saved = _sweep(config, CHSH_SETTINGS, 0, save)
-    return EXIT_OK, [name for names in saved.values() for name in names]
+    return EXIT_OK, [name for by_label in saved.values() for names in by_label for name in names]
 
 
 def cmd_correlation_scan(config: ExperimentConfig, out_dir: str) -> tuple[int, list]:
@@ -176,7 +175,7 @@ def cmd_tomography(config: ExperimentConfig, out_dir: str) -> tuple[int, list]:
 
     if config.pipeline == "ideal-fock":
         tables = _sweep(config, settings, 20_000, reduce, labels=[None])
-        by_setting = {s: table for (s, _), table in tables.items()}
+        by_setting = {s: table for s, (table,) in tables.items()}
         hist = tomo_mod.histogram_from_tables(by_setting, phase_pairs, edges)
     else:
         tables = _sweep(config, settings, 20_000, reduce)
@@ -210,7 +209,8 @@ def cmd_tomography(config: ExperimentConfig, out_dir: str) -> tuple[int, list]:
 def cmd_fair_sampling_check(
     config: ExperimentConfig, out_dir: str, cutoff: int = 1
 ) -> tuple[int, list]:
-    report = verification_report(seed=config.seed, cutoff=cutoff)
+    # Any integer seeds the report, as it does the sampling subcommands.
+    report = verification_report(seed=config.seed % (1 << 63), cutoff=cutoff)
     path = os.path.join(out_dir, "fair_sampling_report.txt")
     with open(path, "w") as fh:
         for state_idx, T, res in report["rows"]:
@@ -274,6 +274,8 @@ def main(argv=None) -> int:
         )
         if args.command in DECOY_COMMANDS and config.pipeline == "ideal-fock":
             raise ConfigError(f"{args.command} needs decoy data; pipeline ideal-fock has none")
+        if args.command == "fair-sampling-check" and args.cutoff < 1:
+            raise ConfigError(f"--cutoff must be at least 1, got {args.cutoff}")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -116,15 +116,12 @@ _SECTION_FIELDS = {
     "run": ("workers", "scale"),
 }
 
-_INT_FIELDS = {
-    "samples_per_point",
-    "vacuum_samples",
-    "n_phases",
-    "cutoff",
-    "max_iterations",
-    "seed",
-    "workers",
-    "scale",
+# Each INI value is parsed by the type of its field's default.
+_PARSERS = {
+    int: int,
+    float: float,
+    str: str.strip,
+    tuple: lambda raw: tuple(float(v) for v in raw.split(",")),
 }
 
 
@@ -133,6 +130,7 @@ def load_config(path: str) -> ExperimentConfig:
     read = parser.read(path)
     if not read:
         raise ConfigError(f"cannot read config file {path}")
+    defaults = ExperimentConfig.__dataclass_fields__
     kwargs = {}
     for section in parser.sections():
         if section not in _SECTION_FIELDS:
@@ -141,14 +139,7 @@ def load_config(path: str) -> ExperimentConfig:
             if key not in _SECTION_FIELDS[section]:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
             try:
-                if key == "intensities":
-                    kwargs[key] = tuple(float(v) for v in raw.split(","))
-                elif key in _INT_FIELDS:
-                    kwargs[key] = int(raw)
-                elif key == "pipeline":
-                    kwargs[key] = raw.strip()
-                else:
-                    kwargs[key] = float(raw)
+                kwargs[key] = _PARSERS[type(defaults[key].default)](raw)
             except ValueError as exc:
                 raise ConfigError(f"[{section}] {key} = {raw!r}: {exc}") from exc
     return ExperimentConfig(**kwargs)

@@ -1,6 +1,8 @@
 """Decoy-intensity linear estimator for the single-photon yield, with
 rigorous parity-dependent bounds.
 
+The estimator takes the statistic measured at each intensity label as one
+sequence, vacuum first: `gains[j]` belongs to label j (0 = vacuum, j = mu_j).
 The same machinery serves scalar coincidence probabilities and per-bin
 densities: the gain entries may be numpy arrays and everything broadcasts.
 """
@@ -17,8 +19,8 @@ import numpy as np
 class DecoyIntensitySet:
     """Strictly increasing positive intensities mu_1 < ... < mu_L.
 
-    The vacuum intensity mu_0 = 0 is implicit; measured vacuum gains travel
-    separately in the GainVector.
+    The vacuum intensity mu_0 = 0 is implicit: it is label 0 of every gain
+    sequence, and mu_j is label j.
     """
 
     intensities: tuple
@@ -56,16 +58,17 @@ class DecoyIntensitySet:
         w.flags.writeable = False
         return w, w0
 
-
-@dataclass(frozen=True)
-class GainVector:
-    """Measured statistics per intensity: vacuum first, then mu_1..mu_L.
-
-    Entries may be scalars (probabilities) or arrays (binned densities).
-    """
-
-    vacuum: np.ndarray | float
-    gains: tuple
+    @cached_property
+    def _delta(self) -> float:
+        """Delta_L of `bound_interval`, computed once per set."""
+        w, w0 = self._coefficients
+        # Gains for Y_n = 1 (all n): Q_mu = 1 for every intensity including vacuum.
+        all_ones = float(np.sum(w) + w0)
+        sign = -1.0 if self.num_levels % 2 == 0 else 1.0
+        delta = sign * (all_ones - 1.0)
+        if delta < -1e-12:
+            raise ArithmeticError(f"negative bound interval {delta:.3e}: implementation fault")
+        return max(delta, 0.0)
 
 
 @dataclass(frozen=True)
@@ -78,24 +81,20 @@ class BoundedEstimate:
         if not (self.lower <= self.upper + 1e-15):
             raise ValueError("lower bound exceeds upper bound")
 
-    @property
-    def width(self) -> float:
-        return self.upper - self.lower
 
-
-def estimate_single_photon_statistic(gains: GainVector, intensity_set: DecoyIntensitySet):
-    """Linear decoy estimate of the single-photon yield Y_1.
+def estimate_single_photon_statistic(gains, intensity_set: DecoyIntensitySet):
+    """Linear decoy estimate of the single-photon yield Y_1 from `gains[j]`,
+    the statistic at intensity label j (Q_0 the vacuum, Q_{mu_j} at j >= 1).
 
     mu_1...mu_L * sum_j mu_j^-2 (e^{mu_j} Q_{mu_j} - Q_0) / prod_{i!=j}(mu_i - mu_j).
     Exact when Y_n vanishes for n >= 2; linear in the gains; broadcasts over
     array-valued gains.
     """
-    if len(gains.gains) != intensity_set.num_levels:
-        raise ValueError("gain vector does not cover all decoy intensities")
+    if len(gains) != intensity_set.num_levels + 1:
+        raise ValueError("need one gain per intensity label, the vacuum first")
     w, w0 = intensity_set.estimator_coefficients()
-    q0 = np.asarray(gains.vacuum, dtype=float)
-    est = w0 * q0
-    for wj, qj in zip(w, gains.gains):
+    est = w0 * np.asarray(gains[0], dtype=float)
+    for wj, qj in zip(w, gains[1:]):
         est = est + wj * np.asarray(qj, dtype=float)
     return est if est.ndim else float(est)
 
@@ -106,16 +105,10 @@ def bound_interval(intensity_set: DecoyIntensitySet) -> float:
     Delta_L = (-1)^(L+1) * (mu_1...mu_L * sum_j mu_j^-2 (e^{mu_j} - 1)
     / prod_{i!=j}(mu_i - mu_j)  -  1), i.e. the estimator applied to the
     all-ones yield sequence minus its exact single-photon answer, saturated
-    by Y_n = 1 for all n >= 2. Always non-negative for a valid set.
+    by Y_n = 1 for all n >= 2. Always non-negative for a valid set; computed
+    once per set.
     """
-    w, w0 = intensity_set.estimator_coefficients()
-    # Gains for Y_n = 1 (all n): Q_mu = 1 for every intensity including vacuum.
-    all_ones = float(np.sum(w) + w0)
-    sign = -1.0 if intensity_set.num_levels % 2 == 0 else 1.0
-    delta = sign * (all_ones - 1.0)
-    if delta < -1e-12:
-        raise ArithmeticError(f"negative bound interval {delta:.3e}: implementation fault")
-    return max(delta, 0.0)
+    return intensity_set._delta
 
 
 def bound_statistic(

@@ -4,7 +4,8 @@ maximum-likelihood reconstruction of the two-mode density matrix.
 Analysis takes count tables only: each batch is reduced to integer counts
 over the 2-D bin grid as soon as it is sampled (`histogram_counts`), and the
 densities, the decoy correction and the uncorrected histogram read those
-tables.
+tables. The decoy correction takes one table per intensity label (0 =
+vacuum, then the decoy levels) for each setting.
 
 POVM elements factorize per mode: the element for 2-D bin (B_a, B_b) at LO
 phases (phi_a, phi_b) is E(B_a, phi_a) (x) E(B_b, phi_b) with single-mode
@@ -22,10 +23,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .decoy import DecoyIntensitySet, GainVector, estimate_single_photon_statistic
+from .decoy import DecoyIntensitySet, estimate_single_photon_statistic
 from .fock import TruncatedOperator, hermite_functions
 from .homodyne import SampleBatch, chunked_bincount, grid_index
 from .states import TwoModeFockState
+
+# Each count table holds (bins per axis + 2)^2 int64 cells, and the POVM one
+# overlap matrix per bin; the default grid has 50 bins per axis.
+MAX_BINS = 1000
 
 
 @dataclass(frozen=True)
@@ -46,7 +51,10 @@ class MleConfig:
         for key in ("bin_width", "x_range"):
             if not 0 < getattr(self, key) < np.inf:
                 raise ValueError(f"{key} must be positive and finite")
-        if round(2.0 * self.x_range / self.bin_width) < 1:
+        n_bins = 2.0 * self.x_range / self.bin_width  # inf when bin_width is tiny
+        if not (np.isfinite(n_bins) and round(n_bins) <= MAX_BINS):
+            raise ValueError(f"x_range and bin_width give over {MAX_BINS} bins per axis")
+        if round(n_bins) < 1:
             raise ValueError("bin_width leaves no bin in [-x_range, x_range]")
 
     def bin_edges(self) -> np.ndarray:
@@ -88,7 +96,6 @@ class BinnedHistogram:
 class TomographyResult:
     rho: TruncatedOperator
     log_likelihood: list
-    fidelity: float
     iterations: int
     converged: bool
 
@@ -260,20 +267,15 @@ def decoy_corrected_histogram(
 ) -> BinnedHistogram:
     """Per-bin decoy estimate of the single-photon density.
 
-    `tables` maps (setting index, intensity label) -> HistogramCounts over
-    `edges`, with intensity label 0 the vacuum. Negative corrected densities
+    `tables` maps each setting index to its HistogramCounts over `edges`,
+    indexed by intensity label (0 = vacuum). Negative corrected densities
     are clamped to zero and each setting renormalized to unit mass.
     """
-    L = intensity_set.num_levels
     estimates = []
     for s in range(len(phase_pairs)):
-        for j in range(L + 1):
-            if (s, j) not in tables:
-                raise ValueError(f"missing table for setting {s}, intensity label {j}")
-        gains = GainVector(
-            vacuum=histogram_density(tables[(s, 0)], edges),
-            gains=tuple(histogram_density(tables[(s, j)], edges) for j in range(1, L + 1)),
-        )
+        if len(tables.get(s, ())) != intensity_set.num_levels + 1:
+            raise ValueError(f"need one table per intensity label for setting {s}")
+        gains = [histogram_density(table, edges) for table in tables[s]]
         estimates.append(estimate_single_photon_statistic(gains, intensity_set))
     return _normalized(estimates, phase_pairs, edges, clamp=True)
 
@@ -325,7 +327,6 @@ def mle_reconstruct(
     return TomographyResult(
         rho=op,
         log_likelihood=ll_trace,
-        fidelity=float("nan"),
         iterations=it,
         converged=converged,
     )

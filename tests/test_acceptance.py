@@ -23,7 +23,6 @@ from pathent.chsh import (
 from pathent.cli import EXIT_OK, main
 from pathent.decoy import (
     DecoyIntensitySet,
-    GainVector,
     bound_interval,
     estimate_single_photon_statistic,
     exact_gains,
@@ -96,10 +95,7 @@ def test_criterion_3_decoy_containment():
     delta = bound_interval(iset)
     rng = np.random.default_rng(31415)
     yields = rng.uniform(0.0, 1.0, size=(41, 10_000))
-    gains = GainVector(
-        vacuum=exact_gains(yields, 0.0),
-        gains=tuple(exact_gains(yields, mu) for mu in iset.intensities),
-    )
+    gains = [exact_gains(yields, mu) for mu in (0.0, *iset.intensities)]
     est = estimate_single_photon_statistic(gains, iset)
     true = yields[1]
     violations = int(np.count_nonzero((true > est + 1e-10) | (true < est - delta - 1e-10)))
@@ -155,10 +151,10 @@ def test_criterion_5_decoy_chsh_violation():
     idx = 0
     for combo in CHSH_COMBOS:
         settings = MeasurementSettings.chsh(*combo)
-        by_intensity = {}
-        for j, mu in enumerate((0.0,) + iset.intensities):
+        by_intensity = []
+        for mu in (0.0,) + iset.intensities:
             batch = sample_batch(mu, settings, 1_000_000, seed=1000 + idx, workers=4)
-            by_intensity[j] = threshold_counts(batch, [0.82])
+            by_intensity.append(threshold_counts(batch, [0.82]))
             idx += 1
         bounds.append(decoy_correlation(by_intensity, iset, 0.82))
     res = chsh_from_correlations(*bounds, threshold=0.82)

@@ -350,16 +350,13 @@ class TestDecoyPipeline:
         self.iset = DecoyIntensitySet((0.0872, 0.2314, 0.9840))
 
     def make_batches(self, settings, seed):
-        out = {0: sample_batch(0.0, settings, 400_000, seed=seed)}
+        out = [sample_batch(0.0, settings, 400_000, seed=seed)]
         for j, mu in enumerate(self.iset.intensities, start=1):
-            out[j] = sample_batch(mu, settings, 100_000, seed=seed + j)
+            out.append(sample_batch(mu, settings, 100_000, seed=seed + j))
         return out
 
     def make_tables(self, settings, seed, grid):
-        return {
-            j: threshold_counts(batch, grid)
-            for j, batch in self.make_batches(settings, seed).items()
-        }
+        return [threshold_counts(batch, grid) for batch in self.make_batches(settings, seed)]
 
     def test_coincidence_bounds_contain_estimates(self):
         settings = MeasurementSettings.chsh(0, 0)
@@ -379,34 +376,34 @@ class TestDecoyPipeline:
         assert far.e_est < -0.2
 
     def test_scan_marks_hopeless_threshold_invalid(self):
-        batches = {}
+        tables = {}
         for combo in CHSH_COMBOS:
             settings = MeasurementSettings.chsh(*combo)
-            batches[(combo, 0)] = sample_batch(0.0, settings, 2000, seed=80)
+            batches = [sample_batch(0.0, settings, 2000, seed=80)]
             for j, mu in enumerate(self.iset.intensities, start=1):
-                batches[(combo, j)] = sample_batch(mu, settings, 2000, seed=81 + j)
-        tables = {key: threshold_counts(batch, [0.5, 9.0]) for key, batch in batches.items()}
+                batches.append(sample_batch(mu, settings, 2000, seed=81 + j))
+            tables[combo] = [threshold_counts(batch, [0.5, 9.0]) for batch in batches]
         results = scan_threshold(tables, self.iset, [0.5, 9.0])
         assert results[0].valid
         assert not results[1].valid
 
     def test_scan_same_on_full_and_one_value_grids(self):
         grid = [0.6, 0.0, 0.3, 0.6, 9.0]
-        batches = {}
-        for idx, combo in enumerate(CHSH_COMBOS):
-            by_label = self.make_batches(MeasurementSettings.chsh(*combo), 90 + 10 * idx)
-            batches.update({(combo, j): batch for j, batch in by_label.items()})
-        tables = {key: threshold_counts(batch, grid) for key, batch in batches.items()}
+        batches = {
+            combo: self.make_batches(MeasurementSettings.chsh(*combo), 90 + 10 * idx)
+            for idx, combo in enumerate(CHSH_COMBOS)
+        }
+
+        def tables_over(t_grid):
+            return {
+                combo: [threshold_counts(batch, t_grid) for batch in by_label]
+                for combo, by_label in batches.items()
+            }
+
+        tables = tables_over(grid)
         from_tables = scan_threshold(tables, self.iset, grid)
         # Each threshold on its own, binned through a one-value grid.
-        assert from_tables == [
-            scan_threshold(
-                {key: threshold_counts(batch, [T]) for key, batch in batches.items()},
-                self.iset,
-                [T],
-            )[0]
-            for T in grid
-        ]
+        assert from_tables == [scan_threshold(tables_over([T]), self.iset, [T])[0] for T in grid]
         assert [r.valid for r in from_tables] == [True, True, True, True, False]
         with pytest.raises(ValueError):
             scan_threshold(tables, self.iset, [0.45])
@@ -414,3 +411,5 @@ class TestDecoyPipeline:
     def test_scan_rejects_missing_batches(self):
         with pytest.raises(ValueError):
             scan_threshold({}, self.iset, [0.5])
+        with pytest.raises(ValueError):  # every setting, but no label
+            scan_threshold({combo: [] for combo in CHSH_COMBOS}, self.iset, [0.5])

@@ -7,12 +7,14 @@ import pytest
 
 from pathent.cli import EXIT_BREACH, EXIT_CONFIG, EXIT_OK, main
 from pathent.config import (
+    _SECTION_FIELDS,
     MAX_THRESHOLDS,
     ConfigError,
     ExperimentConfig,
     load_config,
     with_overrides,
 )
+from pathent.tomography import MleConfig
 
 SCAN_CONFIG = """\
 [noise]
@@ -93,6 +95,20 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(write_config(tmp_path, "[sampling]\nseed = not_an_int\n"))
 
+    def test_every_key_at_its_default_loads_the_default(self, tmp_path):
+        default = ExperimentConfig()
+
+        def text(value):
+            return ",".join(map(repr, value)) if isinstance(value, tuple) else str(value)
+
+        lines = []
+        for section, keys in _SECTION_FIELDS.items():
+            lines.append(f"[{section}]")
+            lines += [f"{key} = {text(getattr(default, key))}" for key in keys]
+        cfg = load_config(write_config(tmp_path, "\n".join(lines) + "\n"))
+        assert cfg == default
+        assert cfg.content_hash() == default.content_hash()
+
     def test_missing_file(self):
         with pytest.raises(ConfigError):
             load_config("/nonexistent/run.ini")
@@ -149,6 +165,9 @@ class TestExitCodes:
             ("chsh", "t_max", "inf", "chsh-scan"),
             ("chsh", "t_step", "nan", "chsh-scan"),
             ("chsh", "t_step", "1e-12", "chsh-scan"),
+            ("tomography", "bin_width", "5e-324", "tomography"),
+            ("tomography", "bin_width", "1e-4", "tomography"),
+            ("tomography", "x_range", "1e308", "tomography"),
         ],
         ids=[
             "cutoff",
@@ -161,6 +180,9 @@ class TestExitCodes:
             "t_max",
             "t_step",
             "t_step_too_fine",
+            "bin_width_overflow",
+            "bin_width_too_fine",
+            "x_range_overflow",
         ],
     )
     def test_invalid_value_exits_before_sampling(
@@ -172,10 +194,11 @@ class TestExitCodes:
             raise AssertionError("sampled before the config was validated")
 
         def no_grid(self):
-            raise AssertionError("built the threshold grid before the config was validated")
+            raise AssertionError("built a grid before the config was validated")
 
         monkeypatch.setattr(cli_mod, "sample_batch", no_sampling)
         monkeypatch.setattr(ExperimentConfig, "t_grid", no_grid)
+        monkeypatch.setattr(MleConfig, "bin_edges", no_grid)
         bad = write_config(tmp_path, f"[{section}]\n{key} = {value}\n")
         rc = main([command, "--config", bad, "--out", str(tmp_path / "o")])
         assert rc == EXIT_CONFIG
@@ -203,6 +226,30 @@ class TestExitCodes:
         assert rc == EXIT_OK
         report = (out / "fair_sampling_report.txt").read_text()
         assert report.strip().endswith("PASS")
+
+    @pytest.mark.parametrize("cutoff", ["0", "-1"])
+    def test_fair_sampling_cutoff_below_one_rejected(self, tmp_path, monkeypatch, capsys, cutoff):
+        import pathent.cli as cli_mod
+
+        def no_report(seed, cutoff):
+            raise AssertionError("ran the check before validating --cutoff")
+
+        monkeypatch.setattr(cli_mod, "verification_report", no_report)
+        out = tmp_path / "fs"
+        rc = main(["fair-sampling-check", "--out", str(out), "--cutoff", cutoff])
+        assert rc == EXIT_CONFIG
+        assert "--cutoff" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_fair_sampling_negative_seed(self, tmp_path):
+        """A negative seed is reduced modulo 2**63, as the batch seeds are."""
+        reports = []
+        for seed in ("-1", str(2**63 - 1)):
+            out = tmp_path / seed
+            assert main(["fair-sampling-check", "--out", str(out), "--seed", seed]) == EXIT_OK
+            reports.append((out / "fair_sampling_report.txt").read_text())
+        assert reports[0] == reports[1]
+        assert reports[0].strip().endswith("PASS")
 
     def test_fair_sampling_injected_fault_breach(self, tmp_path, monkeypatch):
         import pathent.cli as cli_mod

@@ -6,7 +6,6 @@ import pytest
 from pathent.decoy import (
     BoundedEstimate,
     DecoyIntensitySet,
-    GainVector,
     bound_interval,
     bound_statistic,
     estimate_single_photon_statistic,
@@ -17,10 +16,7 @@ NOMINAL_INTENSITIES = (0.0872, 0.2314, 0.9840)
 
 
 def gains_from_yields(yields, intensity_set):
-    return GainVector(
-        vacuum=exact_gains(yields, 0.0),
-        gains=tuple(exact_gains(yields, mu) for mu in intensity_set.intensities),
-    )
+    return [exact_gains(yields, mu) for mu in (0.0, *intensity_set.intensities)]
 
 
 class TestIntensitySet:
@@ -67,10 +63,7 @@ class TestEstimator:
         y2 = rng.uniform(0, 1, 30)
         g1 = gains_from_yields(y1, iset)
         g2 = gains_from_yields(y2, iset)
-        mixed = GainVector(
-            vacuum=0.3 * g1.vacuum + 0.7 * g2.vacuum,
-            gains=tuple(0.3 * a + 0.7 * b for a, b in zip(g1.gains, g2.gains)),
-        )
+        mixed = [0.3 * a + 0.7 * b for a, b in zip(g1, g2)]
         lhs = estimate_single_photon_statistic(mixed, iset)
         rhs = 0.3 * estimate_single_photon_statistic(
             g1, iset
@@ -81,17 +74,14 @@ class TestEstimator:
         iset = DecoyIntensitySet(NOMINAL_INTENSITIES)
         yields = np.zeros((41, 4))
         yields[1] = [0.2, 0.4, 0.6, 0.8]
-        gains = GainVector(
-            vacuum=exact_gains(yields, 0.0),
-            gains=tuple(exact_gains(yields, mu) for mu in iset.intensities),
-        )
+        gains = [exact_gains(yields, mu) for mu in (0.0, *iset.intensities)]
         est = estimate_single_photon_statistic(gains, iset)
         assert np.allclose(est, [0.2, 0.4, 0.6, 0.8], atol=1e-12)
 
     def test_rejects_mismatched_gain_vector(self):
         iset = DecoyIntensitySet(NOMINAL_INTENSITIES)
         with pytest.raises(ValueError):
-            estimate_single_photon_statistic(GainVector(0.0, (0.1, 0.2)), iset)
+            estimate_single_photon_statistic([0.0, 0.1, 0.2], iset)
 
 
 class TestBoundInterval:
@@ -121,6 +111,22 @@ class TestBoundInterval:
             est = estimate_single_photon_statistic(gains_from_yields(yields, iset), iset)
             sign = 1.0 if iset.num_levels % 2 == 1 else -1.0
             assert sign * est == pytest.approx(bound_interval(iset), abs=1e-9)
+
+    @pytest.mark.parametrize("mus", [(0.1,), (0.1, 0.5), NOMINAL_INTENSITIES])
+    def test_cached_per_set_with_the_same_bits(self, mus):
+        iset = DecoyIntensitySet(mus)
+        w, w0 = iset.estimator_coefficients()
+        sign = -1.0 if iset.num_levels % 2 == 0 else 1.0
+        expected = max(sign * (float(np.sum(w) + w0) - 1.0), 0.0)
+        assert bound_interval(iset) == expected
+        assert iset.__dict__["_delta"] == expected  # kept on the set, not recomputed
+
+    def test_negative_interval_is_a_fault(self):
+        iset = DecoyIntensitySet(NOMINAL_INTENSITIES)
+        iset.__dict__["_coefficients"] = (np.zeros(3), -1.0)  # corrupt weights
+        for _ in range(2):  # raised on every call, never cached
+            with pytest.raises(ArithmeticError):
+                bound_interval(iset)
 
 
 class TestBoundStatistic:
@@ -159,10 +165,7 @@ class TestContainment:
         delta = bound_interval(iset)
         rng = np.random.default_rng(2024)
         yields = rng.uniform(0.0, 1.0, size=(41, 1000))
-        gains = GainVector(
-            vacuum=exact_gains(yields, 0.0),
-            gains=tuple(exact_gains(yields, mu) for mu in mus),
-        )
+        gains = [exact_gains(yields, mu) for mu in (0.0, *mus)]
         est = estimate_single_photon_statistic(gains, iset)
         true = yields[1]
         if iset.num_levels % 2 == 1:

@@ -6,6 +6,7 @@ from pathent.fock import TruncatedOperator, hermite_functions
 from pathent.homodyne import CHUNK_SIZE, MeasurementSettings, SampleBatch, sample_batch
 from pathent.states import TwoModeFockState, bell_state
 from pathent.tomography import (
+    MAX_BINS,
     BinnedHistogram,
     MleConfig,
     build_povm_elements,
@@ -139,6 +140,15 @@ class TestMleConfig:
             MleConfig(bin_width=5.0, x_range=1.0)  # wider than the range: no bin
         with pytest.raises(ValueError):
             MleConfig(max_iterations=-3)
+        # Grids that cannot be built, or are too large to hold, are refused
+        # before any edge is computed.
+        for bin_width, x_range in ((5e-324, 5.0), (0.2, 1e308), (1e-4, 5.0)):
+            with pytest.raises(ValueError, match="bins per axis"):
+                MleConfig(bin_width=bin_width, x_range=x_range)
+        top = MleConfig(bin_width=2.0 * 5.0 / MAX_BINS, x_range=5.0)
+        assert len(top.bin_edges()) == MAX_BINS + 1
+        with pytest.raises(ValueError, match="bins per axis"):
+            MleConfig(bin_width=2.0 * 5.0 / (MAX_BINS + 1), x_range=5.0)
 
 
 class TestPovm:
@@ -305,11 +315,11 @@ class TestHistograms:
         edges = np.linspace(-5.0, 5.0, 26)
         pair = (np.pi / 8, -np.pi / 8)
         settings = MeasurementSettings(*pair)
-        tables = {(0, 0): histogram_counts(sample_batch(0.0, settings, 400_000, seed=130), edges)}
+        tables = [histogram_counts(sample_batch(0.0, settings, 400_000, seed=130), edges)]
         for j, mu in enumerate(iset.intensities, start=1):
             batch = sample_batch(mu, settings, 150_000, seed=130 + j)
-            tables[(0, j)] = histogram_counts(batch, edges)
-        hist = decoy_corrected_histogram(tables, iset, [pair], edges)
+            tables.append(histogram_counts(batch, edges))
+        hist = decoy_corrected_histogram({0: tables}, iset, [pair], edges)
         centers = 0.5 * (edges[:-1] + edges[1:])
         expect = joint_pdf_fock(1, centers[:, None], centers[None, :], np.pi / 4)
         area = np.diff(edges)[0] ** 2
@@ -342,7 +352,7 @@ class TestHistograms:
         # corrected density is negative everywhere and clamps to nothing.
         with pytest.raises(ArithmeticError):
             decoy_corrected_histogram(
-                {(0, 0): table(0.5), (0, 1): table(50.0)}, iset, [(0.0, 0.0)], edges
+                {0: [table(0.5), table(50.0)]}, iset, [(0.0, 0.0)], edges
             )
 
     def test_uncorrected_histogram_without_records_in_range_raises(self):
@@ -356,6 +366,8 @@ class TestHistograms:
         iset = DecoyIntensitySet((0.1,))
         with pytest.raises(ValueError):
             decoy_corrected_histogram({}, iset, [(0.0, 0.0)], np.linspace(-1, 1, 3))
+        with pytest.raises(ValueError):  # the setting, but no label
+            decoy_corrected_histogram({0: []}, iset, [(0.0, 0.0)], np.linspace(-1, 1, 3))
 
 
 class TestMle:
@@ -417,9 +429,10 @@ class TestMle:
         tables = {}
         for s, pair in enumerate(PHASE_PAIRS_4):
             settings = MeasurementSettings(*pair)
+            tables[s] = []
             for j, mu in enumerate((0.0,) + iset.intensities):
                 batch = sample_batch(mu, settings, 60_000, seed=600 + 4 * s + j)
-                tables[(s, j)] = histogram_counts(batch, edges)
+                tables[s].append(histogram_counts(batch, edges))
         return decoy_corrected_histogram(tables, iset, PHASE_PAIRS_4, edges)
 
     def fock_histogram(self, edges):
