@@ -22,16 +22,13 @@ from .homodyne import (
     SampleBatch,
     joint_pdf_fock,
     sample_batch,
-    sample_coherent_pair,
     sample_fock_pair,
 )
 from .states import (
     NoiseModel,
-    PhaseRandomizedSource,
     TwoModeFockState,
     bell_state,
     compensated_intensity,
-    electronic_noise_equivalent,
     loss_on_coherent,
     poisson_weights,
     splitter_output,
@@ -43,7 +40,6 @@ __all__ = [
     "ExperimentConfig",
     "MeasurementSettings",
     "NoiseModel",
-    "PhaseRandomizedSource",
     "SampleBatch",
     "TruncatedOperator",
     "TwoModeFockState",
@@ -52,7 +48,6 @@ __all__ = [
     "bound_statistic",
     "build_postselection_operators",
     "compensated_intensity",
-    "electronic_noise_equivalent",
     "estimate_single_photon_statistic",
     "joint_pdf_fock",
     "load_config",
@@ -60,7 +55,6 @@ __all__ = [
     "poisson_weights",
     "psd_operator_sqrt",
     "sample_batch",
-    "sample_coherent_pair",
     "sample_fock_pair",
     "splitter_output",
     "wavefunction_value",

@@ -90,6 +90,20 @@ def _tables_at_t_fixed(config: ExperimentConfig, settings: dict, first_index: in
     )
 
 
+def _warn_if_clamped(config: ExperimentConfig) -> None:
+    """Say on stderr when the scale divisor leaves a batch count below 1,
+    so that batches run on 1 record each."""
+    used = ["samples_per_point"]
+    if config.pipeline != "ideal-fock":  # ideal-fock samples no vacuum batch
+        used.insert(0, "vacuum_samples")
+    clamped = [f"{n} = {getattr(config, n)}" for n in used if getattr(config, n) < config.scale]
+    if clamped:
+        print(
+            f"warning: scale {config.scale} clamps {' and '.join(clamped)} to 1 record per batch",
+            file=sys.stderr,
+        )
+
+
 def _write_csv(out_dir: str, name: str, header: str, rows) -> str:
     """Write `rows` under `header`: numbers as .17g, strings as they are."""
     with open(os.path.join(out_dir, name), "w") as fh:
@@ -117,7 +131,9 @@ def cmd_simulate(config: ExperimentConfig, out_dir: str) -> tuple[int, list]:
         batch.save(os.path.join(out_dir, name))
         return [name, name.replace(".csv", ".meta.json")]
 
-    saved = _sweep(config, CHSH_SETTINGS, 0, save)
+    # ideal-fock has no intensity labels: one noiseless |1> batch per setting.
+    labels = [None] if config.pipeline == "ideal-fock" else None
+    saved = _sweep(config, CHSH_SETTINGS, 0, save, labels)
     return EXIT_OK, [name for by_label in saved.values() for names in by_label for name in names]
 
 
@@ -284,6 +300,7 @@ def main(argv=None) -> int:
         if args.command == "fair-sampling-check":
             code, files = cmd_fair_sampling_check(config, args.out, cutoff=args.cutoff)
         else:
+            _warn_if_clamped(config)
             code, files = COMMANDS[args.command](config, args.out)
         _write_manifest(args.out, config, files)
         return code

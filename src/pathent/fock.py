@@ -13,7 +13,6 @@ from functools import lru_cache
 
 import numpy as np
 
-HERMITIAN_TOL = 1e-12
 PSD_EIG_TOL = 1e-8
 
 
@@ -38,12 +37,6 @@ class TruncatedOperator:
     @property
     def dim(self) -> int:
         return (self.cutoff + 1) ** self.modes
-
-    def is_hermitian(self, tol: float = HERMITIAN_TOL) -> bool:
-        return bool(np.max(np.abs(self.entries - self.entries.conj().T)) <= tol)
-
-    def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(self.entries)[0])
 
 
 def hermite_functions(n_max: int, x: np.ndarray) -> np.ndarray:

@@ -46,20 +46,6 @@ IDEAL_NOISE = NoiseModel(eta_pd=1.0, v_e=0.0)
 
 
 @dataclass(frozen=True)
-class PhaseRandomizedSource:
-    """Phase-randomized coherent source of mean photon number mu."""
-
-    mu: float
-
-    def __post_init__(self):
-        if self.mu < 0:
-            raise ValueError("intensity must be non-negative")
-
-    def fock_weights(self, cutoff: int):
-        return poisson_weights(self.mu, cutoff)
-
-
-@dataclass(frozen=True)
 class TwoModeFockState:
     """Pure two-mode state with amplitudes over |j, k>, j, k <= cutoff."""
 
@@ -129,22 +115,6 @@ def loss_on_coherent(mu: float, eta: float) -> float:
     if mu < 0:
         raise ValueError("intensity must be non-negative")
     return mu * eta
-
-
-def electronic_noise_equivalent(v_e: float) -> tuple[float, float]:
-    """Loss-equivalent reduction of additive electronic noise.
-
-    A raw sample m = x + g with g ~ Normal(0, v_e/2), rescaled by
-    sqrt(eta_ele), is distributed exactly as the signal after a beam-splitter
-    loss eta_ele = 1/(1 + v_e) followed by an ideal detector (variance
-    matching: eta(V + v_e/2) = eta V + (1 - eta)/2 at eta = 1/(1+v_e)).
-
-    Returns (eta_ele, rescale factor sqrt(eta_ele)).
-    """
-    if v_e < 0:
-        raise ValueError("v_e must be non-negative")
-    eta_ele = 1.0 / (1.0 + v_e)
-    return eta_ele, float(np.sqrt(eta_ele))
 
 
 def compensated_intensity(mu_target: float, noise: NoiseModel) -> float:

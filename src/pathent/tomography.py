@@ -356,13 +356,3 @@ def save_density_matrix(rho: TruncatedOperator, path: str) -> None:
         fh.write(f"{mat.shape[0]}\n")
         for row in mat:
             fh.write(",".join(f"{v.real:.17g},{v.imag:.17g}" for v in row) + "\n")
-
-
-def load_density_matrix(path: str, cutoff: int, modes: int = 2) -> TruncatedOperator:
-    with open(path) as fh:
-        dim = int(fh.readline())
-        rows = []
-        for _ in range(dim):
-            vals = [float(v) for v in fh.readline().split(",")]
-            rows.append([complex(r, i) for r, i in zip(vals[::2], vals[1::2])])
-    return TruncatedOperator(cutoff, modes, np.array(rows))

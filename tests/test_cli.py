@@ -311,6 +311,46 @@ class TestScans:
         for name in manifest["files"]:
             assert (out / name).stat().st_size > 0
 
+    def test_simulate_ideal_fock_one_noiseless_batch_per_setting(self, tmp_path):
+        cfg = write_config(tmp_path, TOMO_CONFIG)
+        out = tmp_path / "sim"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        manifest = json.loads((out / "manifest.json").read_text())
+        csvs = [f"batch_a{a}b{b}_mu0.csv" for a, b in ((0, 0), (1, 0), (0, 1), (1, 1))]
+        assert sorted(manifest["files"]) == sorted(
+            csvs + [name.replace(".csv", ".meta.json") for name in csvs]
+        )
+        for name in csvs:
+            meta = json.loads((out / name.replace(".csv", ".meta.json")).read_text())
+            assert meta["pipeline"] == "ideal-fock"
+            assert (meta["mu"], meta["eta_pd"], meta["v_e"]) == (0.0, 1.0, 0.0)
+            assert (meta["fock_n"], meta["intensity_label"], meta["count"]) == (1, 0, 3000)
+
+
+class TestScaleClampWarning:
+    CONFIG = SCAN_CONFIG.replace("samples_per_point = 2000", "samples_per_point = 10")
+
+    def test_warns_once_and_keeps_outputs(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, self.CONFIG)
+        runs = {}
+        for scale in ("100", "10"):
+            out = tmp_path / f"scale{scale}"
+            code = main(["decoy-estimate", "--config", cfg, "--out", str(out), "--scale", scale])
+            runs[scale] = (code, capsys.readouterr().err)
+        code, err = runs["100"]
+        assert code == EXIT_OK
+        assert err == "warning: scale 100 clamps samples_per_point = 10 to 1 record per batch\n"
+        # At --scale 10 every batch keeps at least one record of its own.
+        assert runs["10"] == (EXIT_OK, "")
+
+    def test_names_every_clamped_count(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, self.CONFIG)
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", cfg, "--out", str(out), "--scale", "7000"]) == EXIT_OK
+        err = capsys.readouterr().err
+        assert err.count("warning:") == 1
+        assert "vacuum_samples = 6000 and samples_per_point = 10" in err
+
 
 class TestSeedStreams:
     """Every batch a subcommand samples, in order, has the seed of its batch
@@ -325,6 +365,7 @@ class TestSeedStreams:
             ("chsh-scan", SCAN_CONFIG, 0, 4 * 4),
             ("decoy-estimate", SCAN_CONFIG, 0, 4 * 4),
             ("simulate", SCAN_CONFIG, 0, 4 * 4),
+            ("simulate", TOMO_CONFIG, 0, 4),
             ("correlation-scan", SCAN_CONFIG, 10_000, 4 * 4),
             ("tomography", TOMO_EQUIVALENT, 20_000, 4 * 4),
             ("tomography", TOMO_CONFIG, 20_000, 4),
@@ -333,6 +374,7 @@ class TestSeedStreams:
             "chsh-scan",
             "decoy-estimate",
             "simulate",
+            "simulate-ideal-fock",
             "correlation-scan",
             "tomography-equivalent",
             "tomography-ideal-fock",

@@ -1,3 +1,6 @@
+import json
+import os
+
 import numpy as np
 import pytest
 from scipy import integrate
@@ -10,7 +13,6 @@ from pathent.homodyne import (
     SampleBatch,
     joint_pdf_fock,
     sample_batch,
-    sample_coherent_pair,
     sample_fock_pair,
 )
 from pathent.states import IDEAL_NOISE, NoiseModel
@@ -43,6 +45,15 @@ def pdf_integral(n, dtheta):
     w = half * weights
     vals = joint_pdf_fock(n, x[:, None], x[None, :], dtheta)
     return float(np.sum(w[:, None] * w[None, :] * vals))
+
+
+def sample_coherent_pair(mu, theta, settings, noise, pipeline, rng):
+    """Single (x_a, x_b) draw for coherent state sqrt(mu) e^(i theta)."""
+    th = np.asarray([theta], dtype=float)
+    xa, xb = np.empty(1), np.empty(1)
+    hm._coherent_arm(xa, mu, th, settings.phi_a, noise, pipeline, rng)
+    hm._coherent_arm(xb, mu, th, settings.phi_b, noise, pipeline, rng)
+    return float(xa[0]), float(xb[0])
 
 
 class TestSettings:
@@ -256,6 +267,46 @@ class TestFockSampling:
             sample_fock_pair(1, 0.0, rng, 100)
 
 
+def load_batch(path):
+    """Read a batch written by SampleBatch.save back, sidecar included."""
+    with open(os.path.splitext(path)[0] + ".meta.json") as fh:
+        meta = json.load(fh)
+    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    settings = MeasurementSettings(meta["phi_a"], meta["phi_b"], meta["label_a"], meta["label_b"])
+    return SampleBatch(
+        x_a=data[:, 0],
+        x_b=data[:, 1],
+        settings=settings,
+        intensity_label=meta["intensity_label"],
+        seed=meta["seed"],
+        pipeline=meta["pipeline"],
+        mu=meta["mu"],
+        noise=NoiseModel(meta["eta_pd"], meta["v_e"]),
+        fock_n=meta["fock_n"],
+    )
+
+
+def reference_save(batch, path):
+    """The CSV part of SampleBatch.save, one row at a time."""
+    with open(path, "w") as fh:
+        fh.write("x_a,x_b,intensity_label,setting_a,setting_b\n")
+        lbl = f",{batch.intensity_label},{batch.settings.label_a},{batch.settings.label_b}\n"
+        for xa, xb in zip(batch.x_a, batch.x_b):
+            fh.write(f"{xa:.17g},{xb:.17g}" + lbl)
+
+
+def read_bytes(path):
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+# Doubles whose 17-digit text is easy to get wrong: signed zeros and
+# subnormals, the largest magnitudes, non-finite values, and decimals that
+# 17 digits must round-trip.
+AWKWARD_VALUES = [0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, np.inf, -np.inf, np.nan]
+AWKWARD_VALUES += [0.1, 1.0 / 3.0, 1e16]
+
+
 class TestPersistence:
     def test_round_trip_bit_exact(self, tmp_path):
         batch = sample_batch(
@@ -269,7 +320,7 @@ class TestPersistence:
         )
         path = str(tmp_path / "batch.csv")
         batch.save(path)
-        loaded = SampleBatch.load(path)
+        loaded = load_batch(path)
         assert np.array_equal(batch.x_a, loaded.x_a)
         assert np.array_equal(batch.x_b, loaded.x_b)
         assert loaded.seed == 99
@@ -284,3 +335,33 @@ class TestPersistence:
         batch.save(path)
         with open(path) as fh:
             assert fh.readline().strip() == "x_a,x_b,intensity_label,setting_a,setting_b"
+
+    @pytest.mark.parametrize(
+        "count", [1, hm.SAVE_BLOCK - 1, hm.SAVE_BLOCK, hm.SAVE_BLOCK + 1, 3 * hm.SAVE_BLOCK + 5]
+    )
+    @pytest.mark.parametrize("label, combo", [(0, (0, 0)), (1, (1, 0)), (2, (0, 1)), (3, (1, 1))])
+    def test_bytes_match_row_writer(self, tmp_path, count, label, combo):
+        batch = sample_batch(
+            0.5,
+            MeasurementSettings.chsh(*combo),
+            count,
+            NoiseModel(0.617, 2.0 / 3.0),
+            seed=count,
+            intensity_label=label,
+        )
+        batch.save(str(tmp_path / "block.csv"))
+        reference_save(batch, str(tmp_path / "row.csv"))
+        assert read_bytes(tmp_path / "block.csv") == read_bytes(tmp_path / "row.csv")
+
+    def test_awkward_values_match_row_writer(self, tmp_path):
+        batch = SampleBatch(
+            x_a=AWKWARD_VALUES,
+            x_b=AWKWARD_VALUES[::-1],
+            settings=MeasurementSettings.chsh(1, 0),
+            intensity_label=3,
+            seed=0,
+            pipeline="equivalent",
+        )
+        batch.save(str(tmp_path / "block.csv"))
+        reference_save(batch, str(tmp_path / "row.csv"))
+        assert read_bytes(tmp_path / "block.csv") == read_bytes(tmp_path / "row.csv")

@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -7,15 +8,41 @@ from scipy.stats import ks_2samp
 from pathent.homodyne import MeasurementSettings, sample_batch
 from pathent.states import (
     NoiseModel,
-    PhaseRandomizedSource,
     TwoModeFockState,
     bell_state,
     compensated_intensity,
-    electronic_noise_equivalent,
     loss_on_coherent,
     poisson_weights,
     splitter_output,
 )
+
+
+@dataclass(frozen=True)
+class PhaseRandomizedSource:
+    """Phase-randomized coherent source of mean photon number mu."""
+
+    mu: float
+
+    def __post_init__(self):
+        if self.mu < 0:
+            raise ValueError("intensity must be non-negative")
+
+    def fock_weights(self, cutoff: int):
+        return poisson_weights(self.mu, cutoff)
+
+
+def electronic_noise_equivalent(v_e: float) -> tuple[float, float]:
+    """Loss-equivalent reduction of additive electronic noise.
+
+    A raw sample m = x + g with g ~ Normal(0, v_e/2), rescaled by
+    sqrt(eta_ele), is distributed exactly as the signal after a beam-splitter
+    loss eta_ele = 1/(1 + v_e) followed by an ideal detector (variance
+    matching: eta(V + v_e/2) = eta V + (1 - eta)/2 at eta = 1/(1+v_e)).
+
+    Returns (eta_ele, rescale factor sqrt(eta_ele)).
+    """
+    eta_ele = 1.0 / (1.0 + v_e)
+    return eta_ele, float(np.sqrt(eta_ele))
 
 
 class TestNoiseModel:

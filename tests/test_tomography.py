@@ -15,7 +15,6 @@ from pathent.tomography import (
     histogram_counts,
     histogram_density,
     histogram_from_tables,
-    load_density_matrix,
     mle_reconstruct,
     multiphoton_mass,
     save_density_matrix,
@@ -24,6 +23,17 @@ from pathent.tomography import (
 PHASE_PAIRS_4 = [
     (dt / 2.0, -dt / 2.0) for dt in (-np.pi, -np.pi / 2, 0.0, np.pi / 2)
 ]
+
+
+def load_density_matrix(path, cutoff, modes=2):
+    """Read a matrix written by save_density_matrix."""
+    with open(path) as fh:
+        dim = int(fh.readline())
+        rows = []
+        for _ in range(dim):
+            vals = [float(v) for v in fh.readline().split(",")]
+            rows.append([complex(r, i) for r, i in zip(vals[::2], vals[1::2])])
+    return TruncatedOperator(cutoff, modes, np.array(rows))
 
 
 def make_batch(x_a, x_b):
