@@ -4,7 +4,6 @@ decoy-state method, measured with noisy balanced homodyne detectors."""
 
 from .config import ExperimentConfig, load_config
 from .decoy import (
-    BoundedEstimate,
     DecoyIntensitySet,
     bound_interval,
     bound_statistic,
@@ -35,7 +34,6 @@ from .states import (
 )
 
 __all__ = [
-    "BoundedEstimate",
     "DecoyIntensitySet",
     "ExperimentConfig",
     "MeasurementSettings",

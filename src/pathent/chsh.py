@@ -10,6 +10,10 @@ is sampled, to its coincidence counts at every threshold of the scan grid
 those tables, one per intensity label (0 = vacuum, then the decoy levels)
 for each setting. A record's place in the grid comes from an exact lattice
 lookup (`homodyne.grid_index`), not a binary search per record.
+
+The tables are read as float gains counts / total, and from there on the
+chain passes plain (estimate, lower, upper) triples of floats or of arrays
+in OUTCOME_PAIRS order.
 """
 
 from __future__ import annotations
@@ -19,62 +23,21 @@ from functools import lru_cache
 
 import numpy as np
 
-from .decoy import (
-    BoundedEstimate,
-    DecoyIntensitySet,
-    bound_statistic,
-    estimate_single_photon_statistic,
+from .decoy import DecoyIntensitySet, bound_statistic, estimate_single_photon_statistic
+from .homodyne import (
+    CountTable,
+    MeasurementSettings,
+    SampleBatch,
+    chunked_bincount,
+    grid_index,
+    joint_pdf_fock,
 )
-from .homodyne import SampleBatch, chunked_bincount, grid_index, joint_pdf_fock
 
 OUTCOME_PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 # CHSH setting combinations in the order they enter S: the (a1, b1) term is
 # subtracted (its correlation is negative for the entangled state).
 CHSH_COMBOS = ((0, 0), (1, 0), (0, 1), (1, 1))
-
-
-class EmptySurvivorError(RuntimeError):
-    """All records fell inside the discard window."""
-
-
-@dataclass(frozen=True)
-class CoincidenceCounts:
-    n00: int
-    n01: int
-    n10: int
-    n11: int
-    n_discarded: int
-    total: int
-
-    def __post_init__(self):
-        if self.n00 + self.n01 + self.n10 + self.n11 + self.n_discarded != self.total:
-            raise ValueError("coincidence counts do not add up to total")
-
-    @property
-    def survivors(self) -> int:
-        return self.total - self.n_discarded
-
-    def probabilities(self) -> dict:
-        """Unconditional coincidence probabilities P_ij = n_ij / total
-        (these are the gains fed to the decoy estimator)."""
-        return {
-            (0, 0): self.n00 / self.total,
-            (0, 1): self.n01 / self.total,
-            (1, 0): self.n10 / self.total,
-            (1, 1): self.n11 / self.total,
-        }
-
-
-@dataclass(frozen=True)
-class CorrelationBound:
-    e_est: float
-    e_lower: float
-    e_upper: float
-
-    def __post_init__(self):
-        if not (self.e_lower - 1e-12 <= self.e_est <= self.e_upper + 1e-12):
-            raise ValueError("correlation estimate outside its bounds")
 
 
 @dataclass(frozen=True)
@@ -93,34 +56,10 @@ class ChshResult:
                 raise ValueError("|S| exceeds algebraic maximum 4")
 
 
-@dataclass(frozen=True, eq=False)
-class ThresholdCounts:
-    """Coincidence counts of one batch at every threshold of a grid.
-
-    `counts[k]` holds (n00, n01, n10, n11) at threshold `thresholds[k]`; the
-    thresholds are sorted and distinct. This is all the threshold scan needs
-    of a batch, so the raw samples can be dropped once it is built.
-    """
-
-    thresholds: np.ndarray
-    counts: np.ndarray
-    total: int
-
-    def __len__(self) -> int:
-        return self.total
-
-    def at(self, T: float) -> CoincidenceCounts:
-        k = int(np.searchsorted(self.thresholds, T))
-        if k == len(self.thresholds) or self.thresholds[k] != T:
-            raise ValueError(f"threshold {T!r} is not on this table's grid")
-        n00, n01, n10, n11 = (int(n) for n in self.counts[k])
-        return CoincidenceCounts(
-            n00, n01, n10, n11, self.total - n00 - n01 - n10 - n11, self.total
-        )
-
-
-def threshold_counts(batch: SampleBatch, t_grid) -> ThresholdCounts:
-    """Bin `batch` at every threshold of `t_grid` in one pass.
+def threshold_counts(batch: SampleBatch, t_grid) -> CountTable:
+    """Bin `batch` at every threshold of `t_grid` in one pass: the table's
+    grid holds the distinct thresholds in increasing order, and its
+    `counts[k]` the outcome counts (n00, n01, n10, n11) at `grid[k]`.
 
     A record survives T exactly when min(|x_a|, |x_b|) > T, and the signs of
     x_a and x_b then pick the outcome pair. So each record is counted once,
@@ -143,41 +82,41 @@ def threshold_counts(batch: SampleBatch, t_grid) -> ThresholdCounts:
 
     hist = chunked_bincount(batch, key, 4 * width)
     survivors = np.cumsum(hist.reshape(4, width)[:, ::-1], axis=1)[:, -2::-1]
-    return ThresholdCounts(levels, survivors.T, len(batch))
+    return CountTable(levels, survivors.T, len(batch))
 
 
-def bin_coincidences(table: ThresholdCounts, T: float) -> CoincidenceCounts:
-    """Counts at threshold T, looked up in a table built over a grid that
-    contains T."""
-    return table.at(T)
+def bin_coincidences(table: CountTable, T: float) -> np.ndarray:
+    """Coincidence gains (P00, P01, P10, P11) = counts / total at threshold
+    T, from a table built over a grid that contains T. These are the
+    unconditional probabilities the decoy estimator takes."""
+    k = int(np.searchsorted(table.grid, T))
+    if k == len(table.grid) or table.grid[k] != T:
+        raise ValueError(f"threshold {T!r} is not on this table's grid")
+    # Checked here because an array divided by 0 gives inf instead of raising.
+    if table.total == 0:
+        raise ZeroDivisionError("no records in this table")
+    return table.counts[k] / table.total
 
 
-def correlation(counts: CoincidenceCounts) -> float:
-    surv = counts.n00 + counts.n01 + counts.n10 + counts.n11
-    if surv == 0:
-        raise EmptySurvivorError("no surviving coincidences at this threshold")
-    return (counts.n00 + counts.n11 - counts.n01 - counts.n10) / surv
+def correlation_bounds(estimate, lower, upper) -> tuple:
+    """Exact interval bounds (e_est, e_lower, e_upper) on E = (A - B) / (A + B)
+    with A = P00 + P11 and B = P01 + P10, from the four probabilities'
+    estimates and bounds in OUTCOME_PAIRS order. E is increasing in A and
+    decreasing in B on A, B >= 0, so the extremes sit at the box corners
+    (A high, B low) and (A low, B high). The resulting interval always
+    contains the point estimate and is already inside [-1, 1].
 
-
-def correlation_bounds(
-    p00: BoundedEstimate,
-    p01: BoundedEstimate,
-    p10: BoundedEstimate,
-    p11: BoundedEstimate,
-) -> CorrelationBound:
-    """Exact interval bounds on E = (A - B) / (A + B) with A = P00 + P11 and
-    B = P01 + P10: E is increasing in A and decreasing in B on A, B >= 0, so
-    the extremes sit at the box corners (A high, B low) and (A low, B high).
-    The resulting interval always contains the point estimate and is already
-    inside [-1, 1]."""
-    den_est = p00.estimate + p11.estimate + p01.estimate + p10.estimate
+    The zero checks raise ZeroDivisionError, which numpy scalars do not;
+    `scan_threshold` marks a threshold invalid on it."""
+    p00, p01, p10, p11 = estimate
+    den_est = p00 + p11 + p01 + p10
     if den_est == 0:
         raise ZeroDivisionError("all coincidence probability estimates are zero")
-    e_est = (p00.estimate + p11.estimate - p01.estimate - p10.estimate) / den_est
+    e_est = (p00 + p11 - p01 - p10) / den_est
     e_est = min(max(e_est, -1.0), 1.0)
 
-    a_lo, a_hi = p00.lower + p11.lower, p00.upper + p11.upper
-    b_lo, b_hi = p01.lower + p10.lower, p01.upper + p10.upper
+    a_lo, a_hi = lower[0] + lower[3], upper[0] + upper[3]
+    b_lo, b_hi = lower[1] + lower[2], upper[1] + upper[2]
     if a_hi + b_lo == 0 or a_lo + b_hi == 0:
         raise ZeroDivisionError("zero denominator in correlation bound")
     e_upper = (a_hi - b_lo) / (a_hi + b_lo)
@@ -185,22 +124,18 @@ def correlation_bounds(
     # A raw estimate built from out-of-box (clamped) probabilities can stray
     # outside the rigorous interval; snap it back in.
     e_est = min(max(e_est, e_lower), e_upper)
-    return CorrelationBound(e_est=e_est, e_lower=e_lower, e_upper=e_upper)
+    return e_est, e_lower, e_upper
 
 
-def chsh_from_correlations(
-    e00: CorrelationBound,
-    e10: CorrelationBound,
-    e01: CorrelationBound,
-    e11: CorrelationBound,
-    threshold: float = 0.0,
-) -> ChshResult:
-    """S = E(a0,b0) + E(a1,b0) + E(a0,b1) - E(a1,b1); the subtracted term
-    keeps its own lower bound in S^+ (it is expected negative, so the bounds
-    do not flip there)."""
-    s_est = e00.e_est + e10.e_est + e01.e_est - e11.e_est
-    s_upper = e00.e_upper + e10.e_upper + e01.e_upper - e11.e_lower
-    s_lower = e00.e_lower + e10.e_lower + e01.e_lower - e11.e_upper
+def chsh_from_correlations(e00, e10, e01, e11, threshold: float = 0.0) -> ChshResult:
+    """S = E(a0,b0) + E(a1,b0) + E(a0,b1) - E(a1,b1) from four
+    (e_est, e_lower, e_upper) triples; the subtracted term keeps its own
+    lower bound in S^+ (it is expected negative, so the bounds do not flip
+    there)."""
+    e_est, e_lower, e_upper = zip(e00, e10, e01, e11)
+    s_est = e_est[0] + e_est[1] + e_est[2] - e_est[3]
+    s_upper = e_upper[0] + e_upper[1] + e_upper[2] - e_lower[3]
+    s_lower = e_lower[0] + e_lower[1] + e_lower[2] - e_upper[3]
     return ChshResult(threshold, s_est, s_lower, s_upper)
 
 
@@ -248,8 +183,6 @@ def ideal_single_photon_correlation(dtheta: float, T: float) -> float:
 def ideal_single_photon_chsh(T: float) -> float:
     """Reference S(T) assembled from the ideal correlation at the four
     CHSH phase combinations."""
-    from .homodyne import MeasurementSettings
-
     total = 0.0
     for idx, (la, lb) in enumerate(CHSH_COMBOS):
         e = ideal_single_photon_correlation(MeasurementSettings.chsh(la, lb).dtheta, T)
@@ -257,27 +190,22 @@ def ideal_single_photon_chsh(T: float) -> float:
     return total
 
 
-def decoy_coincidence_bounds(
-    tables: list, intensity_set: DecoyIntensitySet, T: float
-) -> dict:
-    """Per-outcome decoy-bounded single-photon coincidence probabilities.
+def decoy_coincidence_bounds(tables: list, intensity_set: DecoyIntensitySet, T: float) -> tuple:
+    """Decoy-bounded single-photon coincidence probabilities at threshold T,
+    as (estimate, lower, upper) arrays in OUTCOME_PAIRS order.
 
-    `tables[j]` is the ThresholdCounts of one fixed setting at intensity
-    label j (0 = vacuum, 1..L = decoy levels in increasing order).
+    `tables[j]` is the count table of one fixed setting at intensity label j
+    (0 = vacuum, 1..L = decoy levels in increasing order).
     """
-    probs = [bin_coincidences(table, T).probabilities() for table in tables]
-    out = {}
-    for pair in OUTCOME_PAIRS:
-        est = estimate_single_photon_statistic([p[pair] for p in probs], intensity_set)
-        out[pair] = bound_statistic(est, intensity_set, probability=True)
-    return out
+    gains = [bin_coincidences(table, T) for table in tables]
+    # One estimate per outcome, from that outcome's gain at every label.
+    estimate = np.array([estimate_single_photon_statistic(g, intensity_set) for g in zip(*gains)])
+    return bound_statistic(estimate, intensity_set)
 
 
-def decoy_correlation(
-    tables: list, intensity_set: DecoyIntensitySet, T: float
-) -> CorrelationBound:
-    p = decoy_coincidence_bounds(tables, intensity_set, T)
-    return correlation_bounds(p[(0, 0)], p[(0, 1)], p[(1, 0)], p[(1, 1)])
+def decoy_correlation(tables: list, intensity_set: DecoyIntensitySet, T: float) -> tuple:
+    """(e_est, e_lower, e_upper) of one setting at threshold T."""
+    return correlation_bounds(*decoy_coincidence_bounds(tables, intensity_set, T))
 
 
 def scan_threshold(
@@ -287,8 +215,8 @@ def scan_threshold(
 ) -> list[ChshResult]:
     """Full decoy CHSH pipeline per threshold.
 
-    `tables` maps each CHSH setting pair (label_a, label_b) to its
-    ThresholdCounts covering `t_grid`, indexed by intensity label 0..L.
+    `tables` maps each CHSH setting pair (label_a, label_b) to its count
+    tables covering `t_grid`, indexed by intensity label 0..L.
     Thresholds where any setting loses all survivors are marked invalid
     rather than NaN.
     """

@@ -145,8 +145,7 @@ def cmd_correlation_scan(config: ExperimentConfig, out_dir: str) -> tuple[int, l
     iset = config.intensity_set
     rows = []
     for dtheta, tables in _tables_at_t_fixed(config, settings, 10_000).items():
-        bound = chsh_mod.decoy_correlation(tables, iset, config.t_fixed)
-        rows.append((dtheta, bound.e_est, bound.e_lower, bound.e_upper))
+        rows.append((dtheta, *chsh_mod.decoy_correlation(tables, iset, config.t_fixed)))
     header = "dtheta,e_est,e_lower,e_upper"
     return EXIT_OK, [_write_csv(out_dir, "correlation_scan.csv", header, rows)]
 
@@ -170,9 +169,8 @@ def cmd_decoy_estimate(config: ExperimentConfig, out_dir: str) -> tuple[int, lis
     rows = []
     for combo, tables in _tables_at_t_fixed(config, CHSH_SETTINGS, 0).items():
         bounds = chsh_mod.decoy_coincidence_bounds(tables, iset, config.t_fixed)
-        for pair in chsh_mod.OUTCOME_PAIRS:
-            b = bounds[pair]
-            rows.append((*combo, *pair, b.estimate, b.lower, b.upper))
+        for pair, bound in zip(chsh_mod.OUTCOME_PAIRS, zip(*bounds)):
+            rows.append((*combo, *pair, *bound))
     header = "setting_a,setting_b,outcome_a,outcome_b,estimate,lower,upper"
     return EXIT_OK, [_write_csv(out_dir, "decoy_estimate.csv", header, rows)]
 

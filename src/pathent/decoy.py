@@ -71,17 +71,6 @@ class DecoyIntensitySet:
         return max(delta, 0.0)
 
 
-@dataclass(frozen=True)
-class BoundedEstimate:
-    estimate: float
-    lower: float
-    upper: float
-
-    def __post_init__(self):
-        if not (self.lower <= self.upper + 1e-15):
-            raise ValueError("lower bound exceeds upper bound")
-
-
 def estimate_single_photon_statistic(gains, intensity_set: DecoyIntensitySet):
     """Linear decoy estimate of the single-photon yield Y_1 from `gains[j]`,
     the statistic at intensity label j (Q_0 the vacuum, Q_{mu_j} at j >= 1).
@@ -111,23 +100,17 @@ def bound_interval(intensity_set: DecoyIntensitySet) -> float:
     return intensity_set._delta
 
 
-def bound_statistic(
-    estimate: float, intensity_set: DecoyIntensitySet, probability: bool = True
-) -> BoundedEstimate:
+def bound_statistic(estimate, intensity_set: DecoyIntensitySet) -> tuple:
     """Parity rule: L odd -> [estimate - Delta_L, estimate]; L even ->
-    [estimate, estimate + Delta_L]. Bounds (not the raw estimate) are clamped
-    to [0, 1] in probability mode."""
+    [estimate, estimate + Delta_L], with the bounds (not the raw estimate)
+    clamped to [0, 1]. Returns (estimate, lower, upper); broadcasts over
+    array-valued estimates."""
     delta = bound_interval(intensity_set)
     if intensity_set.num_levels % 2 == 1:
         lower, upper = estimate - delta, estimate
     else:
         lower, upper = estimate, estimate + delta
-    if probability:
-        lower = min(max(lower, 0.0), 1.0)
-        upper = min(max(upper, 0.0), 1.0)
-        if lower > upper:  # estimate itself outside [0, 1]
-            lower = upper = min(max(estimate, 0.0), 1.0)
-    return BoundedEstimate(estimate=float(estimate), lower=float(lower), upper=float(upper))
+    return estimate, np.clip(lower, 0.0, 1.0), np.clip(upper, 0.0, 1.0)
 
 
 def exact_gains(yields: np.ndarray, mu: float, n_max: int | None = None):

@@ -34,10 +34,6 @@ class TruncatedOperator:
             raise ValueError(f"expected {dim}x{dim} matrix, got {entries.shape}")
         object.__setattr__(self, "entries", entries)
 
-    @property
-    def dim(self) -> int:
-        return (self.cutoff + 1) ** self.modes
-
 
 def hermite_functions(n_max: int, x: np.ndarray) -> np.ndarray:
     """Normalized oscillator eigenfunctions phi_n(x), n = 0..n_max.

@@ -124,6 +124,26 @@ class SampleBatch:
             fh.write("\n")
 
 
+@dataclass(frozen=True, eq=False)
+class CountTable:
+    """Exact int64 counts of one batch over a grid: coincidences per
+    threshold (`chsh.threshold_counts`) or records per 2-D bin
+    (`tomography.histogram_counts`).
+
+    `grid` holds the sorted levels the counts were taken over, and `total`
+    counts every record of the batch, counted in a cell or not. Analysis
+    reads only `counts / total`, so the raw samples can be dropped once the
+    table is built.
+    """
+
+    grid: np.ndarray
+    counts: np.ndarray
+    total: int
+
+    def __len__(self) -> int:
+        return self.total
+
+
 def chunked_bincount(batch: SampleBatch, key, size: int) -> np.ndarray:
     """Sum over CHUNK_SIZE slices of `batch` of np.bincount(key(x_a, x_b)),
     as `size` exact int64 counts. `key` maps a slice of each arm to an index

@@ -25,7 +25,7 @@ import numpy as np
 
 from .decoy import DecoyIntensitySet, estimate_single_photon_statistic
 from .fock import TruncatedOperator, hermite_functions
-from .homodyne import SampleBatch, chunked_bincount, grid_index
+from .homodyne import CountTable, SampleBatch, chunked_bincount, grid_index
 from .states import TwoModeFockState
 
 # Each count table holds (bins per axis + 2)^2 int64 cells, and the POVM one
@@ -176,26 +176,10 @@ def build_povm_elements(phase_pairs, edges, cutoff: int) -> PovmSet:
     return PovmSet(phase_pairs, edges, cutoff)
 
 
-@dataclass(frozen=True, eq=False)
-class HistogramCounts:
-    """Joint quadrature counts of one batch over a 2-D bin grid.
-
-    `counts[i, j]` is the number of records with x_a in bin i and x_b in bin
-    j, binned as `np.histogram2d` bins them; `total` counts every record,
-    in range or not. This is all tomography needs of a batch, so the raw
-    samples can be dropped once it is built.
-    """
-
-    edges: np.ndarray
-    counts: np.ndarray
-    total: int
-
-    def __len__(self) -> int:
-        return self.total
-
-
-def histogram_counts(batch: SampleBatch, edges) -> HistogramCounts:
-    """Count `batch` over the grid `edges` x `edges` in one pass.
+def histogram_counts(batch: SampleBatch, edges) -> CountTable:
+    """Count `batch` over the grid `edges` x `edges` in one pass: the
+    table's `counts[i, j]` is the number of records with x_a in bin i and
+    x_b in bin j, and its grid is `edges`.
 
     Bin i holds edges[i] <= x < edges[i + 1], and the last edge falls in the
     last bin; NaN and +-inf fall outside, as in `np.histogram2d`. Per arm,
@@ -220,18 +204,18 @@ def histogram_counts(batch: SampleBatch, edges) -> HistogramCounts:
 
     flat = chunked_bincount(batch, lambda x_a, x_b: index(x_a) * side + index(x_b), side * side)
     counts = flat.reshape(side, side)[1:-1, 1:-1].copy()
-    return HistogramCounts(edges, counts, len(batch))
+    return CountTable(edges, counts, len(batch))
 
 
-def histogram_density(table: HistogramCounts, edges: np.ndarray) -> np.ndarray:
+def histogram_density(table: CountTable, edges: np.ndarray) -> np.ndarray:
     """Empirical joint density over the bin grid from a table built over
     `edges` (out-of-range mass dropped, normalization by total sample count
     so densities stay comparable across intensities)."""
-    if not np.array_equal(table.edges, edges):
+    if not np.array_equal(table.grid, edges):
         raise ValueError("count table was built over different bin edges")
     w = np.diff(edges)
     area = w[0] * w[0]
-    return table.counts / (len(table) * area)
+    return table.counts / (table.total * area)
 
 
 def _normalized(estimates: list, phase_pairs, edges, clamp: bool) -> BinnedHistogram:
@@ -267,7 +251,7 @@ def decoy_corrected_histogram(
 ) -> BinnedHistogram:
     """Per-bin decoy estimate of the single-photon density.
 
-    `tables` maps each setting index to its HistogramCounts over `edges`,
+    `tables` maps each setting index to its count tables over `edges`,
     indexed by intensity label (0 = vacuum). Negative corrected densities
     are clamped to zero and each setting renormalized to unit mass.
     """
@@ -282,7 +266,7 @@ def decoy_corrected_histogram(
 
 def histogram_from_tables(tables_by_setting: dict, phase_pairs, edges) -> BinnedHistogram:
     """Uncorrected (single-intensity) histogram, e.g. for ideal Fock data,
-    from one HistogramCounts per setting index."""
+    from one count table per setting index."""
     densities = [histogram_density(tables_by_setting[s], edges) for s in range(len(phase_pairs))]
     return _normalized(densities, phase_pairs, edges, clamp=False)
 

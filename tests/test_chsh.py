@@ -4,12 +4,8 @@ import pytest
 from pathent.chsh import (
     CHSH_COMBOS,
     ChshResult,
-    CoincidenceCounts,
-    CorrelationBound,
-    EmptySurvivorError,
     bin_coincidences,
     chsh_from_correlations,
-    correlation,
     correlation_bounds,
     decoy_coincidence_bounds,
     decoy_correlation,
@@ -18,11 +14,30 @@ from pathent.chsh import (
     scan_threshold,
     threshold_counts,
 )
-from pathent.decoy import BoundedEstimate, DecoyIntensitySet
+from pathent.decoy import DecoyIntensitySet, bound_interval, estimate_single_photon_statistic
 from pathent.config import ExperimentConfig
 from pathent.homodyne import CHUNK_SIZE, MeasurementSettings, SampleBatch, grid_index, sample_batch
 from pathent.tomography import MleConfig
 from scipy.special import erf
+
+
+class EmptySurvivorError(RuntimeError):
+    """All records fell inside the discard window."""
+
+
+def counts_at(table, T):
+    """(n00, n01, n10, n11) of a count table at a threshold of its grid."""
+    return tuple(int(n) for n in table.counts[table.grid.tolist().index(T)])
+
+
+def correlation(counts) -> float:
+    """E = (n00 + n11 - n01 - n10) / survivors from the outcome counts
+    (n00, n01, n10, n11)."""
+    n00, n01, n10, n11 = counts
+    surv = n00 + n01 + n10 + n11
+    if surv == 0:
+        raise EmptySurvivorError("no surviving coincidences at this threshold")
+    return (n00 + n11 - n01 - n10) / surv
 
 
 def make_batch(x_a, x_b):
@@ -39,16 +54,16 @@ def make_batch(x_a, x_b):
 class TestBinning:
     def test_four_record_example(self):
         batch = make_batch([-2.0, 2.0, -2.0, 0.5], [-2.0, 2.0, 2.0, -2.0])
-        counts = bin_coincidences(threshold_counts(batch, [1.0]), 1.0)
-        assert (counts.n00, counts.n01, counts.n10, counts.n11) == (1, 1, 0, 1)
-        assert counts.n_discarded == 1
-        assert counts.survivors == 3
+        table = threshold_counts(batch, [1.0])
+        assert counts_at(table, 1.0) == (1, 1, 0, 1)
+        assert table.total - sum(counts_at(table, 1.0)) == 1  # discarded
+        assert bin_coincidences(table, 1.0).tolist() == [0.25, 0.25, 0.0, 0.25]
 
     def test_zero_threshold_keeps_everything(self):
         rng = np.random.default_rng(0)
         batch = make_batch(rng.normal(size=1000), rng.normal(size=1000))
-        counts = bin_coincidences(threshold_counts(batch, [0.0]), 0.0)
-        assert counts.n_discarded == 0
+        table = threshold_counts(batch, [0.0])
+        assert sum(counts_at(table, 0.0)) == table.total
 
     def test_survivors_shrink_with_threshold(self):
         rng = np.random.default_rng(1)
@@ -57,24 +72,21 @@ class TestBinning:
         table = threshold_counts(batch, grid)
         prev = None
         for T in grid:
-            surv = bin_coincidences(table, T).survivors
+            surv = sum(counts_at(table, T))
             if prev is not None:
                 assert surv <= prev
             prev = surv
 
     def test_vacuum_survival_probability(self):
         batch = sample_batch(0.0, MeasurementSettings(0.0, 0.0), 200_000, seed=17)
-        counts = bin_coincidences(threshold_counts(batch, [1.0]), 1.0)
+        table = threshold_counts(batch, [1.0])
+        gains = bin_coincidences(table, 1.0)
         # Per arm P(|x| > T) = 1 - erf(T) for the vacuum; arms independent.
         expect = (1.0 - erf(1.0)) ** 2
-        se = np.sqrt(expect * (1 - expect) / counts.total)
-        assert abs(counts.survivors / counts.total - expect) < 4 * se
+        se = np.sqrt(expect * (1 - expect) / table.total)
+        assert abs(sum(counts_at(table, 1.0)) / table.total - expect) < 4 * se
         # By symmetry each of the four outcomes carries a quarter of it.
-        assert counts.n00 / counts.total == pytest.approx(expect / 4, abs=5 * se)
-
-    def test_counts_validation(self):
-        with pytest.raises(ValueError):
-            CoincidenceCounts(1, 1, 1, 1, 1, 4)
+        assert gains[0] == pytest.approx(expect / 4, abs=5 * se)
 
     def test_negative_threshold_rejected(self):
         batch = make_batch([0.0], [0.0])
@@ -90,8 +102,9 @@ def reference_counts(x_a, x_b, T):
     """The binning rule applied directly, one mask per arm and outcome."""
     lo_a, hi_a = x_a < -T, x_a > T
     lo_b, hi_b = x_b < -T, x_b > T
-    n = [int(np.count_nonzero(a & b)) for a, b in ((lo_a, lo_b), (lo_a, hi_b), (hi_a, lo_b), (hi_a, hi_b))]
-    return CoincidenceCounts(*n, len(x_a) - sum(n), len(x_a))
+    return tuple(
+        int(np.count_nonzero(a & b)) for a, b in ((lo_a, lo_b), (lo_a, hi_b), (hi_a, lo_b), (hi_a, hi_b))
+    )
 
 
 # Unsorted, with a duplicate and a value at 0.
@@ -113,12 +126,12 @@ class TestThresholdCounts:
         batch = make_batch(x_a, x_b)
         table = threshold_counts(batch, grid)
         assert len(table) == len(x_a)
-        assert table.thresholds.tolist() == sorted(set(grid))
+        assert table.grid.tolist() == sorted(set(grid))
         for T in grid:
             expect = reference_counts(batch.x_a, batch.x_b, T)
-            assert table.at(T) == expect
-            assert bin_coincidences(table, T) == expect
-            assert bin_coincidences(threshold_counts(batch, [T]), T) == expect
+            assert counts_at(table, T) == expect
+            assert counts_at(threshold_counts(batch, [T]), T) == expect
+            assert bin_coincidences(table, T).tolist() == [n / len(x_a) for n in expect]
 
     def test_adversarial_records(self):
         values = adversarial_values(ADVERSARIAL_GRID)
@@ -130,9 +143,8 @@ class TestThresholdCounts:
         x_b = np.array([3.0, np.nan, np.nan, -3.0])
         table = threshold_counts(make_batch(x_a, x_b), [0.0, 1.0])
         for T in (0.0, 1.0):
-            counts = table.at(T)
-            assert (counts.n00, counts.n01, counts.n10, counts.n11) == (1, 0, 0, 0)
-            assert counts.n_discarded == 3
+            assert counts_at(table, T) == (1, 0, 0, 0)
+            assert table.total - sum(counts_at(table, T)) == 3
 
     def test_length_not_a_multiple_of_the_chunk(self):
         rng = np.random.default_rng(4)
@@ -156,9 +168,11 @@ class TestThresholdCounts:
         assert threshold_counts(batch, []).counts.shape == (0, 4)
         table = threshold_counts(batch, [0.5])
         with pytest.raises(ValueError):
-            table.at(0.25)
+            bin_coincidences(table, 0.25)
         with pytest.raises(ValueError):
             bin_coincidences(table, np.nan)
+        with pytest.raises(ZeroDivisionError):  # no records, so no gains
+            bin_coincidences(threshold_counts(make_batch([], []), [0.5]), 0.5)
 
 
 GRIDS = {
@@ -199,44 +213,40 @@ class TestGridIndex:
 
 class TestCorrelation:
     def test_perfect_agreement(self):
-        assert correlation(CoincidenceCounts(5, 0, 0, 5, 0, 10)) == 1.0
+        assert correlation((5, 0, 0, 5)) == 1.0
 
     def test_perfect_anticorrelation(self):
-        assert correlation(CoincidenceCounts(0, 5, 5, 0, 0, 10)) == -1.0
+        assert correlation((0, 5, 5, 0)) == -1.0
 
     def test_balanced(self):
-        assert correlation(CoincidenceCounts(2, 2, 2, 2, 8, 16)) == 0.0
+        assert correlation((2, 2, 2, 2)) == 0.0
 
     def test_empty_survivors(self):
         with pytest.raises(EmptySurvivorError):
-            correlation(CoincidenceCounts(0, 0, 0, 0, 10, 10))
+            correlation((0, 0, 0, 0))
 
 
 class TestCorrelationBounds:
     def b(self, est, width):
-        return BoundedEstimate(estimate=est, lower=est - width, upper=est)
+        """(estimate, lower, upper) boxes [est - width, est] per outcome."""
+        est = np.asarray(est, dtype=float)
+        return est, est - np.asarray(width, dtype=float), est
 
     def test_degenerate_widths_give_point(self):
-        bound = correlation_bounds(
-            self.b(0.3, 0), self.b(0.1, 0), self.b(0.1, 0), self.b(0.3, 0)
-        )
-        assert bound.e_lower == pytest.approx(bound.e_est)
-        assert bound.e_upper == pytest.approx(bound.e_est)
-        assert bound.e_est == pytest.approx((0.3 + 0.3 - 0.2) / 0.8)
+        e_est, e_lower, e_upper = correlation_bounds(*self.b([0.3, 0.1, 0.1, 0.3], 0))
+        assert e_lower == pytest.approx(e_est)
+        assert e_upper == pytest.approx(e_est)
+        assert e_est == pytest.approx((0.3 + 0.3 - 0.2) / 0.8)
 
     def test_interval_contains_estimate(self):
-        bound = correlation_bounds(
-            self.b(0.01, 0.001), self.b(0.33, 0.001), self.b(0.33, 0.001), self.b(0.01, 0.001)
-        )
-        assert bound.e_lower <= bound.e_est <= bound.e_upper
-        assert bound.e_est < -0.5  # strongly negative regime
+        e_est, e_lower, e_upper = correlation_bounds(*self.b([0.01, 0.33, 0.33, 0.01], 0.001))
+        assert e_lower <= e_est <= e_upper
+        assert e_est < -0.5  # strongly negative regime
 
     def test_clamped_to_physical_range(self):
-        bound = correlation_bounds(
-            self.b(0.5, 0.4), self.b(0.0, 0.0), self.b(0.0, 0.0), self.b(0.5, 0.4)
-        )
-        assert bound.e_upper <= 1.0
-        assert bound.e_lower >= -1.0
+        _, e_lower, e_upper = correlation_bounds(*self.b([0.5, 0.0, 0.0, 0.5], [0.4, 0.0, 0.0, 0.4]))
+        assert e_upper <= 1.0
+        assert e_lower >= -1.0
 
     def test_true_value_contained_under_perturbation(self):
         # The bounds must contain E for any true P in the per-outcome boxes.
@@ -244,24 +254,20 @@ class TestCorrelationBounds:
         for _ in range(200):
             est = rng.uniform(0.02, 0.3, 4)
             width = rng.uniform(0.0, 0.01, 4)
-            boxes = [
-                BoundedEstimate(estimate=e, lower=e - w, upper=e)
-                for e, w in zip(est, width)
-            ]
-            bound = correlation_bounds(*boxes)
-            truth = np.array([rng.uniform(b.lower, b.upper) for b in boxes])
+            boxes = self.b(est, width)
+            _, e_lower, e_upper = correlation_bounds(*boxes)
+            truth = np.array([rng.uniform(lo, hi) for lo, hi in zip(boxes[1], boxes[2])])
             e_true = (truth[0] + truth[3] - truth[1] - truth[2]) / truth.sum()
-            assert bound.e_lower - 1e-12 <= e_true <= bound.e_upper + 1e-12
+            assert e_lower - 1e-12 <= e_true <= e_upper + 1e-12
 
     def test_all_zero_rejected(self):
-        z = BoundedEstimate(estimate=0.0, lower=0.0, upper=0.0)
         with pytest.raises(ZeroDivisionError):
-            correlation_bounds(z, z, z, z)
+            correlation_bounds(*self.b(np.zeros(4), 0))
 
 
 class TestChshAssembly:
     def pt(self, e):
-        return CorrelationBound(e_est=e, e_lower=e, e_upper=e)
+        return e, e, e
 
     def test_tsirelson_combination(self):
         c = 1.0 / np.sqrt(2.0)
@@ -273,9 +279,7 @@ class TestChshAssembly:
         assert res.s_est == 0.0
 
     def test_interval_widths_add(self):
-        bounds = [
-            CorrelationBound(e_est=0.5, e_lower=0.45, e_upper=0.55) for _ in range(3)
-        ] + [CorrelationBound(e_est=-0.5, e_lower=-0.55, e_upper=-0.45)]
+        bounds = [(0.5, 0.45, 0.55)] * 3 + [(-0.5, -0.55, -0.45)]
         res = chsh_from_correlations(*bounds)
         assert res.s_upper - res.s_lower == pytest.approx(0.4, abs=1e-12)
         assert res.s_lower <= res.s_est <= res.s_upper
@@ -337,9 +341,9 @@ class TestMonteCarloAgreement:
             batch = sample_batch(
                 0.0, settings, count, pipeline="ideal-fock", seed=300 + idx, fock_n=1
             )
-            counts = bin_coincidences(threshold_counts(batch, [T]), T)
+            counts = counts_at(threshold_counts(batch, [T]), T)
             e = correlation(counts)
-            var += (1.0 - e * e) / counts.survivors
+            var += (1.0 - e * e) / sum(counts)
             s_est += -e if idx == 3 else e
         se = np.sqrt(var)
         assert abs(s_est - ideal_single_photon_chsh(T)) < 4 * se
@@ -361,9 +365,9 @@ class TestDecoyPipeline:
     def test_coincidence_bounds_contain_estimates(self):
         settings = MeasurementSettings.chsh(0, 0)
         bounds = decoy_coincidence_bounds(self.make_tables(settings, 50, [0.8]), self.iset, 0.8)
-        for pair, b in bounds.items():
-            assert b.lower <= max(min(b.estimate, 1.0), 0.0) <= b.upper + 1e-12
-            assert 0.0 <= b.lower <= b.upper <= 1.0
+        for estimate, lower, upper in zip(*bounds):
+            assert lower <= max(min(estimate, 1.0), 0.0) <= upper + 1e-12
+            assert 0.0 <= lower <= upper <= 1.0
 
     def test_correlation_sign_tracks_dtheta(self):
         near = decoy_correlation(
@@ -372,8 +376,8 @@ class TestDecoyPipeline:
         far = decoy_correlation(
             self.make_tables(MeasurementSettings.chsh(1, 1), 70, [0.8]), self.iset, 0.8
         )
-        assert near.e_est > 0.2
-        assert far.e_est < -0.2
+        assert near[0] > 0.2
+        assert far[0] < -0.2
 
     def test_scan_marks_hopeless_threshold_invalid(self):
         tables = {}
@@ -413,3 +417,84 @@ class TestDecoyPipeline:
             scan_threshold({}, self.iset, [0.5])
         with pytest.raises(ValueError):  # every setting, but no label
             scan_threshold({combo: [] for combo in CHSH_COMBOS}, self.iset, [0.5])
+
+
+def scalar_coincidence_bounds(tables, iset, T):
+    """The decoy coincidence bounds one Python float at a time: integer
+    counts to gains, one estimate per outcome, then the parity rule clamped
+    by min/max. Per outcome in OUTCOME_PAIRS order, (estimate, lower, upper)."""
+    gains = [[int(n) / table.total for n in counts_at(table, T)] for table in tables]
+    delta = bound_interval(iset)
+    out = []
+    for i in range(4):
+        est = estimate_single_photon_statistic([g[i] for g in gains], iset)
+        lower, upper = (est - delta, est) if iset.num_levels % 2 == 1 else (est, est + delta)
+        out.append((est, min(max(lower, 0.0), 1.0), min(max(upper, 0.0), 1.0)))
+    return out
+
+
+def scalar_correlation(tables, iset, T):
+    """Box-corner bounds (e_est, e_lower, e_upper) on E from the scalar
+    coincidence bounds, summed in the order P00 + P11 + P01 + P10."""
+    (p00, l00, u00), (p01, l01, u01), (p10, l10, u10), (p11, l11, u11) = (
+        scalar_coincidence_bounds(tables, iset, T)
+    )
+    den = p00 + p11 + p01 + p10
+    if den == 0:
+        raise ZeroDivisionError
+    e = min(max((p00 + p11 - p01 - p10) / den, -1.0), 1.0)
+    a_lo, a_hi = l00 + l11, u00 + u11
+    b_lo, b_hi = l01 + l10, u01 + u10
+    if a_hi + b_lo == 0 or a_lo + b_hi == 0:
+        raise ZeroDivisionError
+    e_upper = (a_hi - b_lo) / (a_hi + b_lo)
+    e_lower = (a_lo - b_hi) / (a_lo + b_hi)
+    return min(max(e, e_lower), e_upper), e_lower, e_upper
+
+
+def scalar_scan(tables, iset, t_grid):
+    """(T, s_est, s_lower, s_upper) per threshold, or (T, None) where a
+    denominator is zero."""
+    rows = []
+    for T in t_grid:
+        try:
+            e = [scalar_correlation(tables[combo], iset, T) for combo in CHSH_COMBOS]
+        except ZeroDivisionError:
+            rows.append((T, None))
+            continue
+        s_est = e[0][0] + e[1][0] + e[2][0] - e[3][0]
+        s_lower = e[0][1] + e[1][1] + e[2][1] - e[3][2]
+        s_upper = e[0][2] + e[1][2] + e[2][2] - e[3][1]
+        rows.append((T, s_est, s_lower, s_upper))
+    return rows
+
+
+class TestScalarReference:
+    """The float-array chain gives the scalar chain's floats, bit for bit."""
+
+    @pytest.mark.parametrize("mus", [(0.0872, 0.2314, 0.9840), (0.1, 0.5)])
+    def test_chain_equals_scalar_reference(self, mus):
+        iset = DecoyIntensitySet(mus)
+        grid = np.append(ExperimentConfig().t_grid(), [2.5, 3.0, 9.0])
+        tables = {}
+        for idx, combo in enumerate(CHSH_COMBOS):
+            settings = MeasurementSettings.chsh(*combo)
+            batches = [sample_batch(0.0, settings, 20_000, seed=500 + 10 * idx)]
+            for j, mu in enumerate(iset.intensities, start=1):
+                batches.append(sample_batch(mu, settings, 5_000, seed=500 + 10 * idx + j))
+            tables[combo] = [threshold_counts(batch, grid) for batch in batches]
+
+        expect = scalar_scan(tables, iset, grid)
+        got = [
+            (r.threshold, r.s_est, r.s_lower, r.s_upper) if r.valid else (r.threshold, None)
+            for r in scan_threshold(tables, iset, grid)
+        ]
+        assert got == expect
+        valid = [row for row in expect if row[1] is not None]
+        assert 10 < len(valid) < len(grid)  # both kinds of threshold occur
+        for T, *_ in valid[::10]:
+            for combo in CHSH_COMBOS:
+                by_label = tables[combo]
+                assert decoy_correlation(by_label, iset, T) == scalar_correlation(by_label, iset, T)
+                bounds = [tuple(b) for b in zip(*decoy_coincidence_bounds(by_label, iset, T))]
+                assert bounds == scalar_coincidence_bounds(by_label, iset, T)

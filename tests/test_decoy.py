@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from pathent.decoy import (
-    BoundedEstimate,
     DecoyIntensitySet,
     bound_interval,
     bound_statistic,
@@ -131,31 +130,31 @@ class TestBoundInterval:
 
 class TestBoundStatistic:
     def test_parity_of_interval_side(self):
-        odd = bound_statistic(0.5, DecoyIntensitySet(NOMINAL_INTENSITIES))
-        assert odd.upper == 0.5  # L = 3: estimate is the upper bound
-        assert odd.lower == pytest.approx(0.5 - bound_interval(DecoyIntensitySet(NOMINAL_INTENSITIES)))
-        even = bound_statistic(0.5, DecoyIntensitySet((0.1, 0.5)))
-        assert even.lower == 0.5  # L = 2: estimate is the lower bound
-        assert even.upper > 0.5
+        _, lower, upper = bound_statistic(0.5, DecoyIntensitySet(NOMINAL_INTENSITIES))
+        assert upper == 0.5  # L = 3: estimate is the upper bound
+        assert lower == pytest.approx(0.5 - bound_interval(DecoyIntensitySet(NOMINAL_INTENSITIES)))
+        _, lower, upper = bound_statistic(0.5, DecoyIntensitySet((0.1, 0.5)))
+        assert lower == 0.5  # L = 2: estimate is the lower bound
+        assert upper > 0.5
 
     def test_probability_clamp(self):
         iset = DecoyIntensitySet(NOMINAL_INTENSITIES)
-        b = bound_statistic(1e-5, iset)
-        assert b.lower == 0.0  # raw lower would be negative
-        assert b.estimate == pytest.approx(1e-5)
-        b = bound_statistic(-0.002, iset)
-        assert b.lower == b.upper == 0.0
-        assert b.estimate == pytest.approx(-0.002)  # raw estimate preserved
+        estimate, lower, _ = bound_statistic(1e-5, iset)
+        assert lower == 0.0  # raw lower would be negative
+        assert estimate == pytest.approx(1e-5)
+        estimate, lower, upper = bound_statistic(-0.002, iset)
+        assert lower == upper == 0.0
+        assert estimate == pytest.approx(-0.002)  # raw estimate preserved
 
-    def test_no_clamp_outside_probability_mode(self):
-        iset = DecoyIntensitySet(NOMINAL_INTENSITIES)
-        b = bound_statistic(-0.002, iset, probability=False)
-        assert b.upper == pytest.approx(-0.002)
-        assert b.lower < -0.002
-
-    def test_invalid_interval_rejected(self):
-        with pytest.raises(ValueError):
-            BoundedEstimate(estimate=0.5, lower=0.6, upper=0.4)
+    @pytest.mark.parametrize("mus", [NOMINAL_INTENSITIES, (0.1, 0.5)])
+    def test_broadcasts_like_scalars(self, mus):
+        iset = DecoyIntensitySet(mus)
+        values = [-0.002, 0.0, 1e-5, 0.5, 1.0, 1.003]
+        estimate, lower, upper = bound_statistic(np.array(values), iset)
+        assert estimate.tolist() == values
+        for v, lo, hi in zip(values, lower, upper):
+            assert bound_statistic(v, iset)[1:] == (lo, hi)
+            assert 0.0 <= lo <= hi <= 1.0
 
 
 class TestContainment:
