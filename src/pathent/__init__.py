@@ -10,7 +10,6 @@ from .decoy import (
     estimate_single_photon_statistic,
 )
 from .fock import (
-    TruncatedOperator,
     build_postselection_operators,
     psd_operator_sqrt,
     wavefunction_value,
@@ -28,8 +27,6 @@ from .states import (
     TwoModeFockState,
     bell_state,
     compensated_intensity,
-    loss_on_coherent,
-    poisson_weights,
     splitter_output,
 )
 
@@ -39,7 +36,6 @@ __all__ = [
     "MeasurementSettings",
     "NoiseModel",
     "SampleBatch",
-    "TruncatedOperator",
     "TwoModeFockState",
     "bell_state",
     "bound_interval",
@@ -49,8 +45,6 @@ __all__ = [
     "estimate_single_photon_statistic",
     "joint_pdf_fock",
     "load_config",
-    "loss_on_coherent",
-    "poisson_weights",
     "psd_operator_sqrt",
     "sample_batch",
     "sample_fock_pair",

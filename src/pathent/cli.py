@@ -176,8 +176,7 @@ def cmd_decoy_estimate(config: ExperimentConfig, out_dir: str) -> tuple[int, lis
 
 
 def cmd_tomography(config: ExperimentConfig, out_dir: str) -> tuple[int, list]:
-    mle_config = config.mle
-    edges = mle_config.bin_edges()
+    edges = config.bin_edges()
     # Split each phase difference symmetrically across the two arms: the data
     # depend only on dtheta, but varying both LO phases conditions the
     # reconstruction far better than pinning one arm at phase 0.
@@ -195,7 +194,7 @@ def cmd_tomography(config: ExperimentConfig, out_dir: str) -> tuple[int, list]:
         tables = _sweep(config, settings, 20_000, reduce)
         hist = tomo_mod.decoy_corrected_histogram(tables, config.intensity_set, phase_pairs, edges)
     povm = tomo_mod.build_povm_elements(phase_pairs, edges, config.cutoff)
-    result = tomo_mod.mle_reconstruct(hist, povm, mle_config)
+    result = tomo_mod.mle_reconstruct(hist, povm, config.max_iterations, config.tolerance)
     target = bell_state(config.cutoff)
     fid = tomo_mod.fidelity(result.rho, target)
     mass = tomo_mod.multiphoton_mass(result.rho)

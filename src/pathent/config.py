@@ -12,18 +12,20 @@ from __future__ import annotations
 import configparser
 import hashlib
 import json
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .decoy import DecoyIntensitySet
 from .states import NoiseModel
-from .tomography import MleConfig
 
 DEFAULT_INTENSITIES = (0.0872, 0.2314, 0.9840)
 # The CHSH scan holds a count table per threshold and batch; the default grid
 # has 101 thresholds.
 MAX_THRESHOLDS = 100_000
+# Each tomography count table holds (bins per axis + 2)^2 int64 cells, and the
+# POVM one overlap matrix per bin; the default grid has 50 bins per axis.
+MAX_BINS = 1000
 
 
 class ConfigError(ValueError):
@@ -57,8 +59,8 @@ class ExperimentConfig:
             raise ConfigError(f"unknown pipeline {self.pipeline!r}")
         if self.samples_per_point < 1 or self.vacuum_samples < 1:
             raise ConfigError("sample counts must be at least 1")
-        if not (np.isfinite(self.t_max) and np.isfinite(self.t_step)):
-            raise ConfigError("thresholds t_max and t_step must be finite")
+        if not all(np.isfinite((self.t_max, self.t_step, self.t_fixed))):
+            raise ConfigError("thresholds t_max, t_step and t_fixed must be finite")
         if self.t_step <= 0 or self.t_max < self.t_min:
             raise ConfigError("threshold grid is empty")
         if not (self.t_min >= 0 and self.t_fixed >= 0):
@@ -73,9 +75,21 @@ class ExperimentConfig:
         if self.max_iterations < 1:
             raise ConfigError("tomography max_iterations must be at least 1")
         try:  # each object checks its own rules as it is built
-            self.intensity_set, self.noise, self.mle
+            self.intensity_set, self.noise
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        if self.cutoff < 1:
+            raise ConfigError("cutoff must be at least 1")
+        if not self.tolerance > 0:
+            raise ConfigError("tolerance must be positive")
+        for key in ("bin_width", "x_range"):
+            if not 0 < getattr(self, key) < np.inf:
+                raise ConfigError(f"{key} must be positive and finite")
+        n_bins = 2.0 * self.x_range / self.bin_width  # inf when bin_width is tiny
+        if not (np.isfinite(n_bins) and round(n_bins) <= MAX_BINS):
+            raise ConfigError(f"x_range and bin_width give over {MAX_BINS} bins per axis")
+        if round(n_bins) < 1:
+            raise ConfigError("bin_width leaves no bin in [-x_range, x_range]")
 
     @property
     def intensity_set(self) -> DecoyIntensitySet:
@@ -85,13 +99,13 @@ class ExperimentConfig:
     def noise(self) -> NoiseModel:
         return NoiseModel(self.eta_pd, self.v_e)
 
-    @property
-    def mle(self) -> MleConfig:
-        return MleConfig(**{f.name: getattr(self, f.name) for f in fields(MleConfig)})
-
     def t_grid(self) -> np.ndarray:
         n = int(round((self.t_max - self.t_min) / self.t_step))
         return self.t_min + self.t_step * np.arange(n + 1)
+
+    def bin_edges(self) -> np.ndarray:
+        n_bins = int(round(2.0 * self.x_range / self.bin_width))
+        return np.linspace(-self.x_range, self.x_range, n_bins + 1)
 
     def dtheta_grid(self) -> np.ndarray:
         return -np.pi + (2.0 * np.pi / self.n_phases) * np.arange(self.n_phases)

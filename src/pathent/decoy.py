@@ -29,8 +29,8 @@ class DecoyIntensitySet:
         mus = tuple(float(m) for m in self.intensities)
         if len(mus) < 1:
             raise ValueError("need at least one decoy intensity")
-        if any(m <= 0 for m in mus):
-            raise ValueError("decoy intensities must be positive")
+        if not all(0 < m < np.inf for m in mus):
+            raise ValueError("decoy intensities must be positive and finite")
         if any(b <= a for a, b in zip(mus, mus[1:])):
             raise ValueError("decoy intensities must be strictly increasing")
         object.__setattr__(self, "intensities", mus)

@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fock import TruncatedOperator, build_postselection_operators, psd_operator_sqrt
+from .fock import build_postselection_operators, psd_operator_sqrt
 
 
 @dataclass(frozen=True)
@@ -59,7 +59,7 @@ class FlaggedState:
 @lru_cache(maxsize=512)
 def _sqrt_pair(T: float, cutoff: int, theta: float):
     q_disc, q_pass = build_postselection_operators(T, cutoff, theta)
-    return psd_operator_sqrt(q_pass).entries, psd_operator_sqrt(q_disc).entries
+    return psd_operator_sqrt(q_pass), psd_operator_sqrt(q_disc)
 
 
 def quantum_filter(
@@ -119,7 +119,7 @@ def theta_independence_residual(T: float, theta_grid, cutoff: int = 1) -> float:
     worst = 0.0
     for theta in theta_grid:
         q, _ = build_postselection_operators(T, cutoff, float(theta))
-        worst = max(worst, float(np.max(np.abs(q.entries - ref.entries))))
+        worst = max(worst, float(np.max(np.abs(q - ref))))
     return worst
 
 

@@ -8,31 +8,11 @@ measurement model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 PSD_EIG_TOL = 1e-8
-
-
-@dataclass(frozen=True)
-class TruncatedOperator:
-    """Complex operator on a Fock space truncated at photon number `cutoff`.
-
-    `entries` has dimension (cutoff+1)**modes along each axis.
-    """
-
-    cutoff: int
-    modes: int
-    entries: np.ndarray
-
-    def __post_init__(self):
-        dim = (self.cutoff + 1) ** self.modes
-        entries = np.asarray(self.entries, dtype=complex)
-        if entries.shape != (dim, dim):
-            raise ValueError(f"expected {dim}x{dim} matrix, got {entries.shape}")
-        object.__setattr__(self, "entries", entries)
 
 
 def hermite_functions(n_max: int, x: np.ndarray) -> np.ndarray:
@@ -106,8 +86,9 @@ def window_overlap(m: int, n: int, T: float) -> float:
 
 def build_postselection_operators(
     T: float, cutoff: int, theta: float = 0.0
-) -> tuple[TruncatedOperator, TruncatedOperator]:
-    """Discard/pass operator pair (Q_discard, Q_pass) at threshold T.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Discard/pass operator pair (Q_discard, Q_pass) at threshold T, as
+    (cutoff + 1)-square complex arrays.
 
     Q_discard[m, n] = e^(i(n-m)theta) * window_overlap(m, n, T) and
     Q_pass = I - Q_discard. Both are PSD on the truncated space; restricted to
@@ -132,24 +113,20 @@ def build_postselection_operators(
             raise ArithmeticError(
                 f"{name} not PSD (min eigenvalue {low:.3e}); quadrature failure"
             )
-    return (
-        TruncatedOperator(cutoff, 1, q),
-        TruncatedOperator(cutoff, 1, q_pass),
-    )
+    return q, q_pass
 
 
-def psd_operator_sqrt(op: TruncatedOperator) -> TruncatedOperator:
-    """Hermitian PSD square root via eigendecomposition.
+def psd_operator_sqrt(a: np.ndarray) -> np.ndarray:
+    """Hermitian PSD square root of the square array `a` via
+    eigendecomposition.
 
     Rejects inputs with an eigenvalue below -1e-8; small negative eigenvalues
     above that are clipped to zero.
     """
-    a = op.entries
     if np.max(np.abs(a - a.conj().T)) > 1e-10:
         raise ValueError("operator is not Hermitian within tolerance")
     w, v = np.linalg.eigh(a)
     if w[0] < -PSD_EIG_TOL:
         raise ValueError(f"operator is not PSD (min eigenvalue {w[0]:.3e})")
     root = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
-    root = 0.5 * (root + root.conj().T)
-    return TruncatedOperator(op.cutoff, op.modes, root)
+    return 0.5 * (root + root.conj().T)

@@ -1,8 +1,8 @@
 """Source and channel models.
 
-Phase-randomized coherent sources (Poisson photon statistics), the 50:50
-splitter action on Fock inputs, loss on coherent states, and the
-loss-equivalent reductions used to fold photodiode inefficiency and
+The balanced-homodyne noise model, two-mode Fock states and the 50:50
+splitter action on Fock inputs, and the source intensity that compensates
+the loss-equivalent reduction, which folds photodiode inefficiency and
 electronic noise into a single fictitious transmittance in front of the
 splitter.
 """
@@ -30,8 +30,8 @@ class NoiseModel:
     def __post_init__(self):
         if not (0.0 < self.eta_pd <= 1.0):
             raise ValueError("eta_pd must be in (0, 1]")
-        if self.v_e < 0:
-            raise ValueError("v_e must be non-negative")
+        if not 0 <= self.v_e < np.inf:
+            raise ValueError("v_e must be non-negative and finite")
 
     @property
     def eta_ele(self) -> float:
@@ -74,23 +74,6 @@ def bell_state(cutoff: int = 1) -> TwoModeFockState:
     return TwoModeFockState(cutoff, amps)
 
 
-def poisson_weights(mu: float, cutoff: int) -> tuple[np.ndarray, float]:
-    """Poisson photon-number weights up to `cutoff`, plus the truncation tail.
-
-    weights[n] = mu^n e^(-mu) / n!; tail = P(N > cutoff).
-    """
-    if mu < 0:
-        raise ValueError("intensity must be non-negative")
-    if cutoff < 0:
-        raise ValueError("cutoff must be non-negative")
-    from scipy.stats import poisson  # imported here: it takes ~1 s, most of `import pathent`
-
-    n = np.arange(cutoff + 1)
-    weights = poisson.pmf(n, mu)
-    tail = float(poisson.sf(cutoff, mu))
-    return weights, tail
-
-
 def splitter_output(n: int, cutoff: int) -> TwoModeFockState:
     """n-photon Fock state through a symmetric 50:50 splitter.
 
@@ -108,19 +91,11 @@ def splitter_output(n: int, cutoff: int) -> TwoModeFockState:
     return TwoModeFockState(cutoff, amps)
 
 
-def loss_on_coherent(mu: float, eta: float) -> float:
-    """Loss only attenuates a coherent state's intensity: mu -> mu * eta."""
-    if not (0.0 <= eta <= 1.0):
-        raise ValueError("transmittance must be in [0, 1]")
-    if mu < 0:
-        raise ValueError("intensity must be non-negative")
-    return mu * eta
-
-
 def compensated_intensity(mu_target: float, noise: NoiseModel) -> float:
     """Source intensity that lands at mu_target after the equivalent loss.
 
-    loss_on_coherent(compensated_intensity(mu, nm), nm.eta_tot) == mu.
+    Loss only attenuates a coherent state's intensity (mu -> mu * eta), so
+    compensated_intensity(mu, nm) * nm.eta_tot == mu.
     """
     if noise.eta_tot <= 0:
         raise ValueError("total transmittance must be positive")

@@ -19,48 +19,15 @@ stacked over all settings.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .decoy import DecoyIntensitySet, estimate_single_photon_statistic
-from .fock import TruncatedOperator, hermite_functions
+from .fock import hermite_functions
 from .homodyne import CountTable, SampleBatch, chunked_bincount, grid_index
 from .states import TwoModeFockState
-
-# Each count table holds (bins per axis + 2)^2 int64 cells, and the POVM one
-# overlap matrix per bin; the default grid has 50 bins per axis.
-MAX_BINS = 1000
-
-
-@dataclass(frozen=True)
-class MleConfig:
-    cutoff: int = 10
-    max_iterations: int = 500
-    tolerance: float = 1e-9
-    bin_width: float = 0.2
-    x_range: float = 5.0
-
-    def __post_init__(self):
-        if self.cutoff < 1:
-            raise ValueError("cutoff must be at least 1")
-        if self.max_iterations < 0:
-            raise ValueError("max_iterations must be non-negative")
-        if not self.tolerance > 0:
-            raise ValueError("tolerance must be positive")
-        for key in ("bin_width", "x_range"):
-            if not 0 < getattr(self, key) < np.inf:
-                raise ValueError(f"{key} must be positive and finite")
-        n_bins = 2.0 * self.x_range / self.bin_width  # inf when bin_width is tiny
-        if not (np.isfinite(n_bins) and round(n_bins) <= MAX_BINS):
-            raise ValueError(f"x_range and bin_width give over {MAX_BINS} bins per axis")
-        if round(n_bins) < 1:
-            raise ValueError("bin_width leaves no bin in [-x_range, x_range]")
-
-    def bin_edges(self) -> np.ndarray:
-        n_bins = int(round(2.0 * self.x_range / self.bin_width))
-        return np.linspace(-self.x_range, self.x_range, n_bins + 1)
-
 
 @dataclass
 class BinnedHistogram:
@@ -94,7 +61,7 @@ class BinnedHistogram:
 
 @dataclass
 class TomographyResult:
-    rho: TruncatedOperator
+    rho: np.ndarray  # (d^2, d^2), d = cutoff + 1
     log_likelihood: list
     iterations: int
     converged: bool
@@ -139,13 +106,11 @@ class PovmSet:
     def n_bins(self) -> int:
         return len(self.edges) - 1
 
-    def probabilities(self, rho: np.ndarray, s: int | None = None) -> np.ndarray:
-        """Tr(rho * kron(Ea_i, Eb_j)) for every in-range bin (i, j), of
-        setting s, or of every setting stacked when s is None."""
+    def probabilities(self, rho: np.ndarray) -> np.ndarray:
+        """Tr(rho * kron(Ea_i, Eb_j)) for every in-range bin (i, j) of every
+        setting, stacked as (settings, bins, bins)."""
         r = _realign(np.asarray(rho), self.cutoff + 1)
-        phases = self.phases if s is None else self.phases[s : s + 1]
-        p = self.bins @ (r * phases).real @ self._bins_t
-        return p if s is None else p[0]
+        return self.bins @ (r * self.phases).real @ self._bins_t
 
     def likelihood_operator(self, weights: np.ndarray) -> np.ndarray:
         """sum over settings s and bins (i, j) of weights[s, i, j] *
@@ -272,12 +237,13 @@ def histogram_from_tables(tables_by_setting: dict, phase_pairs, edges) -> Binned
 
 
 def mle_reconstruct(
-    hist: BinnedHistogram, povm: PovmSet, config: MleConfig
+    hist: BinnedHistogram, povm: PovmSet, max_iterations: int, tolerance: float
 ) -> TomographyResult:
-    """R-rho-R fixed-point maximum-likelihood reconstruction.
+    """R-rho-R fixed-point maximum-likelihood reconstruction at the POVM's
+    cutoff.
 
     Starts from the maximally mixed state; stops when the log-likelihood
-    gain drops below the tolerance or at max_iterations. The likelihood is
+    gain drops below `tolerance` or at `max_iterations`. The likelihood is
     sum over settings and bins of f log p with frequencies f normalized to
     total mass 1 across settings.
     """
@@ -285,9 +251,7 @@ def mle_reconstruct(
         raise ValueError("histogram and POVM settings differ")
     if hist.densities.shape[1] != povm.n_bins:
         raise ValueError("histogram and POVM bins differ")
-    if povm.cutoff != config.cutoff:
-        raise ValueError("POVM and MLE cutoffs differ")
-    d2 = (config.cutoff + 1) ** 2
+    d2 = (povm.cutoff + 1) ** 2
     freqs = hist.densities * hist.bin_area / povm.n_settings  # sums to ~1 overall
     observed = freqs > 0
     f_observed = freqs[observed]
@@ -296,10 +260,10 @@ def mle_reconstruct(
     ll_trace: list[float] = []
     converged = False
     it = 0
-    for it in range(1, config.max_iterations + 1):
+    for it in range(1, max_iterations + 1):
         p = np.clip(povm.probabilities(rho), 1e-300, None)
         ll_trace.append(float(np.sum(f_observed * np.log(p[observed]))))
-        if len(ll_trace) >= 2 and ll_trace[-1] - ll_trace[-2] < config.tolerance:
+        if len(ll_trace) >= 2 and ll_trace[-1] - ll_trace[-2] < tolerance:
             converged = ll_trace[-1] >= ll_trace[-2] - 1e-10
             break
         r_mat = povm.likelihood_operator(freqs / p)
@@ -307,36 +271,30 @@ def mle_reconstruct(
         rho = 0.5 * (rho + rho.conj().T)
         rho = rho / np.trace(rho).real
 
-    op = TruncatedOperator(config.cutoff, 2, rho)
-    return TomographyResult(
-        rho=op,
-        log_likelihood=ll_trace,
-        iterations=it,
-        converged=converged,
-    )
+    return TomographyResult(rho=rho, log_likelihood=ll_trace, iterations=it, converged=converged)
 
 
-def fidelity(rho: TruncatedOperator, target: TwoModeFockState) -> float:
+def fidelity(rho: np.ndarray, target: TwoModeFockState) -> float:
     """<Psi| rho |Psi> for a pure two-mode target."""
-    if rho.modes != 2 or target.cutoff != rho.cutoff:
-        raise ValueError("density matrix and target state dimensions differ")
     vec = target.vector()
-    val = float(np.real(vec.conj() @ rho.entries @ vec))
+    if rho.shape != (vec.size, vec.size):
+        raise ValueError("density matrix and target state dimensions differ")
+    val = float(np.real(vec.conj() @ rho @ vec))
     return min(max(val, 0.0), 1.0)
 
 
-def multiphoton_mass(rho: TruncatedOperator) -> float:
-    """Total population on basis states |j, k> with j + k > 2."""
-    d = rho.cutoff + 1
-    diag = np.real(np.diag(rho.entries)).reshape(d, d)
+def multiphoton_mass(rho: np.ndarray) -> float:
+    """Total population on basis states |j, k> with j + k > 2 of a
+    (d^2, d^2) two-mode density matrix."""
+    d = math.isqrt(rho.shape[0])
+    diag = np.real(np.diag(rho)).reshape(d, d)
     j, k = np.meshgrid(np.arange(d), np.arange(d), indexing="ij")
     return float(np.sum(diag[j + k > 2]))
 
 
-def save_density_matrix(rho: TruncatedOperator, path: str) -> None:
+def save_density_matrix(rho: np.ndarray, path: str) -> None:
     """Text format: dimension header, then rows of re,im pairs."""
-    mat = rho.entries
     with open(path, "w") as fh:
-        fh.write(f"{mat.shape[0]}\n")
-        for row in mat:
+        fh.write(f"{rho.shape[0]}\n")
+        for row in rho:
             fh.write(",".join(f"{v.real:.17g},{v.imag:.17g}" for v in row) + "\n")

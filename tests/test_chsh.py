@@ -17,7 +17,6 @@ from pathent.chsh import (
 from pathent.decoy import DecoyIntensitySet, bound_interval, estimate_single_photon_statistic
 from pathent.config import ExperimentConfig
 from pathent.homodyne import CHUNK_SIZE, MeasurementSettings, SampleBatch, grid_index, sample_batch
-from pathent.tomography import MleConfig
 from scipy.special import erf
 
 
@@ -178,7 +177,7 @@ class TestThresholdCounts:
 GRIDS = {
     "default_thresholds": ExperimentConfig().t_grid(),
     "adversarial": sorted(ADVERSARIAL_GRID),
-    "default_bin_edges": MleConfig().bin_edges(),
+    "default_bin_edges": ExperimentConfig().bin_edges(),
     "single_level": [0.5],
     "empty": [],
     "tiny_gaps": [0.0, 1e-12, 2e-12, 1.0],

@@ -3,18 +3,19 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from pathent.cli import EXIT_BREACH, EXIT_CONFIG, EXIT_OK, main
 from pathent.config import (
     _SECTION_FIELDS,
+    MAX_BINS,
     MAX_THRESHOLDS,
     ConfigError,
     ExperimentConfig,
     load_config,
     with_overrides,
 )
-from pathent.tomography import MleConfig
 
 SCAN_CONFIG = """\
 [noise]
@@ -118,6 +119,43 @@ class TestConfig:
             ExperimentConfig(eta_pd=1.5)
         with pytest.raises(ConfigError):
             ExperimentConfig(intensities=(0.5, 0.1))
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ConfigError, match="v_e"):
+                ExperimentConfig(v_e=bad)
+            with pytest.raises(ConfigError, match="intensities"):
+                ExperimentConfig(intensities=(0.0872, 0.2314, bad))
+
+    def test_bin_edges(self):
+        cfg = ExperimentConfig(cutoff=3, bin_width=0.5, x_range=2.0)
+        edges = cfg.bin_edges()
+        assert len(edges) == 9
+        assert edges[0] == -2.0 and edges[-1] == 2.0
+        assert np.allclose(np.diff(edges), 0.5)
+
+    def test_tomography_values_validated(self):
+        with pytest.raises(ConfigError):
+            ExperimentConfig(cutoff=0)
+        with pytest.raises(ConfigError):
+            ExperimentConfig(bin_width=-0.1)
+        with pytest.raises(ConfigError):
+            ExperimentConfig(tolerance=0.0)
+        with pytest.raises(ConfigError):
+            ExperimentConfig(bin_width=np.nan)
+        with pytest.raises(ConfigError):
+            ExperimentConfig(x_range=np.inf)
+        with pytest.raises(ConfigError):
+            ExperimentConfig(bin_width=5.0, x_range=1.0)  # wider than the range: no bin
+        with pytest.raises(ConfigError):
+            ExperimentConfig(max_iterations=-3)
+        # Grids that cannot be built, or are too large to hold, are refused
+        # before any edge is computed.
+        for bin_width, x_range in ((5e-324, 5.0), (0.2, 1e308), (1e-4, 5.0)):
+            with pytest.raises(ConfigError, match="bins per axis"):
+                ExperimentConfig(bin_width=bin_width, x_range=x_range)
+        top = ExperimentConfig(bin_width=2.0 * 5.0 / MAX_BINS, x_range=5.0)
+        assert len(top.bin_edges()) == MAX_BINS + 1
+        with pytest.raises(ConfigError, match="bins per axis"):
+            ExperimentConfig(bin_width=2.0 * 5.0 / (MAX_BINS + 1), x_range=5.0)
 
     def test_threshold_grid_size_capped(self):
         top = MAX_THRESHOLDS - 1
@@ -145,6 +183,15 @@ class TestStartup:
         proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src))
         assert proc.returncode == 0
 
+    def test_config_import_leaves_tomography_unloaded(self):
+        """The config checks its own tomography values; it needs no numerics."""
+        import pathent
+
+        src = os.path.dirname(os.path.dirname(os.path.abspath(pathent.__file__)))
+        code = "import sys, pathent.config; sys.exit('pathent.tomography' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src))
+        assert proc.returncode == 0
+
 
 class TestExitCodes:
     def test_config_error_exit(self, tmp_path):
@@ -164,10 +211,15 @@ class TestExitCodes:
             ("tomography", "max_iterations", "0", "tomography"),
             ("chsh", "t_max", "inf", "chsh-scan"),
             ("chsh", "t_step", "nan", "chsh-scan"),
+            ("chsh", "t_fixed", "inf", "correlation-scan"),
             ("chsh", "t_step", "1e-12", "chsh-scan"),
             ("tomography", "bin_width", "5e-324", "tomography"),
             ("tomography", "bin_width", "1e-4", "tomography"),
             ("tomography", "x_range", "1e308", "tomography"),
+            ("noise", "v_e", "nan", "chsh-scan"),
+            ("noise", "v_e", "inf", "chsh-scan"),
+            ("source", "intensities", "0.0872, 0.2314, nan", "chsh-scan"),
+            ("source", "intensities", "0.0872, 0.2314, inf", "decoy-estimate"),
         ],
         ids=[
             "cutoff",
@@ -179,10 +231,15 @@ class TestExitCodes:
             "max_iterations",
             "t_max",
             "t_step",
+            "t_fixed_inf",
             "t_step_too_fine",
             "bin_width_overflow",
             "bin_width_too_fine",
             "x_range_overflow",
+            "v_e_nan",
+            "v_e_inf",
+            "intensities_nan",
+            "intensities_inf",
         ],
     )
     def test_invalid_value_exits_before_sampling(
@@ -198,7 +255,7 @@ class TestExitCodes:
 
         monkeypatch.setattr(cli_mod, "sample_batch", no_sampling)
         monkeypatch.setattr(ExperimentConfig, "t_grid", no_grid)
-        monkeypatch.setattr(MleConfig, "bin_edges", no_grid)
+        monkeypatch.setattr(ExperimentConfig, "bin_edges", no_grid)
         bad = write_config(tmp_path, f"[{section}]\n{key} = {value}\n")
         rc = main([command, "--config", bad, "--out", str(tmp_path / "o")])
         assert rc == EXIT_CONFIG

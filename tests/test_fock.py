@@ -4,7 +4,6 @@ from scipy import integrate
 from scipy.special import erf
 
 from pathent.fock import (
-    TruncatedOperator,
     build_postselection_operators,
     hermite_functions,
     psd_operator_sqrt,
@@ -14,11 +13,11 @@ from pathent.fock import (
 
 
 def is_hermitian(op, tol=1e-12):
-    return bool(np.max(np.abs(op.entries - op.entries.conj().T)) <= tol)
+    return bool(np.max(np.abs(op - op.conj().T)) <= tol)
 
 
 def min_eigenvalue(op):
-    return float(np.linalg.eigvalsh(op.entries)[0])
+    return float(np.linalg.eigvalsh(op)[0])
 
 
 def quad_overlap(m, n, T):
@@ -103,28 +102,28 @@ class TestWindowOverlap:
 class TestPostselectionOperators:
     def test_zero_threshold(self):
         q_disc, q_pass = build_postselection_operators(0.0, 2)
-        assert np.allclose(q_disc.entries, 0.0)
-        assert np.allclose(q_pass.entries, np.eye(3))
+        assert np.allclose(q_disc, 0.0)
+        assert np.allclose(q_pass, np.eye(3))
 
     def test_full_window(self):
         q_disc, q_pass = build_postselection_operators(10.0, 1)
-        assert np.max(np.abs(q_disc.entries - np.eye(2))) < 1e-10
-        assert np.max(np.abs(q_pass.entries)) < 1e-10
+        assert np.max(np.abs(q_disc - np.eye(2))) < 1e-10
+        assert np.max(np.abs(q_pass)) < 1e-10
 
     def test_qubit_diagonal(self):
         q_disc, _ = build_postselection_operators(1.0, 1)
         gamma1 = quad_overlap(1, 1, 1.0)
         expected = np.diag([float(erf(1.0)), gamma1])
-        assert np.max(np.abs(q_disc.entries - expected)) < 1e-10
+        assert np.max(np.abs(q_disc - expected)) < 1e-10
 
     def test_pair_sums_to_identity(self):
         q_disc, q_pass = build_postselection_operators(0.7, 4)
-        assert np.allclose(q_disc.entries + q_pass.entries, np.eye(5), atol=1e-14)
+        assert np.allclose(q_disc + q_pass, np.eye(5), atol=1e-14)
 
     @pytest.mark.parametrize("T", [0.1, 0.5, 1.0, 2.0])
     def test_spectrum_between_zero_and_one(self, T):
         q_disc, _ = build_postselection_operators(T, 6)
-        w = np.linalg.eigvalsh(q_disc.entries)
+        w = np.linalg.eigvalsh(q_disc)
         assert w[0] >= -1e-10
         assert w[-1] <= 1.0 + 1e-10
 
@@ -133,7 +132,7 @@ class TestPostselectionOperators:
         prev = None
         for T in grid:
             q_disc, _ = build_postselection_operators(T, 5)
-            diag = np.diag(q_disc.entries).real
+            diag = np.diag(q_disc).real
             if prev is not None:
                 assert np.all(diag >= prev - 1e-12)
             prev = diag
@@ -146,26 +145,22 @@ class TestPostselectionOperators:
 
 class TestOperatorSqrt:
     def test_identity(self):
-        op = TruncatedOperator(1, 1, np.eye(2))
-        assert np.allclose(psd_operator_sqrt(op).entries, np.eye(2))
+        assert np.allclose(psd_operator_sqrt(np.eye(2)), np.eye(2))
 
     def test_diagonal(self):
-        op = TruncatedOperator(1, 1, np.diag([4.0, 9.0]))
-        assert np.allclose(psd_operator_sqrt(op).entries, np.diag([2.0, 3.0]))
+        assert np.allclose(psd_operator_sqrt(np.diag([4.0, 9.0])), np.diag([2.0, 3.0]))
 
     def test_squares_back(self):
         q_disc, _ = build_postselection_operators(1.0, 3)
         root = psd_operator_sqrt(q_disc)
-        assert np.max(np.abs(root.entries @ root.entries - q_disc.entries)) < 1e-9
+        assert np.max(np.abs(root @ root - q_disc)) < 1e-9
         assert is_hermitian(root, 1e-10)
         assert min_eigenvalue(root) >= -1e-12
 
     def test_rejects_negative_eigenvalue(self):
-        op = TruncatedOperator(1, 1, np.diag([-1.0, 1.0]))
         with pytest.raises(ValueError):
-            psd_operator_sqrt(op)
+            psd_operator_sqrt(np.diag([-1.0, 1.0]))
 
     def test_rejects_non_hermitian(self):
-        op = TruncatedOperator(1, 1, np.array([[0.0, 1.0], [0.0, 0.0]]))
         with pytest.raises(ValueError):
-            psd_operator_sqrt(op)
+            psd_operator_sqrt(np.array([[0.0, 1.0], [0.0, 0.0]]))

@@ -3,7 +3,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
-from scipy.stats import ks_2samp
+from scipy.stats import ks_2samp, poisson
 
 from pathent.homodyne import MeasurementSettings, sample_batch
 from pathent.states import (
@@ -11,10 +11,30 @@ from pathent.states import (
     TwoModeFockState,
     bell_state,
     compensated_intensity,
-    loss_on_coherent,
-    poisson_weights,
     splitter_output,
 )
+
+
+def poisson_weights(mu: float, cutoff: int) -> tuple[np.ndarray, float]:
+    """Poisson photon-number weights up to `cutoff`, plus the truncation tail.
+
+    weights[n] = mu^n e^(-mu) / n!; tail = P(N > cutoff).
+    """
+    if mu < 0:
+        raise ValueError("intensity must be non-negative")
+    if cutoff < 0:
+        raise ValueError("cutoff must be non-negative")
+    n = np.arange(cutoff + 1)
+    return poisson.pmf(n, mu), float(poisson.sf(cutoff, mu))
+
+
+def loss_on_coherent(mu: float, eta: float) -> float:
+    """Loss only attenuates a coherent state's intensity: mu -> mu * eta."""
+    if not (0.0 <= eta <= 1.0):
+        raise ValueError("transmittance must be in [0, 1]")
+    if mu < 0:
+        raise ValueError("intensity must be non-negative")
+    return mu * eta
 
 
 @dataclass(frozen=True)
