@@ -4,9 +4,9 @@ CHSH assembly, plus the ideal single-photon reference curve.
 Binning rule: outcome 0 when x < -T, outcome 1 when x > T, discard
 otherwise, independently per arm; a record survives only if both arms do.
 
-Analysis takes count tables only: each batch is reduced once, right after it
-is sampled, to its coincidence counts at every threshold of the scan grid
-(`threshold_counts`), and the decoy bounds, correlations and CHSH scan read
+Analysis takes count tables only: the sampler counts each batch, chunk by
+chunk as it is drawn, at every threshold of the scan grid
+(`threshold_binning`), and the decoy bounds, correlations and CHSH scan read
 those tables, one per intensity label (0 = vacuum, then the decoy levels)
 for each setting. A record's place in the grid comes from an exact lattice
 lookup (`homodyne.grid_index`), not a binary search per record.
@@ -24,14 +24,7 @@ from functools import lru_cache
 import numpy as np
 
 from .decoy import DecoyIntensitySet, bound_statistic, estimate_single_photon_statistic
-from .homodyne import (
-    CountTable,
-    MeasurementSettings,
-    SampleBatch,
-    chunked_bincount,
-    grid_index,
-    joint_pdf_fock,
-)
+from .homodyne import Binning, CountTable, MeasurementSettings, grid_index, joint_pdf_fock
 
 OUTCOME_PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
@@ -56,9 +49,9 @@ class ChshResult:
                 raise ValueError("|S| exceeds algebraic maximum 4")
 
 
-def threshold_counts(batch: SampleBatch, t_grid) -> CountTable:
-    """Bin `batch` at every threshold of `t_grid` in one pass: the table's
-    grid holds the distinct thresholds in increasing order, and its
+def threshold_binning(t_grid) -> Binning:
+    """Binning of a batch at every threshold of `t_grid` in one pass: its
+    table's grid holds the distinct thresholds in increasing order, and its
     `counts[k]` the outcome counts (n00, n01, n10, n11) at `grid[k]`.
 
     A record survives T exactly when min(|x_a|, |x_b|) > T, and the signs of
@@ -80,9 +73,10 @@ def threshold_counts(batch: SampleBatch, t_grid) -> CountTable:
         k += width * (2 * (x_a > 0) + (x_b > 0))
         return k
 
-    hist = chunked_bincount(batch, key, 4 * width)
-    survivors = np.cumsum(hist.reshape(4, width)[:, ::-1], axis=1)[:, -2::-1]
-    return CountTable(levels, survivors.T, len(batch))
+    def survivors(cells):
+        return np.cumsum(cells.reshape(4, width)[:, ::-1], axis=1)[:, -2::-1].T
+
+    return Binning(levels, 4 * width, key, survivors)
 
 
 def bin_coincidences(table: CountTable, T: float) -> np.ndarray:

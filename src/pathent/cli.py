@@ -46,8 +46,10 @@ def _simulate_point(
     settings: MeasurementSettings,
     intensity_label: int | None,
     batch_index: int,
+    binning=None,
 ):
-    """One batch at `settings`. Label 0 is the vacuum; labels 1..L the decoy
+    """One batch at `settings`, as its count table under `binning` or, with
+    none, as stored samples. Label 0 is the vacuum; labels 1..L the decoy
     levels, with intensities compensated by 1/eta_tot at the source so the
     post-loss intensities hit the configured targets. Label None is the
     noiseless single-photon source that ideal-fock tomography measures."""
@@ -63,31 +65,38 @@ def _simulate_point(
         seed=_batch_seed(config.seed, batch_index),
         intensity_label=intensity_label or 0,
         workers=config.workers,
+        binning=binning,
     )
 
 
 def _sweep(
-    config: ExperimentConfig, settings: dict, first_index: int, reduce, labels=None
+    config: ExperimentConfig,
+    settings: dict,
+    first_index: int,
+    binning=None,
+    labels=None,
+    reduce=lambda result: result,
 ) -> dict:
     """Per key of `settings`, `reduce` of one batch per intensity label, in
-    label order. Batches are sampled key by key and label by label, the i-th
-    with batch index first_index + i, and each is reduced as soon as it is
-    sampled, so only what `reduce` returns stays alive. `labels` defaults to
-    the vacuum and every decoy level."""
+    label order: of its count table under `binning` or, with none, of the
+    stored batch. Batches are sampled key by key and label by label, the
+    i-th with batch index first_index + i, and each is reduced before the
+    next is sampled. `labels` defaults to the vacuum and every decoy level."""
     if labels is None:
         labels = range(len(config.intensities) + 1)
     index = itertools.count(first_index)
     return {
-        key: [reduce(_simulate_point(config, setting, label, next(index))) for label in labels]
+        key: [
+            reduce(_simulate_point(config, setting, label, next(index), binning))
+            for label in labels
+        ]
         for key, setting in settings.items()
     }
 
 
 def _tables_at_t_fixed(config: ExperimentConfig, settings: dict, first_index: int) -> dict:
     """Per key of `settings`, its count tables at t_fixed by intensity label."""
-    return _sweep(
-        config, settings, first_index, lambda b: chsh_mod.threshold_counts(b, [config.t_fixed])
-    )
+    return _sweep(config, settings, first_index, chsh_mod.threshold_binning([config.t_fixed]))
 
 
 def _warn_if_clamped(config: ExperimentConfig) -> None:
@@ -133,7 +142,7 @@ def cmd_simulate(config: ExperimentConfig, out_dir: str) -> tuple[int, list]:
 
     # ideal-fock has no intensity labels: one noiseless |1> batch per setting.
     labels = [None] if config.pipeline == "ideal-fock" else None
-    saved = _sweep(config, CHSH_SETTINGS, 0, save, labels)
+    saved = _sweep(config, CHSH_SETTINGS, 0, labels=labels, reduce=save)
     return EXIT_OK, [name for by_label in saved.values() for names in by_label for name in names]
 
 
@@ -152,7 +161,7 @@ def cmd_correlation_scan(config: ExperimentConfig, out_dir: str) -> tuple[int, l
 
 def cmd_chsh_scan(config: ExperimentConfig, out_dir: str) -> tuple[int, list]:
     t_grid = config.t_grid()
-    tables = _sweep(config, CHSH_SETTINGS, 0, lambda b: chsh_mod.threshold_counts(b, t_grid))
+    tables = _sweep(config, CHSH_SETTINGS, 0, chsh_mod.threshold_binning(t_grid))
     rows = [
         (r.threshold, r.s_est, r.s_lower, r.s_upper)
         if r.valid
@@ -183,15 +192,13 @@ def cmd_tomography(config: ExperimentConfig, out_dir: str) -> tuple[int, list]:
     phase_pairs = [(float(dt) / 2.0, -float(dt) / 2.0) for dt in config.dtheta_grid()]
     settings = {s: MeasurementSettings(*pair) for s, pair in enumerate(phase_pairs)}
 
-    def reduce(batch):
-        return tomo_mod.histogram_counts(batch, edges)
-
+    binning = tomo_mod.histogram_binning(edges)
     if config.pipeline == "ideal-fock":
-        tables = _sweep(config, settings, 20_000, reduce, labels=[None])
+        tables = _sweep(config, settings, 20_000, binning, labels=[None])
         by_setting = {s: table for s, (table,) in tables.items()}
         hist = tomo_mod.histogram_from_tables(by_setting, phase_pairs, edges)
     else:
-        tables = _sweep(config, settings, 20_000, reduce)
+        tables = _sweep(config, settings, 20_000, binning)
         hist = tomo_mod.decoy_corrected_histogram(tables, config.intensity_set, phase_pairs, edges)
     povm = tomo_mod.build_povm_elements(phase_pairs, edges, config.cutoff)
     result = tomo_mod.mle_reconstruct(hist, povm, config.max_iterations, config.tolerance)

@@ -12,14 +12,16 @@ Three pipelines produce (x_a, x_b) pairs:
 All sampling is chunked (2^16 records per chunk) and drawn in place, with an
 independent RNG stream per (seed, chunk index), so output is reproducible and
 independent of worker scheduling. Vacuum chunks skip the phase draw.
-Reductions to count tables run per chunk too (`chunked_bincount`), placing
-each record on a grid by an exact lattice lookup (`grid_index`).
+Given a `Binning`, `sample_batch` counts each chunk as soon as it is drawn,
+placing records by an exact lattice lookup (`grid_index`), and keeps only
+the count table, so its memory does not grow with the batch.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -127,13 +129,12 @@ class SampleBatch:
 @dataclass(frozen=True, eq=False)
 class CountTable:
     """Exact int64 counts of one batch over a grid: coincidences per
-    threshold (`chsh.threshold_counts`) or records per 2-D bin
-    (`tomography.histogram_counts`).
+    threshold (`chsh.threshold_binning`) or records per 2-D bin
+    (`tomography.histogram_binning`).
 
     `grid` holds the sorted levels the counts were taken over, and `total`
     counts every record of the batch, counted in a cell or not. Analysis
-    reads only `counts / total`, so the raw samples can be dropped once the
-    table is built.
+    reads only `counts / total`, so the raw samples are never kept.
     """
 
     grid: np.ndarray
@@ -144,15 +145,25 @@ class CountTable:
         return self.total
 
 
-def chunked_bincount(batch: SampleBatch, key, size: int) -> np.ndarray:
-    """Sum over CHUNK_SIZE slices of `batch` of np.bincount(key(x_a, x_b)),
-    as `size` exact int64 counts. `key` maps a slice of each arm to an index
-    in [0, size) per record; slicing keeps the temporaries small."""
-    counts = np.zeros(size, dtype=np.int64)
-    for start in range(0, len(batch), CHUNK_SIZE):
-        stop = start + CHUNK_SIZE
-        counts += np.bincount(key(batch.x_a[start:stop], batch.x_b[start:stop]), minlength=size)
-    return counts
+@dataclass(frozen=True, eq=False)
+class Binning:
+    """How `sample_batch` reduces each chunk to counts over `grid`:
+    `key(x_a, x_b)` maps a chunk of each arm to one cell in [0, size) per
+    record, and `finish` turns the int64 cell counts of the whole batch
+    into the table's counts.
+    """
+
+    grid: np.ndarray
+    size: int
+    key: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    finish: Callable[[np.ndarray], np.ndarray]
+
+    def count(self, x_a: np.ndarray, x_b: np.ndarray) -> np.ndarray:
+        """Cell counts of the records (x_a[i], x_b[i])."""
+        return np.bincount(self.key(x_a, x_b), minlength=self.size)
+
+    def table(self, cells: np.ndarray, total: int) -> CountTable:
+        return CountTable(self.grid, self.finish(cells), total)
 
 
 def grid_index(levels, side: str = "left"):
@@ -336,38 +347,51 @@ def sample_batch(
     intensity_label: int = 0,
     fock_n: int = 1,
     workers: int = 1,
-) -> SampleBatch:
+    binning: Binning | None = None,
+) -> SampleBatch | CountTable:
     """Deterministic batch of joint samples; state phase is uniform i.i.d.
 
     Chunks of 2^16 records each own an RNG stream derived from (seed, chunk
-    index) and are merged in chunk order, so the batch is bit-identical for
-    any worker count.
+    index). Up to `workers` threads, no more than there are chunks or usable
+    CPUs, draw every n-th chunk each. Without a `binning` the chunks fill one
+    stored batch; with one, each thread draws into one reused chunk-sized
+    pair and counts it at once, and the batch's table is the exact sum of
+    the threads' counts. Either way the result is bit-identical for any
+    worker count.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
-    if mu < 0:
-        raise ValueError("intensity must be non-negative")
+    if not (mu >= 0 and np.isfinite(mu)):
+        raise ValueError("intensity must be non-negative and finite")
     if pipeline not in PIPELINES:
         raise ValueError(f"unknown pipeline {pipeline!r}")
-    x_a = np.empty(count)
-    x_b = np.empty(count)
-    spans = [
-        (i, start, min(start + CHUNK_SIZE, count))
-        for i, start in enumerate(range(0, count, CHUNK_SIZE))
-    ]
+    n_chunks = -(-count // CHUNK_SIZE)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    n_workers = max(1, min(workers, n_chunks, cpus or 1))
+    if binning is None:
+        x_a, x_b = np.empty(count), np.empty(count)
 
-    def fill(span):
-        i, start, stop = span
-        _chunk_samples(
-            x_a[start:stop], x_b[start:stop], mu, settings, noise, pipeline, fock_n, seed, i
-        )
+    def run(first: int) -> np.ndarray | None:
+        """Draw chunks first, first + n_workers, ...; under a binning, each
+        into one reused scratch pair, counted as soon as it is drawn."""
+        if binning is not None:
+            cells = np.zeros(binning.size, dtype=np.int64)
+            pair = np.empty((2, CHUNK_SIZE))
+        for i in range(first, n_chunks, n_workers):
+            span = slice(i * CHUNK_SIZE, min((i + 1) * CHUNK_SIZE, count))
+            arms = (x_a[span], x_b[span]) if binning is None else pair[:, : span.stop - span.start]
+            _chunk_samples(*arms, mu, settings, noise, pipeline, fock_n, seed, i)
+            if binning is not None:
+                cells += binning.count(*arms)
+        return None if binning is None else cells
 
-    if workers > 1 and len(spans) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fill, spans))
+    if n_workers > 1:
+        with ThreadPoolExecutor(max_workers=n_workers) as pool:
+            partials = list(pool.map(run, range(n_workers)))
     else:
-        for span in spans:
-            fill(span)
+        partials = [run(0)]
+    if binning is not None:
+        return binning.table(sum(partials), count)
     return SampleBatch(
         x_a=x_a,
         x_b=x_b,

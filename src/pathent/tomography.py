@@ -1,8 +1,8 @@
 """Decoy-corrected joint-quadrature histograms and iterative
 maximum-likelihood reconstruction of the two-mode density matrix.
 
-Analysis takes count tables only: each batch is reduced to integer counts
-over the 2-D bin grid as soon as it is sampled (`histogram_counts`), and the
+Analysis takes count tables only: the sampler counts each batch over the
+2-D bin grid, chunk by chunk as it is drawn (`histogram_binning`), and the
 densities, the decoy correction and the uncorrected histogram read those
 tables. The decoy correction takes one table per intensity label (0 =
 vacuum, then the decoy levels) for each setting.
@@ -26,7 +26,7 @@ import numpy as np
 
 from .decoy import DecoyIntensitySet, estimate_single_photon_statistic
 from .fock import hermite_functions
-from .homodyne import CountTable, SampleBatch, chunked_bincount, grid_index
+from .homodyne import Binning, CountTable, grid_index
 from .states import TwoModeFockState
 
 @dataclass
@@ -141,8 +141,8 @@ def build_povm_elements(phase_pairs, edges, cutoff: int) -> PovmSet:
     return PovmSet(phase_pairs, edges, cutoff)
 
 
-def histogram_counts(batch: SampleBatch, edges) -> CountTable:
-    """Count `batch` over the grid `edges` x `edges` in one pass: the
+def histogram_binning(edges) -> Binning:
+    """Binning of a batch over the grid `edges` x `edges` in one pass: its
     table's `counts[i, j]` is the number of records with x_a in bin i and
     x_b in bin j, and its grid is `edges`.
 
@@ -167,9 +167,12 @@ def histogram_counts(batch: SampleBatch, edges) -> CountTable:
         k -= x == edges[-1]
         return k
 
-    flat = chunked_bincount(batch, lambda x_a, x_b: index(x_a) * side + index(x_b), side * side)
-    counts = flat.reshape(side, side)[1:-1, 1:-1].copy()
-    return CountTable(edges, counts, len(batch))
+    return Binning(
+        edges,
+        side * side,
+        lambda x_a, x_b: index(x_a) * side + index(x_b),
+        lambda cells: cells.reshape(side, side)[1:-1, 1:-1].copy(),
+    )
 
 
 def histogram_density(table: CountTable, edges: np.ndarray) -> np.ndarray:

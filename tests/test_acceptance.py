@@ -16,7 +16,7 @@ from pathent.chsh import (
     chsh_from_correlations,
     decoy_correlation,
     ideal_single_photon_chsh,
-    threshold_counts,
+    threshold_binning,
 )
 from pathent.cli import EXIT_OK, main
 from pathent.config import ExperimentConfig
@@ -37,7 +37,7 @@ from pathent.states import (
 from pathent.tomography import (
     build_povm_elements,
     fidelity,
-    histogram_counts,
+    histogram_binning,
     histogram_from_tables,
     mle_reconstruct,
     multiphoton_mass,
@@ -114,9 +114,8 @@ def test_criterion_3_decoy_containment():
 
 def test_criterion_4_chsh_monte_carlo_vs_oracle():
     thresholds = (0.0, 0.5, 0.82, 1.0)
-    tables = []
-    for idx, (la, lb) in enumerate(CHSH_COMBOS):
-        batch = sample_batch(
+    tables = [
+        sample_batch(
             0.0,
             MeasurementSettings.chsh(la, lb),
             1_000_000,
@@ -124,8 +123,10 @@ def test_criterion_4_chsh_monte_carlo_vs_oracle():
             seed=9000 + idx,
             fock_n=1,
             workers=4,
+            binning=threshold_binning(thresholds),
         )
-        tables.append(threshold_counts(batch, thresholds))
+        for idx, (la, lb) in enumerate(CHSH_COMBOS)
+    ]
     worst_sigma = 0.0
     for T in thresholds:
         s_est, var = 0.0, 0.0
@@ -156,8 +157,10 @@ def test_criterion_5_decoy_chsh_violation():
         settings = MeasurementSettings.chsh(*combo)
         by_intensity = []
         for mu in (0.0,) + iset.intensities:
-            batch = sample_batch(mu, settings, 1_000_000, seed=1000 + idx, workers=4)
-            by_intensity.append(threshold_counts(batch, [0.82]))
+            binning = threshold_binning([0.82])
+            by_intensity.append(
+                sample_batch(mu, settings, 1_000_000, seed=1000 + idx, workers=4, binning=binning)
+            )
             idx += 1
         bounds.append(decoy_correlation(by_intensity, iset, 0.82))
     res = chsh_from_correlations(*bounds, threshold=0.82)
@@ -205,17 +208,15 @@ def test_criterion_7_tomography_self_consistency():
     dthetas = -np.pi + (np.pi / 4.0) * np.arange(8)
     phase_pairs = [(dt / 2.0, -dt / 2.0) for dt in dthetas]
     tables = {
-        s: histogram_counts(
-            sample_batch(
-                0.0,
-                MeasurementSettings(*pair),
-                100_000,
-                pipeline="ideal-fock",
-                seed=77 + s,
-                fock_n=1,
-                workers=4,
-            ),
-            edges,
+        s: sample_batch(
+            0.0,
+            MeasurementSettings(*pair),
+            100_000,
+            pipeline="ideal-fock",
+            seed=77 + s,
+            fock_n=1,
+            workers=4,
+            binning=histogram_binning(edges),
         )
         for s, pair in enumerate(phase_pairs)
     }

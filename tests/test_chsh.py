@@ -12,7 +12,7 @@ from pathent.chsh import (
     ideal_single_photon_chsh,
     ideal_single_photon_correlation,
     scan_threshold,
-    threshold_counts,
+    threshold_binning,
 )
 from pathent.decoy import DecoyIntensitySet, bound_interval, estimate_single_photon_statistic
 from pathent.config import ExperimentConfig
@@ -22,6 +22,13 @@ from scipy.special import erf
 
 class EmptySurvivorError(RuntimeError):
     """All records fell inside the discard window."""
+
+
+def threshold_counts(batch, t_grid):
+    """Count table of a stored batch under `threshold_binning(t_grid)`, in
+    one pass over the whole batch (the sampler sums it chunk by chunk)."""
+    binning = threshold_binning(t_grid)
+    return binning.table(binning.count(batch.x_a, batch.x_b), len(batch))
 
 
 def counts_at(table, T):

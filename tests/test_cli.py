@@ -2,11 +2,12 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from pathent.cli import EXIT_BREACH, EXIT_CONFIG, EXIT_OK, main
+from pathent.cli import EXIT_BREACH, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 from pathent.config import (
     _SECTION_FIELDS,
     MAX_BINS,
@@ -525,3 +526,30 @@ class TestTomographyCommand:
         assert float(fields["multiphoton_mass"]) >= 0.0
         assert fields["converged"] == "True"
         assert os.path.getsize(out / "density_matrix.txt") > 0
+
+
+class TestMemory:
+    """The sampler counts each chunk as soon as it is drawn, so no analysis
+    run holds a batch: at --scale 30 one stored vacuum batch alone takes
+    2 arms x 8 B x 50e6 / 30 = 27 MB."""
+
+    # Default batch sizes; fewer settings and MLE steps keep the run short.
+    SHORT_TOMOGRAPHY = "[phases]\nn_phases = 2\n\n[tomography]\ncutoff = 2\nmax_iterations = 5\n"
+
+    @pytest.mark.parametrize(
+        "command, config_text, code",
+        [("chsh-scan", None, EXIT_OK), ("tomography", SHORT_TOMOGRAPHY, EXIT_NUMERICAL)],
+        ids=["chsh-scan", "tomography"],
+    )
+    def test_peak_far_below_one_batch(self, tmp_path, command, config_text, code):
+        argv = [command, "--scale", "30", "--workers", "2", "--out", str(tmp_path / "o")]
+        if config_text is not None:
+            argv += ["--config", write_config(tmp_path, config_text)]
+        tracemalloc.start()
+        try:
+            rc = main(argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rc == code
+        assert peak < 10e6, f"traced peak {peak / 1e6:.1f} MB"

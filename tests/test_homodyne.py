@@ -1,5 +1,7 @@
+import itertools
 import json
 import os
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -7,6 +9,8 @@ from scipy import integrate
 from scipy.stats import kstest, ks_2samp, norm
 
 import pathent.homodyne as hm
+from pathent.chsh import threshold_binning
+from pathent.config import ExperimentConfig
 from pathent.homodyne import (
     CHUNK_SIZE,
     MeasurementSettings,
@@ -16,6 +20,7 @@ from pathent.homodyne import (
     sample_fock_pair,
 )
 from pathent.states import IDEAL_NOISE, NoiseModel
+from pathent.tomography import histogram_binning
 
 
 def reference_chunk(mu, settings, noise, pipeline, seed, chunk, size):
@@ -35,6 +40,18 @@ def reference_chunk(mu, settings, noise, pipeline, seed, chunk, size):
             raw = np.sqrt(noise.eta_ele) * raw
         arms.append(raw)
     return arms
+
+
+def stored_table(batch, binning):
+    """Count table of a stored batch under `binning`, in one pass over the
+    whole batch (the sampler sums it chunk by chunk)."""
+    return binning.table(binning.count(batch.x_a, batch.x_b), len(batch))
+
+
+def assert_same_table(got, expect):
+    assert np.array_equal(got.grid, expect.grid)
+    assert np.array_equal(got.counts, expect.counts)
+    assert got.total == expect.total
 
 
 def pdf_integral(n, dtheta):
@@ -189,6 +206,72 @@ class TestDeterminism:
         b1 = sample_batch(0.5, settings, 1000, seed=1)
         b2 = sample_batch(0.5, settings, 1000, seed=2)
         assert not np.array_equal(b1.x_a, b2.x_a)
+
+
+class TestBinnedSampling:
+    BINNINGS = {
+        "threshold": threshold_binning(ExperimentConfig().t_grid()),
+        "histogram": histogram_binning(ExperimentConfig().bin_edges()),
+    }
+
+    # ideal-fock samples |1> and reads neither mu nor v_e.
+    @pytest.mark.parametrize(
+        "pipeline, mu, v_e",
+        [
+            *itertools.product(("equivalent", "physical"), (0.0, 0.984), (0.0, 2.0 / 3.0)),
+            ("ideal-fock", 0.0, 0.0),
+        ],
+    )
+    @pytest.mark.parametrize("count", [1, CHUNK_SIZE, CHUNK_SIZE + 1, 3 * CHUNK_SIZE + 5])
+    def test_binned_equals_stored(self, pipeline, mu, v_e, count):
+        kwargs = dict(
+            mu=mu,
+            settings=MeasurementSettings.chsh(0, 1),
+            count=count,
+            noise=NoiseModel(0.617, v_e),
+            pipeline=pipeline,
+            seed=31,
+        )
+        stored = sample_batch(**kwargs)
+        for binning in self.BINNINGS.values():
+            expect = stored_table(stored, binning)
+            for workers in (1, 2, 3):
+                assert_same_table(sample_batch(**kwargs, workers=workers, binning=binning), expect)
+
+    @pytest.mark.parametrize("binning", [None, "threshold"])
+    @pytest.mark.parametrize("chunks, threads", [(2, 2), (6, 3)])
+    def test_threads_capped_by_chunks_and_cpus(self, monkeypatch, binning, chunks, threads):
+        started = []
+
+        class Recording(ThreadPoolExecutor):
+            def __init__(self, max_workers=None, **kwargs):
+                started.append(max_workers)
+                assert max_workers <= 3, "thread cap ignored"
+                super().__init__(max_workers, **kwargs)
+
+        monkeypatch.setattr(hm, "ThreadPoolExecutor", Recording)
+        monkeypatch.setattr(hm.os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        kwargs = dict(
+            mu=0.5,
+            settings=MeasurementSettings(0.1, 0.2),
+            count=(chunks - 1) * CHUNK_SIZE + 7,
+            seed=3,
+            binning=self.BINNINGS.get(binning),
+        )
+        one = sample_batch(workers=1, **kwargs)
+        assert started == []
+        many = sample_batch(workers=64, **kwargs)
+        assert started == [threads]
+        if binning is None:
+            assert np.array_equal(one.x_a, many.x_a) and np.array_equal(one.x_b, many.x_b)
+        else:
+            assert_same_table(many, one)
+
+    @pytest.mark.parametrize("mu", [np.nan, np.inf, -1.0])
+    @pytest.mark.parametrize("binning", [None, "threshold"])
+    def test_rejects_bad_intensity(self, mu, binning):
+        with pytest.raises(ValueError, match="intensity must be non-negative and finite"):
+            sample_batch(mu, MeasurementSettings(0.0, 0.0), 10, binning=self.BINNINGS.get(binning))
 
 
 class TestJointPdf:

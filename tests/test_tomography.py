@@ -10,13 +10,20 @@ from pathent.tomography import (
     build_povm_elements,
     decoy_corrected_histogram,
     fidelity,
-    histogram_counts,
+    histogram_binning,
     histogram_density,
     histogram_from_tables,
     mle_reconstruct,
     multiphoton_mass,
     save_density_matrix,
 )
+
+def histogram_counts(batch, edges):
+    """Count table of a stored batch under `histogram_binning(edges)`, in
+    one pass over the whole batch (the sampler sums it chunk by chunk)."""
+    binning = histogram_binning(edges)
+    return binning.table(binning.count(batch.x_a, batch.x_b), len(batch))
+
 
 PHASE_PAIRS_4 = [
     (dt / 2.0, -dt / 2.0) for dt in (-np.pi, -np.pi / 2, 0.0, np.pi / 2)
