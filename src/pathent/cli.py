@@ -74,16 +74,15 @@ def _sweep(
     settings: dict,
     first_index: int,
     binning=None,
-    labels=None,
     reduce=lambda result: result,
 ) -> dict:
     """Per key of `settings`, `reduce` of one batch per intensity label, in
     label order: of its count table under `binning` or, with none, of the
     stored batch. Batches are sampled key by key and label by label, the
     i-th with batch index first_index + i, and each is reduced before the
-    next is sampled. `labels` defaults to the vacuum and every decoy level."""
-    if labels is None:
-        labels = range(len(config.intensities) + 1)
+    next is sampled. The labels are the vacuum and every decoy level, or
+    for the ideal-fock pipeline the one noiseless |1> source (label None)."""
+    labels = [None] if config.pipeline == "ideal-fock" else range(len(config.intensities) + 1)
     index = itertools.count(first_index)
     return {
         key: [
@@ -140,9 +139,7 @@ def cmd_simulate(config: ExperimentConfig, out_dir: str) -> tuple[int, list]:
         batch.save(os.path.join(out_dir, name))
         return [name, name.replace(".csv", ".meta.json")]
 
-    # ideal-fock has no intensity labels: one noiseless |1> batch per setting.
-    labels = [None] if config.pipeline == "ideal-fock" else None
-    saved = _sweep(config, CHSH_SETTINGS, 0, labels=labels, reduce=save)
+    saved = _sweep(config, CHSH_SETTINGS, 0, reduce=save)
     return EXIT_OK, [name for by_label in saved.values() for names in by_label for name in names]
 
 
@@ -192,21 +189,20 @@ def cmd_tomography(config: ExperimentConfig, out_dir: str) -> tuple[int, list]:
     phase_pairs = [(float(dt) / 2.0, -float(dt) / 2.0) for dt in config.dtheta_grid()]
     settings = {s: MeasurementSettings(*pair) for s, pair in enumerate(phase_pairs)}
 
-    binning = tomo_mod.histogram_binning(edges)
+    tables = _sweep(config, settings, 20_000, tomo_mod.histogram_binning(edges))
     if config.pipeline == "ideal-fock":
-        tables = _sweep(config, settings, 20_000, binning, labels=[None])
         by_setting = {s: table for s, (table,) in tables.items()}
-        hist = tomo_mod.histogram_from_tables(by_setting, phase_pairs, edges)
+        hist = tomo_mod.histogram_from_tables(by_setting, edges)
     else:
-        tables = _sweep(config, settings, 20_000, binning)
-        hist = tomo_mod.decoy_corrected_histogram(tables, config.intensity_set, phase_pairs, edges)
+        hist = tomo_mod.decoy_corrected_histogram(tables, config.intensity_set, edges)
     povm = tomo_mod.build_povm_elements(phase_pairs, edges, config.cutoff)
     result = tomo_mod.mle_reconstruct(hist, povm, config.max_iterations, config.tolerance)
     target = bell_state(config.cutoff)
     fid = tomo_mod.fidelity(result.rho, target)
     mass = tomo_mod.multiphoton_mass(result.rho)
 
-    tomo_mod.save_density_matrix(result.rho, os.path.join(out_dir, "density_matrix.txt"))
+    # Dimension header, then each row as its re,im pairs.
+    _write_csv(out_dir, "density_matrix.txt", str(result.rho.shape[0]), result.rho.view(float))
     with open(os.path.join(out_dir, "tomography_summary.txt"), "w") as fh:
         fh.write(f"fidelity = {fid:.17g}\n")
         fh.write(f"multiphoton_mass = {mass:.17g}\n")
@@ -296,10 +292,13 @@ def main(argv=None) -> int:
             raise ConfigError(f"{args.command} needs decoy data; pipeline ideal-fock has none")
         if args.command == "fair-sampling-check" and args.cutoff < 1:
             raise ConfigError(f"--cutoff must be at least 1, got {args.cutoff}")
+        try:
+            os.makedirs(args.out, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create --out {args.out!r}: {exc.strerror}") from exc
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    os.makedirs(args.out, exist_ok=True)
     try:
         if args.command == "fair-sampling-check":
             code, files = cmd_fair_sampling_check(config, args.out, cutoff=args.cutoff)

@@ -141,15 +141,18 @@ _PARSERS = {
 
 def load_config(path: str) -> ExperimentConfig:
     parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
-        raise ConfigError(f"cannot read config file {path}")
+    try:
+        if not parser.read(path):
+            raise ConfigError(f"cannot read config file {path}")
+        items = {section: parser.items(section) for section in parser.sections()}
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ConfigError(f"malformed config file {path}: {exc}") from exc
     defaults = ExperimentConfig.__dataclass_fields__
     kwargs = {}
-    for section in parser.sections():
+    for section, pairs in items.items():
         if section not in _SECTION_FIELDS:
             raise ConfigError(f"unknown config section [{section}]")
-        for key, raw in parser.items(section):
+        for key, raw in pairs:
             if key not in _SECTION_FIELDS[section]:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
             try:

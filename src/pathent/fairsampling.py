@@ -47,14 +47,6 @@ class FlaggedState:
     sigma_pass: np.ndarray
     sigma_discard: np.ndarray
 
-    @property
-    def pass_mass(self) -> float:
-        return float(np.trace(self.sigma_pass).real)
-
-    @property
-    def discard_mass(self) -> float:
-        return float(np.trace(self.sigma_discard).real)
-
 
 @lru_cache(maxsize=512)
 def _sqrt_pair(T: float, cutoff: int, theta: float):

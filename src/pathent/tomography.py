@@ -3,9 +3,11 @@ maximum-likelihood reconstruction of the two-mode density matrix.
 
 Analysis takes count tables only: the sampler counts each batch over the
 2-D bin grid, chunk by chunk as it is drawn (`histogram_binning`), and the
-densities, the decoy correction and the uncorrected histogram read those
-tables. The decoy correction takes one table per intensity label (0 =
-vacuum, then the decoy levels) for each setting.
+decoy correction and the uncorrected histogram read those tables. The decoy
+correction takes one table per intensity label (0 = vacuum, then the decoy
+levels) for each setting. Both hand the MLE each setting's bin
+probabilities, summing to 1; only `histogram_density` divides by the bin
+area.
 
 POVM elements factorize per mode: the element for 2-D bin (B_a, B_b) at LO
 phases (phi_a, phi_b) is E(B_a, phi_a) (x) E(B_b, phi_b) with single-mode
@@ -20,7 +22,7 @@ stacked over all settings.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,32 +33,16 @@ from .states import TwoModeFockState
 
 @dataclass
 class BinnedHistogram:
-    """Per-setting 2-D densities over (x_a, x_b).
+    """Per-setting 2-D bin probabilities over (x_a, x_b).
 
-    `densities[s, i, j]` is the (possibly decoy-corrected) probability
-    density in bin (i, j) for setting s; each setting integrates to 1 after
-    renormalization. `clamp_fraction` reports the negative mass removed per
-    setting by the clamp, as a diagnostic.
+    `probabilities[s, i, j]` is the (possibly decoy-corrected) probability
+    of bin (i, j) at setting s; each setting sums to 1. `clamp_fraction[s]`
+    is the negative mass the clamp removed from setting s, relative to what
+    remains, as a diagnostic.
     """
 
-    phase_pairs: list
-    edges: np.ndarray
-    densities: np.ndarray
-    clamp_fraction: np.ndarray = field(default=None)
-
-    def __post_init__(self):
-        nb = len(self.edges) - 1
-        if self.densities.shape[1:] != (nb, nb):
-            raise ValueError("density grid does not match bin edges")
-        if np.any(self.densities < 0):
-            raise ValueError("densities must be non-negative")
-        if self.clamp_fraction is None:
-            self.clamp_fraction = np.zeros(self.densities.shape[0])
-
-    @property
-    def bin_area(self) -> float:
-        w = np.diff(self.edges)
-        return float(w[0] * w[0])
+    probabilities: np.ndarray
+    clamp_fraction: np.ndarray
 
 
 @dataclass
@@ -186,57 +172,46 @@ def histogram_density(table: CountTable, edges: np.ndarray) -> np.ndarray:
     return table.counts / (table.total * area)
 
 
-def _normalized(estimates: list, phase_pairs, edges, clamp: bool) -> BinnedHistogram:
-    """Scale each setting's density estimate to unit mass, after clamping its
-    negative entries to zero when `clamp` is set (the removed mass, relative
-    to what remains, is the setting's clamp fraction)."""
-    edges = np.asarray(edges, dtype=float)
-    w = np.diff(edges)
-    area = float(w[0] * w[0])
-    densities = np.empty((len(estimates), len(edges) - 1, len(edges) - 1))
-    clamp_fraction = np.zeros(len(estimates))
+def _normalized(estimates: list) -> BinnedHistogram:
+    """Clip each setting's estimate at zero and scale it to unit sum, so the
+    bin area cancels. The clipped mass, relative to what remains, is the
+    setting's clamp fraction."""
+    probabilities, clamp_fraction = [], []
     for s, est in enumerate(estimates):
-        kept = np.clip(est, 0.0, None) if clamp else est
-        mass = kept.sum() * area
+        kept = np.clip(est, 0.0, None)
+        mass = kept.sum()
         if not mass > 0:
             raise ArithmeticError(f"no positive mass inside the bin grid at setting {s}")
-        if clamp:
-            clamp_fraction[s] = (-np.clip(est, None, 0.0)).sum() * area / mass
-        densities[s] = kept / mass
-    return BinnedHistogram(
-        phase_pairs=list(phase_pairs),
-        edges=edges,
-        densities=densities,
-        clamp_fraction=clamp_fraction,
-    )
+        probabilities.append(kept / mass)
+        clamp_fraction.append((kept - est).sum() / mass)
+    # np.stack raises ValueError when there is no setting at all.
+    return BinnedHistogram(np.stack(probabilities), np.array(clamp_fraction))
 
 
 def decoy_corrected_histogram(
     tables: dict,
     intensity_set: DecoyIntensitySet,
-    phase_pairs,
     edges: np.ndarray,
 ) -> BinnedHistogram:
-    """Per-bin decoy estimate of the single-photon density.
+    """Per-bin decoy estimate of the single-photon probabilities.
 
-    `tables` maps each setting index to its count tables over `edges`,
-    indexed by intensity label (0 = vacuum). Negative corrected densities
-    are clamped to zero and each setting renormalized to unit mass.
+    `tables` maps each setting index 0..S-1 to its count tables over
+    `edges`, indexed by intensity label (0 = vacuum). Negative corrected
+    estimates are clamped to zero and each setting renormalized to sum 1.
     """
     estimates = []
-    for s in range(len(phase_pairs)):
+    for s in range(len(tables)):
         if len(tables.get(s, ())) != intensity_set.num_levels + 1:
             raise ValueError(f"need one table per intensity label for setting {s}")
         gains = [histogram_density(table, edges) for table in tables[s]]
         estimates.append(estimate_single_photon_statistic(gains, intensity_set))
-    return _normalized(estimates, phase_pairs, edges, clamp=True)
+    return _normalized(estimates)
 
 
-def histogram_from_tables(tables_by_setting: dict, phase_pairs, edges) -> BinnedHistogram:
+def histogram_from_tables(tables: dict, edges) -> BinnedHistogram:
     """Uncorrected (single-intensity) histogram, e.g. for ideal Fock data,
-    from one count table per setting index."""
-    densities = [histogram_density(tables_by_setting[s], edges) for s in range(len(phase_pairs))]
-    return _normalized(densities, phase_pairs, edges, clamp=False)
+    from one count table per setting index 0..S-1."""
+    return _normalized([histogram_density(tables[s], edges) for s in range(len(tables))])
 
 
 def mle_reconstruct(
@@ -250,12 +225,10 @@ def mle_reconstruct(
     sum over settings and bins of f log p with frequencies f normalized to
     total mass 1 across settings.
     """
-    if list(map(tuple, hist.phase_pairs)) != list(povm.phase_pairs):
-        raise ValueError("histogram and POVM settings differ")
-    if hist.densities.shape[1] != povm.n_bins:
-        raise ValueError("histogram and POVM bins differ")
+    if hist.probabilities.shape != (povm.n_settings, povm.n_bins, povm.n_bins):
+        raise ValueError("histogram and POVM settings or bins differ")
     d2 = (povm.cutoff + 1) ** 2
-    freqs = hist.densities * hist.bin_area / povm.n_settings  # sums to ~1 overall
+    freqs = hist.probabilities / povm.n_settings  # sums to 1 overall
     observed = freqs > 0
     f_observed = freqs[observed]
 
@@ -293,11 +266,3 @@ def multiphoton_mass(rho: np.ndarray) -> float:
     diag = np.real(np.diag(rho)).reshape(d, d)
     j, k = np.meshgrid(np.arange(d), np.arange(d), indexing="ij")
     return float(np.sum(diag[j + k > 2]))
-
-
-def save_density_matrix(rho: np.ndarray, path: str) -> None:
-    """Text format: dimension header, then rows of re,im pairs."""
-    with open(path, "w") as fh:
-        fh.write(f"{rho.shape[0]}\n")
-        for row in rho:
-            fh.write(",".join(f"{v.real:.17g},{v.imag:.17g}" for v in row) + "\n")

@@ -220,7 +220,7 @@ def test_criterion_7_tomography_self_consistency():
         )
         for s, pair in enumerate(phase_pairs)
     }
-    hist = histogram_from_tables(tables, phase_pairs, edges)
+    hist = histogram_from_tables(tables, edges)
     povm = build_povm_elements(phase_pairs, edges, cfg.cutoff)
     result = mle_reconstruct(hist, povm, cfg.max_iterations, cfg.tolerance)
     fid = fidelity(result.rho, bell_state(cfg.cutoff))

@@ -278,6 +278,47 @@ class TestExitCodes:
         assert err.startswith("config error:") and "ideal-fock" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            b"seed = 1\n[sampling]\n",
+            b"[sampling]\nseed = 1\nseed = 2\n",
+            b"[sampling]\nseed\n",
+            b"[sampling]\nseed = 5%\n",
+            b"[sampling]\nseed = \xff\n",
+        ],
+        ids=["key_before_section", "duplicate_key", "no_equals", "bad_interpolation", "not_utf8"],
+    )
+    def test_malformed_ini_exits_before_sampling(self, tmp_path, monkeypatch, capsys, text):
+        import pathent.cli as cli_mod
+
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before the config was validated")
+
+        monkeypatch.setattr(cli_mod, "sample_batch", no_sampling)
+        bad = tmp_path / "run.ini"
+        bad.write_bytes(text)
+        out = tmp_path / "o"
+        rc = main(["chsh-scan", "--config", str(bad), "--out", str(out)])
+        assert rc == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: malformed config file")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("out", ["results", "results/sub"], ids=["file", "under_file"])
+    def test_uncreatable_out_exits_before_sampling(self, tmp_path, monkeypatch, capsys, out):
+        import pathent.cli as cli_mod
+
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before --out was created")
+
+        monkeypatch.setattr(cli_mod, "sample_batch", no_sampling)
+        blocker = tmp_path / "results"
+        blocker.write_text("not a directory\n")
+        rc = main(["chsh-scan", "--out", str(tmp_path / out)])
+        assert rc == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: cannot create --out")
+        assert blocker.read_text() == "not a directory\n"
+
     def test_fair_sampling_pass(self, tmp_path):
         out = tmp_path / "fs"
         rc = main(["fair-sampling-check", "--out", str(out), "--seed", "5"])

@@ -18,6 +18,14 @@ from pathent.fairsampling import (
 THETAS = np.linspace(0.0, 2 * np.pi, 8, endpoint=False)
 
 
+def pass_mass(state: FlaggedState) -> float:
+    return float(np.trace(state.sigma_pass).real)
+
+
+def discard_mass(state: FlaggedState) -> float:
+    return float(np.trace(state.sigma_discard).real)
+
+
 class TestRegister:
     def test_projector(self):
         reg = SettingsRegister((0.0, 1.0, 2.0))
@@ -38,20 +46,20 @@ class TestQuantumFilter:
         rho = np.diag([0.4, 0.6]).astype(complex)
         out = quantum_filter(rho, 0.0, 1)
         assert np.allclose(out.sigma_pass, rho)
-        assert out.discard_mass == pytest.approx(0.0, abs=1e-14)
+        assert discard_mass(out) == pytest.approx(0.0, abs=1e-14)
 
     def test_vacuum_discard_mass(self):
         rho = np.zeros((2, 2), dtype=complex)
         rho[0, 0] = 1.0
         out = quantum_filter(rho, 1.0, 1)
-        assert out.discard_mass == pytest.approx(float(erf(1.0)), abs=1e-10)
+        assert discard_mass(out) == pytest.approx(float(erf(1.0)), abs=1e-10)
 
     def test_trace_preserved(self):
         rng = np.random.default_rng(4)
         for _ in range(10):
             rho = random_qubit_subspace_state(rng, 1)
             out = quantum_filter(rho, 0.82, 1)
-            assert out.pass_mass + out.discard_mass == pytest.approx(1.0, abs=1e-10)
+            assert pass_mass(out) + discard_mass(out) == pytest.approx(1.0, abs=1e-10)
 
     def test_blocks_psd(self):
         rng = np.random.default_rng(5)
@@ -66,8 +74,8 @@ class TestClassicalFilter:
         reg = SettingsRegister(tuple(THETAS))
         for a in range(len(reg)):
             out = classical_filter(a, reg)
-            assert out.pass_mass == pytest.approx(1.0)
-            assert out.discard_mass == 0.0
+            assert pass_mass(out) == pytest.approx(1.0)
+            assert discard_mass(out) == 0.0
 
 
 class TestFullFilter:
@@ -76,7 +84,7 @@ class TestFullFilter:
         reg = SettingsRegister(tuple(THETAS))
         rho = random_qubit_subspace_state(rng, 1)
         out = apply_filter(2, rho, 0.82, reg, 1)
-        assert out.pass_mass + out.discard_mass == pytest.approx(1.0, abs=1e-10)
+        assert pass_mass(out) + discard_mass(out) == pytest.approx(1.0, abs=1e-10)
 
     def test_supported_only_on_chosen_setting_block(self):
         rng = np.random.default_rng(7)
@@ -143,5 +151,5 @@ class TestFlaggedState:
             sigma_pass=np.diag([0.3, 0.2]).astype(complex),
             sigma_discard=np.diag([0.5, 0.0]).astype(complex),
         )
-        assert st.pass_mass == pytest.approx(0.5)
-        assert st.discard_mass == pytest.approx(0.5)
+        assert pass_mass(st) == pytest.approx(0.5)
+        assert discard_mass(st) == pytest.approx(0.5)

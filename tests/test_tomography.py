@@ -1,6 +1,9 @@
+import os
+
 import numpy as np
 import pytest
 
+from pathent.cli import _write_csv
 from pathent.config import ExperimentConfig
 from pathent.decoy import DecoyIntensitySet
 from pathent.homodyne import CHUNK_SIZE, MeasurementSettings, SampleBatch, sample_batch
@@ -15,7 +18,6 @@ from pathent.tomography import (
     histogram_from_tables,
     mle_reconstruct,
     multiphoton_mass,
-    save_density_matrix,
 )
 
 def histogram_counts(batch, edges):
@@ -28,6 +30,13 @@ def histogram_counts(batch, edges):
 PHASE_PAIRS_4 = [
     (dt / 2.0, -dt / 2.0) for dt in (-np.pi, -np.pi / 2, 0.0, np.pi / 2)
 ]
+
+
+def save_density_matrix(rho, path):
+    """Write `rho` as the tomography command does: the dimension, then each
+    row as its re,im pairs."""
+    directory, name = os.path.split(path)
+    _write_csv(directory, name, str(rho.shape[0]), rho.view(float))
 
 
 def load_density_matrix(path):
@@ -96,7 +105,7 @@ def reference_mle(hist, povm, max_iterations, tolerance):
     d2 = d * d
     n_set = povm.n_settings
     ops_a, ops_b = mode_a(povm), mode_b(povm)
-    freqs = hist.densities * hist.bin_area / n_set
+    freqs = hist.probabilities / n_set
     rho = np.eye(d2, dtype=complex) / d2
     ll_trace = []
     converged = False
@@ -269,15 +278,6 @@ class TestHistograms:
         # Nearly all vacuum mass lies inside +-5.
         assert dens.sum() * area == pytest.approx(1.0, abs=1e-3)
 
-    def test_negative_densities_rejected(self):
-        edges = np.linspace(-1.0, 1.0, 3)
-        with pytest.raises(ValueError):
-            BinnedHistogram(
-                phase_pairs=[(0.0, 0.0)],
-                edges=edges,
-                densities=-np.ones((1, 2, 2)),
-            )
-
     def test_corrected_histogram_approximates_single_photon(self):
         from pathent.homodyne import joint_pdf_fock
 
@@ -289,15 +289,16 @@ class TestHistograms:
         for j, mu in enumerate(iset.intensities, start=1):
             batch = sample_batch(mu, settings, 150_000, seed=130 + j)
             tables.append(histogram_counts(batch, edges))
-        hist = decoy_corrected_histogram({0: tables}, iset, [pair], edges)
+        hist = decoy_corrected_histogram({0: tables}, iset, edges)
         centers = 0.5 * (edges[:-1] + edges[1:])
         expect = joint_pdf_fock(1, centers[:, None], centers[None, :], np.pi / 4)
         area = np.diff(edges)[0] ** 2
         expect = expect / (expect.sum() * area)
+        density = hist.probabilities[0] / area
         # Statistical agreement only; the estimator weights amplify the
         # Monte Carlo noise considerably, so test the bulk shape.
-        assert np.mean(np.abs(hist.densities[0] - expect)) < 0.02
-        assert np.max(np.abs(hist.densities[0] - expect)) < 0.3
+        assert np.mean(np.abs(density - expect)) < 0.02
+        assert np.max(np.abs(density - expect)) < 0.3
         assert hist.clamp_fraction[0] < 0.5
 
     def test_corrected_histogram_degenerate_raises(self):
@@ -321,23 +322,23 @@ class TestHistograms:
         # Vacuum data in-range, decoy data entirely out of range: the
         # corrected density is negative everywhere and clamps to nothing.
         with pytest.raises(ArithmeticError):
-            decoy_corrected_histogram(
-                {0: [table(0.5), table(50.0)]}, iset, [(0.0, 0.0)], edges
-            )
+            decoy_corrected_histogram({0: [table(0.5), table(50.0)]}, iset, edges)
 
     def test_uncorrected_histogram_without_records_in_range_raises(self):
         edges = np.linspace(-1.0, 1.0, 3)
         tables = {0: histogram_counts(make_batch([0.5], [0.5]), edges)}
         tables[1] = histogram_counts(make_batch([3.0, np.nan], [0.5, 0.5]), edges)
         with pytest.raises(ArithmeticError):
-            histogram_from_tables(tables, [(0.0, 0.0), (0.5, 0.0)], edges)
+            histogram_from_tables(tables, edges)
 
     def test_missing_batch_rejected(self):
         iset = DecoyIntensitySet((0.1,))
-        with pytest.raises(ValueError):
-            decoy_corrected_histogram({}, iset, [(0.0, 0.0)], np.linspace(-1, 1, 3))
+        with pytest.raises(ValueError):  # no setting at all
+            decoy_corrected_histogram({}, iset, np.linspace(-1, 1, 3))
+        with pytest.raises(ValueError):  # setting 1, but no setting 0
+            decoy_corrected_histogram({1: []}, iset, np.linspace(-1, 1, 3))
         with pytest.raises(ValueError):  # the setting, but no label
-            decoy_corrected_histogram({0: []}, iset, [(0.0, 0.0)], np.linspace(-1, 1, 3))
+            decoy_corrected_histogram({0: []}, iset, np.linspace(-1, 1, 3))
 
 
 class TestMle:
@@ -346,8 +347,7 @@ class TestMle:
         edges = cfg.bin_edges()
         povm = build_povm_elements(PHASE_PAIRS_4, edges, 1)
         nb = len(edges) - 1
-        dens = np.full((4, nb, nb), 1.0 / (nb * nb * cfg.bin_width**2))
-        hist = BinnedHistogram(phase_pairs=PHASE_PAIRS_4, edges=edges, densities=dens)
+        hist = BinnedHistogram(np.full((4, nb, nb), 1.0 / (nb * nb)), np.zeros(4))
         result = mle_reconstruct(hist, povm, 0, cfg.tolerance)
         assert np.allclose(result.rho, np.eye(4) / 4.0)
         assert not result.converged
@@ -362,7 +362,7 @@ class TestMle:
             )
             for s, pair in enumerate(PHASE_PAIRS_4)
         }
-        hist = histogram_from_tables(tables, PHASE_PAIRS_4, edges)
+        hist = histogram_from_tables(tables, edges)
         povm = build_povm_elements(PHASE_PAIRS_4, edges, cfg.cutoff)
         result = mle_reconstruct(hist, povm, cfg.max_iterations, cfg.tolerance)
         assert np.diff(result.log_likelihood).min() >= -1e-10
@@ -385,7 +385,7 @@ class TestMle:
             )
             for s, pair in enumerate(PHASE_PAIRS_4)
         }
-        hist = histogram_from_tables(tables, PHASE_PAIRS_4, edges)
+        hist = histogram_from_tables(tables, edges)
         povm = build_povm_elements(PHASE_PAIRS_4, edges, cfg.cutoff)
         result = mle_reconstruct(hist, povm, cfg.max_iterations, cfg.tolerance)
         assert np.diff(result.log_likelihood).min() >= -1e-10
@@ -403,7 +403,7 @@ class TestMle:
             for j, mu in enumerate((0.0,) + iset.intensities):
                 batch = sample_batch(mu, settings, 60_000, seed=600 + 4 * s + j)
                 tables[s].append(histogram_counts(batch, edges))
-        return decoy_corrected_histogram(tables, iset, PHASE_PAIRS_4, edges)
+        return decoy_corrected_histogram(tables, iset, edges)
 
     def fock_histogram(self, edges):
         tables = {
@@ -420,7 +420,7 @@ class TestMle:
             )
             for s, pair in enumerate(PHASE_PAIRS_4)
         }
-        return histogram_from_tables(tables, PHASE_PAIRS_4, edges)
+        return histogram_from_tables(tables, edges)
 
     @pytest.mark.parametrize("source", ["decoy", "ideal-fock"])
     def test_same_as_reference_loop(self, source):
@@ -444,13 +444,10 @@ class TestMle:
         edges = cfg.bin_edges()
         povm = build_povm_elements([(0.0, 0.0)], edges, 1)
         nb = len(edges) - 1
-        hist = BinnedHistogram(
-            phase_pairs=[(0.3, 0.0)],
-            edges=edges,
-            densities=np.full((1, nb, nb), 0.01),
-        )
-        with pytest.raises(ValueError):
-            mle_reconstruct(hist, povm, cfg.max_iterations, cfg.tolerance)
+        for shape in ((2, nb, nb), (1, nb - 1, nb - 1)):  # a setting more; a bin fewer
+            hist = BinnedHistogram(np.full(shape, 1.0 / (shape[1] * shape[2])), np.zeros(shape[0]))
+            with pytest.raises(ValueError):
+                mle_reconstruct(hist, povm, cfg.max_iterations, cfg.tolerance)
 
 
 class TestFidelityAndMass:
@@ -487,3 +484,16 @@ class TestPersistence:
         path = str(tmp_path / "rho.txt")
         save_density_matrix(rho, path)
         assert np.array_equal(rho, load_density_matrix(path))
+
+    def test_bytes_match_pair_writer(self, tmp_path):
+        """The CSV writer gives each entry as its .17g re,im pair, signed
+        zeros and subnormals included."""
+        rho = np.array(
+            [[0.5 + 0.0j, complex(-0.0, 1e-310)], [complex(0.1, -0.0), 0.5 - 1e-17j]]
+        )
+        expect = "2\n" + "".join(
+            ",".join(f"{v.real:.17g},{v.imag:.17g}" for v in row) + "\n" for row in rho
+        )
+        path = tmp_path / "rho.txt"
+        save_density_matrix(rho, str(path))
+        assert path.read_text() == expect
