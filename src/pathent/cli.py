@@ -33,6 +33,10 @@ CHSH_SETTINGS = {combo: MeasurementSettings.chsh(*combo) for combo in chsh_mod.C
 # pipeline samples one single-photon state for every label, vacuum included.
 DECOY_COMMANDS = ("chsh-scan", "decoy-estimate", "correlation-scan")
 
+# fair-sampling-check at cutoff 100 takes ~4 s and ~50 MB; its cost grows
+# as the cube of the cutoff.
+MAX_FAIR_SAMPLING_CUTOFF = 100
+
 
 def _batch_seed(master_seed: int, index: int) -> int:
     """Seed of the batch with this index. Indices count from 0 over the CHSH
@@ -112,12 +116,16 @@ def _warn_if_clamped(config: ExperimentConfig) -> None:
         )
 
 
-def _write_csv(out_dir: str, name: str, header: str, rows) -> str:
-    """Write `rows` under `header`: numbers as .17g, strings as they are."""
+def _csv_line(row) -> str:
+    """`row` as one CSV line: numbers as .17g, strings as they are."""
+    return ",".join(v if isinstance(v, str) else f"{v:.17g}" for v in row)
+
+
+def _write_lines(out_dir: str, name: str, lines) -> str:
+    """Write each of `lines` and a newline: the one output writer."""
     with open(os.path.join(out_dir, name), "w") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(v if isinstance(v, str) else f"{v:.17g}" for v in row) + "\n")
+        for line in lines:
+            fh.write(line + "\n")
     return name
 
 
@@ -152,8 +160,8 @@ def cmd_correlation_scan(config: ExperimentConfig, out_dir: str) -> tuple[int, l
     rows = []
     for dtheta, tables in _tables_at_t_fixed(config, settings, 10_000).items():
         rows.append((dtheta, *chsh_mod.decoy_correlation(tables, iset, config.t_fixed)))
-    header = "dtheta,e_est,e_lower,e_upper"
-    return EXIT_OK, [_write_csv(out_dir, "correlation_scan.csv", header, rows)]
+    lines = ["dtheta,e_est,e_lower,e_upper", *map(_csv_line, rows)]
+    return EXIT_OK, [_write_lines(out_dir, "correlation_scan.csv", lines)]
 
 
 def cmd_chsh_scan(config: ExperimentConfig, out_dir: str) -> tuple[int, list]:
@@ -165,7 +173,8 @@ def cmd_chsh_scan(config: ExperimentConfig, out_dir: str) -> tuple[int, list]:
         else (r.threshold, "invalid", "invalid", "invalid")
         for r in chsh_mod.scan_threshold(tables, config.intensity_set, t_grid)
     ]
-    return EXIT_OK, [_write_csv(out_dir, "chsh_scan.csv", "T,s_est,s_lower,s_upper", rows)]
+    lines = ["T,s_est,s_lower,s_upper", *map(_csv_line, rows)]
+    return EXIT_OK, [_write_lines(out_dir, "chsh_scan.csv", lines)]
 
 
 def cmd_decoy_estimate(config: ExperimentConfig, out_dir: str) -> tuple[int, list]:
@@ -177,8 +186,8 @@ def cmd_decoy_estimate(config: ExperimentConfig, out_dir: str) -> tuple[int, lis
         bounds = chsh_mod.decoy_coincidence_bounds(tables, iset, config.t_fixed)
         for pair, bound in zip(chsh_mod.OUTCOME_PAIRS, zip(*bounds)):
             rows.append((*combo, *pair, *bound))
-    header = "setting_a,setting_b,outcome_a,outcome_b,estimate,lower,upper"
-    return EXIT_OK, [_write_csv(out_dir, "decoy_estimate.csv", header, rows)]
+    lines = ["setting_a,setting_b,outcome_a,outcome_b,estimate,lower,upper", *map(_csv_line, rows)]
+    return EXIT_OK, [_write_lines(out_dir, "decoy_estimate.csv", lines)]
 
 
 def cmd_tomography(config: ExperimentConfig, out_dir: str) -> tuple[int, list]:
@@ -202,18 +211,17 @@ def cmd_tomography(config: ExperimentConfig, out_dir: str) -> tuple[int, list]:
     mass = tomo_mod.multiphoton_mass(result.rho)
 
     # Dimension header, then each row as its re,im pairs.
-    _write_csv(out_dir, "density_matrix.txt", str(result.rho.shape[0]), result.rho.view(float))
-    with open(os.path.join(out_dir, "tomography_summary.txt"), "w") as fh:
-        fh.write(f"fidelity = {fid:.17g}\n")
-        fh.write(f"multiphoton_mass = {mass:.17g}\n")
-        fh.write(f"iterations = {result.iterations}\n")
-        fh.write(f"converged = {result.converged}\n")
-        fh.write(f"log_likelihood = {result.log_likelihood[-1]:.17g}\n")
-        fh.write(
-            "clamp_fraction = "
-            + ",".join(f"{v:.17g}" for v in hist.clamp_fraction)
-            + "\n"
-        )
+    rows = map(_csv_line, result.rho.view(float))
+    _write_lines(out_dir, "density_matrix.txt", [str(result.rho.shape[0]), *rows])
+    summary = [
+        f"fidelity = {fid:.17g}",
+        f"multiphoton_mass = {mass:.17g}",
+        f"iterations = {result.iterations}",
+        f"converged = {result.converged}",
+        f"log_likelihood = {result.log_likelihood[-1]:.17g}",
+        f"clamp_fraction = {_csv_line(hist.clamp_fraction)}",
+    ]
+    _write_lines(out_dir, "tomography_summary.txt", summary)
     files = ["density_matrix.txt", "tomography_summary.txt"]
     if not result.converged:
         tail = ",".join(f"{v:.12g}" for v in result.log_likelihood[-10:])
@@ -227,20 +235,17 @@ def cmd_fair_sampling_check(
 ) -> tuple[int, list]:
     # Any integer seeds the report, as it does the sampling subcommands.
     report = verification_report(seed=config.seed % (1 << 63), cutoff=cutoff)
-    path = os.path.join(out_dir, "fair_sampling_report.txt")
-    with open(path, "w") as fh:
-        for state_idx, T, res in report["rows"]:
-            fh.write(f"state {state_idx} T {T:.17g} residual {res:.3e}\n")
-        fh.write(f"max_residual {report['max_residual']:.3e}\n")
-        fh.write(
-            f"theta_independence_residual {report['theta_independence_residual']:.3e}\n"
-        )
-        verdict = "PASS" if report["passed"] else "FAIL"
-        if cutoff > 1:
-            verdict = "REPORT-ONLY (cutoff > 1: factorization scoped to the qubit subspace)"
-        fh.write(f"{verdict}\n")
+    verdict = "PASS" if report["passed"] else "FAIL"
+    if cutoff > 1:
+        verdict = "REPORT-ONLY (cutoff > 1: factorization scoped to the qubit subspace)"
+    lines = [
+        *(f"state {i} T {T:.17g} residual {res:.3e}" for i, T, res in report["rows"]),
+        f"max_residual {report['max_residual']:.3e}",
+        f"theta_independence_residual {report['theta_independence_residual']:.3e}",
+        verdict,
+    ]
     code = EXIT_BREACH if cutoff == 1 and not report["passed"] else EXIT_OK
-    return code, ["fair_sampling_report.txt"]
+    return code, [_write_lines(out_dir, "fair_sampling_report.txt", lines)]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -290,8 +295,10 @@ def main(argv=None) -> int:
         )
         if args.command in DECOY_COMMANDS and config.pipeline == "ideal-fock":
             raise ConfigError(f"{args.command} needs decoy data; pipeline ideal-fock has none")
-        if args.command == "fair-sampling-check" and args.cutoff < 1:
-            raise ConfigError(f"--cutoff must be at least 1, got {args.cutoff}")
+        if args.command == "fair-sampling-check" and not 1 <= args.cutoff <= MAX_FAIR_SAMPLING_CUTOFF:
+            raise ConfigError(
+                f"--cutoff must be from 1 to {MAX_FAIR_SAMPLING_CUTOFF}, got {args.cutoff}"
+            )
         try:
             os.makedirs(args.out, exist_ok=True)
         except OSError as exc:

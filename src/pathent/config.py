@@ -26,6 +26,9 @@ MAX_THRESHOLDS = 100_000
 # Each tomography count table holds (bins per axis + 2)^2 int64 cells, and the
 # POVM one overlap matrix per bin; the default grid has 50 bins per axis.
 MAX_BINS = 1000
+# The POVM holds n_phases * (cutoff + 1)^4 complex phase factors, as do the
+# MLE's temporaries; the default point has 117,128, the cap is 160 MB of them.
+MAX_POVM_CELLS = 10_000_000
 
 
 class ConfigError(ValueError):
@@ -80,6 +83,8 @@ class ExperimentConfig:
             raise ConfigError(str(exc)) from exc
         if self.cutoff < 1:
             raise ConfigError("cutoff must be at least 1")
+        if self.n_phases * (self.cutoff + 1) ** 4 > MAX_POVM_CELLS:
+            raise ConfigError(f"n_phases * (cutoff + 1)^4 is over {MAX_POVM_CELLS} POVM cells")
         if not self.tolerance > 0:
             raise ConfigError("tolerance must be positive")
         for key in ("bin_width", "x_range"):

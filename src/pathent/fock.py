@@ -1,9 +1,9 @@
 """Exact quadrature-representation math on truncated Fock spaces.
 
 Provides the harmonic-oscillator quadrature wavefunctions (vacuum variance
-1/2 convention), overlap integrals over symmetric threshold windows, and the
-pass/discard post-selection operators used by the thresholded homodyne
-measurement model.
+1/2 convention), their overlap integrals over an interval (threshold windows
+and tomography bins), and the pass/discard post-selection operators used by
+the thresholded homodyne measurement model.
 """
 
 from __future__ import annotations
@@ -53,10 +53,16 @@ def _gauss_legendre(order: int):
     return nodes, weights
 
 
-def _window_quadrature(T: float, order: int):
-    """Gauss-Legendre nodes/weights mapped to [-T, T]."""
+def overlap_matrix(lo: float, hi: float, cutoff: int, order: int) -> np.ndarray:
+    """Integrals of phi_m(x) phi_n(x) over [lo, hi], m, n = 0..cutoff, by
+    `order`-point Gauss-Legendre quadrature: the threshold windows' and the
+    tomography bins' overlaps alike."""
     nodes, weights = _gauss_legendre(order)
-    return nodes * T, weights * T
+    half = 0.5 * (hi - lo)
+    x = lo + half * (nodes + 1.0)
+    w = half * weights
+    phi = hermite_functions(cutoff, x)  # (cutoff + 1, order)
+    return (phi * w) @ phi.T
 
 
 def _overlap_order(T: float) -> int:
@@ -77,11 +83,8 @@ def window_overlap(m: int, n: int, T: float) -> float:
         raise ValueError("photon numbers must be non-negative")
     if (m + n) % 2 == 1:
         return 0.0
-    if T == 0.0:
-        return 0.0
-    x, w = _window_quadrature(T, _overlap_order(T))
-    phi = hermite_functions(max(m, n), x)
-    return float(np.dot(w, phi[m] * phi[n]))
+    lo, hi = sorted((m, n))
+    return float(overlap_matrix(-T, T, hi, _overlap_order(T))[lo, hi])
 
 
 def build_postselection_operators(
@@ -99,13 +102,11 @@ def build_postselection_operators(
     if cutoff < 1:
         raise ValueError("cutoff must be at least 1")
     d = cutoff + 1
-    q = np.zeros((d, d), dtype=complex)
-    for m in range(d):
-        for n in range(m, d):
-            val = window_overlap(m, n, T)
-            if val != 0.0:
-                q[m, n] = val * np.exp(1j * (n - m) * theta)
-                q[n, m] = np.conj(q[m, n])
+    # The upper triangle, odd m + n zeroed by parity, mirrored: exactly Hermitian.
+    overlap = np.triu(overlap_matrix(-T, T, cutoff, _overlap_order(T)))
+    m, n = np.ogrid[:d, :d]
+    overlap[(m + n) % 2 == 1] = 0.0
+    q = (overlap + np.triu(overlap, 1).T) * np.exp(1j * (n - m) * theta)
     q_pass = np.eye(d, dtype=complex) - q
     for name, mat in (("Q_discard", q), ("Q_pass", q_pass)):
         low = float(np.linalg.eigvalsh(mat)[0])

@@ -6,8 +6,8 @@ Three pipelines produce (x_a, x_b) pairs:
   sqrt(mu * eta_tot) cos(theta - phi) and variance 1/2.
 - ``physical``: per-arm photodiode loss, additive electronic noise, then the
   sqrt(eta_ele) rescale. Distribution-identical to ``equivalent``.
-- ``ideal-fock``: rejection sampling from the exact joint density of a Fock
-  state through the 50:50 splitter.
+- ``ideal-fock``: rejection sampling from the exact joint density of the
+  single-photon Fock state |1> through the 50:50 splitter.
 
 All sampling is chunked (2^16 records per chunk) and drawn in place, with an
 independent RNG stream per (seed, chunk index), so output is reproducible and
@@ -81,7 +81,6 @@ class SampleBatch:
     pipeline: str
     mu: float = 0.0
     noise: NoiseModel = field(default_factory=lambda: IDEAL_NOISE)
-    fock_n: int = 1
 
     def __post_init__(self):
         self.x_a = np.asarray(self.x_a, dtype=float)
@@ -111,7 +110,7 @@ class SampleBatch:
             "seed": self.seed,
             "pipeline": self.pipeline,
             "mu": self.mu,
-            "fock_n": self.fock_n,
+            "fock_n": 1,  # the photon number ideal-fock samples
             "count": len(self),
             "eta_pd": self.noise.eta_pd,
             "v_e": self.noise.v_e,
@@ -242,15 +241,13 @@ def _coherent_arm(
         out *= np.sqrt(noise.eta_ele)
 
 
-def joint_pdf_fock(n, x_a, x_b, dtheta: float, cutoff: int | None = None):
+def joint_pdf_fock(n, x_a, x_b, dtheta: float):
     """Exact joint density of (x_a, x_b) for Fock input |n> at phase gap dtheta.
 
     The amplitude is sum_k c_k psi_k(x_a, phi_a) psi_{n-k}(x_b, phi_b) with
     splitter coefficients c_k; the density depends on the phases only through
     dtheta = phi_a - phi_b. Broadcasts over array x_a, x_b.
     """
-    if cutoff is not None and n > cutoff:
-        raise ValueError(f"photon number {n} exceeds cutoff {cutoff}")
     x_a = np.asarray(x_a, dtype=float)
     x_b = np.asarray(x_b, dtype=float)
     coeffs = splitter_output(n, n).amplitudes
@@ -316,7 +313,6 @@ def _chunk_samples(
     settings: MeasurementSettings,
     noise: NoiseModel,
     pipeline: str,
-    fock_n: int,
     seed: int,
     chunk: int,
 ) -> None:
@@ -324,7 +320,7 @@ def _chunk_samples(
     rng = _chunk_rng(seed, chunk)
     size = out_a.size
     if pipeline == "ideal-fock":
-        out_a[:], out_b[:] = sample_fock_pair(fock_n, settings.dtheta, rng, size)
+        out_a[:], out_b[:] = sample_fock_pair(1, settings.dtheta, rng, size)
         return
     if mu > 0:
         theta = rng.uniform(0.0, 2.0 * np.pi, size)
@@ -345,7 +341,6 @@ def sample_batch(
     pipeline: str = "equivalent",
     seed: int = 0,
     intensity_label: int = 0,
-    fock_n: int = 1,
     workers: int = 1,
     binning: Binning | None = None,
 ) -> SampleBatch | CountTable:
@@ -380,7 +375,7 @@ def sample_batch(
         for i in range(first, n_chunks, n_workers):
             span = slice(i * CHUNK_SIZE, min((i + 1) * CHUNK_SIZE, count))
             arms = (x_a[span], x_b[span]) if binning is None else pair[:, : span.stop - span.start]
-            _chunk_samples(*arms, mu, settings, noise, pipeline, fock_n, seed, i)
+            _chunk_samples(*arms, mu, settings, noise, pipeline, seed, i)
             if binning is not None:
                 cells += binning.count(*arms)
         return None if binning is None else cells
@@ -401,5 +396,4 @@ def sample_batch(
         pipeline=pipeline,
         mu=mu,
         noise=noise,
-        fock_n=fock_n,
     )

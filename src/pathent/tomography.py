@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decoy import DecoyIntensitySet, estimate_single_photon_statistic
-from .fock import hermite_functions
+from .fock import overlap_matrix
 from .homodyne import Binning, CountTable, grid_index
 from .states import TwoModeFockState
 
@@ -108,18 +108,7 @@ class PovmSet:
 
 def _bin_overlap_tensor(edges: np.ndarray, cutoff: int, order: int = 24) -> np.ndarray:
     """Exact Gauss-Legendre integrals of phi_m phi_n over each bin."""
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    n_bins = len(edges) - 1
-    d = cutoff + 1
-    out = np.empty((n_bins, d, d))
-    for i in range(n_bins):
-        a, b = edges[i], edges[i + 1]
-        half = 0.5 * (b - a)
-        x = a + half * (nodes + 1.0)
-        w = half * weights
-        phi = hermite_functions(cutoff, x)  # (d, order)
-        out[i] = (phi * w) @ phi.T
-    return out
+    return np.array([overlap_matrix(a, b, cutoff, order) for a, b in zip(edges[:-1], edges[1:])])
 
 
 def build_povm_elements(phase_pairs, edges, cutoff: int) -> PovmSet:

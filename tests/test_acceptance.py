@@ -121,7 +121,6 @@ def test_criterion_4_chsh_monte_carlo_vs_oracle():
             1_000_000,
             pipeline="ideal-fock",
             seed=9000 + idx,
-            fock_n=1,
             workers=4,
             binning=threshold_binning(thresholds),
         )
@@ -214,7 +213,6 @@ def test_criterion_7_tomography_self_consistency():
             100_000,
             pipeline="ideal-fock",
             seed=77 + s,
-            fock_n=1,
             workers=4,
             binning=histogram_binning(edges),
         )

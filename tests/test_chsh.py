@@ -345,7 +345,7 @@ class TestMonteCarloAgreement:
         for idx, (la, lb) in enumerate(CHSH_COMBOS):
             settings = MeasurementSettings.chsh(la, lb)
             batch = sample_batch(
-                0.0, settings, count, pipeline="ideal-fock", seed=300 + idx, fock_n=1
+                0.0, settings, count, pipeline="ideal-fock", seed=300 + idx
             )
             counts = counts_at(threshold_counts(batch, [T]), T)
             e = correlation(counts)

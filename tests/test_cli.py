@@ -7,10 +7,18 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from pathent.cli import EXIT_BREACH, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
+from pathent.cli import (
+    EXIT_BREACH,
+    EXIT_CONFIG,
+    EXIT_NUMERICAL,
+    EXIT_OK,
+    MAX_FAIR_SAMPLING_CUTOFF,
+    main,
+)
 from pathent.config import (
     _SECTION_FIELDS,
     MAX_BINS,
+    MAX_POVM_CELLS,
     MAX_THRESHOLDS,
     ConfigError,
     ExperimentConfig,
@@ -157,6 +165,12 @@ class TestConfig:
         assert len(top.bin_edges()) == MAX_BINS + 1
         with pytest.raises(ConfigError, match="bins per axis"):
             ExperimentConfig(bin_width=2.0 * 5.0 / (MAX_BINS + 1), x_range=5.0)
+        # So is a POVM too large to hold: with 8 phases, cutoff 32 is the top.
+        assert 8 * 33**4 <= MAX_POVM_CELLS < 8 * 34**4
+        assert ExperimentConfig(cutoff=32, n_phases=8).cutoff == 32
+        for cutoff, n_phases in ((33, 8), (60, 8), (10**12, 8), (10, 10**5)):
+            with pytest.raises(ConfigError, match="POVM cells"):
+                ExperimentConfig(cutoff=cutoff, n_phases=n_phases)
 
     def test_threshold_grid_size_capped(self):
         top = MAX_THRESHOLDS - 1
@@ -204,6 +218,9 @@ class TestExitCodes:
         "section, key, value, command",
         [
             ("tomography", "cutoff", "0", "tomography"),
+            ("tomography", "cutoff", "60", "tomography"),
+            ("tomography", "cutoff", "1000000000000", "tomography"),
+            ("phases", "n_phases", "100000", "tomography"),
             ("tomography", "tolerance", "0", "tomography"),
             ("chsh", "t_fixed", "-1", "decoy-estimate"),
             ("chsh", "t_min", "-0.5", "chsh-scan"),
@@ -224,6 +241,9 @@ class TestExitCodes:
         ],
         ids=[
             "cutoff",
+            "cutoff_povm_too_large",
+            "cutoff_huge",
+            "n_phases_povm_too_large",
             "tolerance",
             "t_fixed",
             "t_min",
@@ -261,6 +281,7 @@ class TestExitCodes:
         rc = main([command, "--config", bad, "--out", str(tmp_path / "o")])
         assert rc == EXIT_CONFIG
         assert key in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", ["chsh-scan", "decoy-estimate", "correlation-scan"])
     def test_ideal_fock_rejected_by_decoy_commands(self, tmp_path, monkeypatch, capsys, command):
@@ -326,7 +347,9 @@ class TestExitCodes:
         report = (out / "fair_sampling_report.txt").read_text()
         assert report.strip().endswith("PASS")
 
-    @pytest.mark.parametrize("cutoff", ["0", "-1"])
+    @pytest.mark.parametrize(
+        "cutoff", ["0", "-1", str(MAX_FAIR_SAMPLING_CUTOFF + 1), "1000000000000"]
+    )
     def test_fair_sampling_cutoff_below_one_rejected(self, tmp_path, monkeypatch, capsys, cutoff):
         import pathent.cli as cli_mod
 

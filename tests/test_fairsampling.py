@@ -5,9 +5,6 @@ from scipy.special import erf
 import pathent.fairsampling as fs
 from pathent.fairsampling import (
     FlaggedState,
-    SettingsRegister,
-    apply_filter,
-    classical_filter,
     quantum_filter,
     random_qubit_subspace_state,
     theta_independence_residual,
@@ -26,19 +23,43 @@ def discard_mass(state: FlaggedState) -> float:
     return float(np.trace(state.sigma_discard).real)
 
 
-class TestRegister:
-    def test_projector(self):
-        reg = SettingsRegister((0.0, 1.0, 2.0))
-        p = reg.projector(1)
-        assert p[1, 1] == 1.0 and np.sum(np.abs(p)) == 1.0
+def kronecker_residual(rho, T, theta_grid, cutoff):
+    """The factorization residual on the full setting (x) state space: the
+    measurement filter applies each setting's sqrt(Q(theta)) on that
+    setting's block of |a><a| (x) rho; the setting filter always passes, and
+    the AND of the flags sends anything the setting filter discards to
+    discard."""
+    n, d = len(theta_grid), cutoff + 1
+    fq = quantum_filter(rho, T, cutoff, theta=0.0)
+    worst = 0.0
+    for a in range(n):
+        proj = np.zeros((n, n), dtype=complex)
+        proj[a, a] = 1.0
+        xi = np.kron(proj, rho)
+        lhs_pass = np.zeros((n * d, n * d), dtype=complex)
+        lhs_disc = np.zeros_like(lhs_pass)
+        for ap, theta in enumerate(theta_grid):
+            s_pass, s_disc = fs._sqrt_pair(T, cutoff, float(theta))
+            blk = slice(ap * d, (ap + 1) * d)
+            lhs_pass[blk, blk] = s_pass @ xi[blk, blk] @ s_pass
+            lhs_disc[blk, blk] = s_disc @ xi[blk, blk] @ s_disc
+        fc_pass, fc_disc = proj, np.zeros_like(proj)
+        rhs_pass = np.kron(fc_pass, fq.sigma_pass)
+        rhs_disc = np.kron(fc_pass, fq.sigma_discard) + np.kron(
+            fc_disc, fq.sigma_pass + fq.sigma_discard
+        )
+        worst = max(
+            worst,
+            float(np.max(np.abs(lhs_pass - rhs_pass))),
+            float(np.max(np.abs(lhs_disc - rhs_disc))),
+        )
+    return worst
 
-    def test_distinct_settings_required(self):
-        with pytest.raises(ValueError):
-            SettingsRegister((0.0, 0.0))
 
-    def test_unknown_index(self):
-        with pytest.raises(ValueError):
-            SettingsRegister((0.0,)).projector(3)
+def full_rank_state(rng, cutoff):
+    g = rng.normal(size=(cutoff + 1, cutoff + 1)) + 1j * rng.normal(size=(cutoff + 1, cutoff + 1))
+    rho = g @ g.conj().T
+    return rho / np.trace(rho).real
 
 
 class TestQuantumFilter:
@@ -69,34 +90,6 @@ class TestQuantumFilter:
         assert np.linalg.eigvalsh(out.sigma_discard)[0] >= -1e-12
 
 
-class TestClassicalFilter:
-    def test_always_passes(self):
-        reg = SettingsRegister(tuple(THETAS))
-        for a in range(len(reg)):
-            out = classical_filter(a, reg)
-            assert pass_mass(out) == pytest.approx(1.0)
-            assert discard_mass(out) == 0.0
-
-
-class TestFullFilter:
-    def test_trace_preserved(self):
-        rng = np.random.default_rng(6)
-        reg = SettingsRegister(tuple(THETAS))
-        rho = random_qubit_subspace_state(rng, 1)
-        out = apply_filter(2, rho, 0.82, reg, 1)
-        assert pass_mass(out) + discard_mass(out) == pytest.approx(1.0, abs=1e-10)
-
-    def test_supported_only_on_chosen_setting_block(self):
-        rng = np.random.default_rng(7)
-        reg = SettingsRegister(tuple(THETAS))
-        rho = random_qubit_subspace_state(rng, 1)
-        out = apply_filter(3, rho, 0.82, reg, 1)
-        d = 2
-        mask = np.ones_like(out.sigma_pass, dtype=bool)
-        mask[3 * d : 4 * d, 3 * d : 4 * d] = False
-        assert np.max(np.abs(out.sigma_pass[mask])) == 0.0
-
-
 class TestFactorization:
     def test_theta_independence_on_qubit_subspace(self):
         for T in (0.2, 0.82, 1.0, 2.0):
@@ -125,6 +118,16 @@ class TestFactorization:
         rho[1, 2] = rho[2, 1] = 0.45
         res = verify_factorization(rho, 0.82, THETAS, cutoff=2)
         assert res > 1e-10
+
+    @pytest.mark.parametrize("cutoff", [1, 2, 3])
+    def test_matches_kronecker_reference(self, cutoff):
+        rng = np.random.default_rng(10 + cutoff)
+        for make in (random_qubit_subspace_state, full_rank_state):
+            for _ in range(5):
+                rho = make(rng, cutoff)
+                for T in (0.0, 0.2, 0.82, 2.0):
+                    res = verify_factorization(rho, T, THETAS, cutoff)
+                    assert res == kronecker_residual(rho, T, THETAS, cutoff)
 
     def test_injected_fault_detected(self, monkeypatch):
         # Corrupt the theta != 0 operators: the factorization check must

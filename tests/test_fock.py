@@ -6,6 +6,7 @@ from scipy.special import erf
 from pathent.fock import (
     build_postselection_operators,
     hermite_functions,
+    overlap_matrix,
     psd_operator_sqrt,
     wavefunction_value,
     window_overlap,
@@ -99,6 +100,17 @@ class TestWindowOverlap:
             window_overlap(0, 0, -0.5)
 
 
+class TestOverlapMatrix:
+    def test_against_adaptive_quadrature_on_an_interval(self):
+        lo, hi = -0.3, 1.1
+        got = overlap_matrix(lo, hi, 5, 24)
+        phi = lambda k, x: hermite_functions(k, np.asarray(x))[k]
+        for m in range(6):
+            for n in range(6):
+                want, _ = integrate.quad(lambda x: phi(m, x) * phi(n, x), lo, hi)
+                assert got[m, n] == pytest.approx(want, abs=1e-12)
+
+
 class TestPostselectionOperators:
     def test_zero_threshold(self):
         q_disc, q_pass = build_postselection_operators(0.0, 2)
@@ -136,6 +148,19 @@ class TestPostselectionOperators:
             if prev is not None:
                 assert np.all(diag >= prev - 1e-12)
             prev = diag
+
+    @pytest.mark.parametrize("T, cutoff, theta", [(0.82, 3, 0.0), (1.0, 4, 1.3), (2.0, 6, -2.2)])
+    def test_matches_entrywise_window_overlaps(self, T, cutoff, theta):
+        q_disc, _ = build_postselection_operators(T, cutoff, theta)
+        d = cutoff + 1
+        ref = np.array(
+            [[window_overlap(m, n, T) * np.exp(1j * (n - m) * theta) for n in range(d)] for m in range(d)]
+        )
+        assert np.max(np.abs(q_disc - ref)) <= 1e-15
+        # Exactly Hermitian, with exact parity zeros.
+        assert np.array_equal(q_disc, q_disc.conj().T)
+        m, n = np.indices((d, d))
+        assert np.all(q_disc[(m + n) % 2 == 1] == 0.0)
 
     def test_hermitian_with_phase(self):
         q_disc, q_pass = build_postselection_operators(1.0, 4, theta=1.3)

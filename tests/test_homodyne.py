@@ -195,7 +195,6 @@ class TestDeterminism:
             count=70_000,
             pipeline="ideal-fock",
             seed=9,
-            fock_n=1,
         )
         b1 = sample_batch(**kwargs)
         b2 = sample_batch(workers=3, **kwargs)
@@ -365,7 +364,6 @@ def load_batch(path):
         pipeline=meta["pipeline"],
         mu=meta["mu"],
         noise=NoiseModel(meta["eta_pd"], meta["v_e"]),
-        fock_n=meta["fock_n"],
     )
 
 

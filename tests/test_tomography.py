@@ -3,7 +3,7 @@ import os
 import numpy as np
 import pytest
 
-from pathent.cli import _write_csv
+from pathent.cli import _csv_line, _write_lines
 from pathent.config import ExperimentConfig
 from pathent.decoy import DecoyIntensitySet
 from pathent.homodyne import CHUNK_SIZE, MeasurementSettings, SampleBatch, sample_batch
@@ -36,7 +36,7 @@ def save_density_matrix(rho, path):
     """Write `rho` as the tomography command does: the dimension, then each
     row as its re,im pairs."""
     directory, name = os.path.split(path)
-    _write_csv(directory, name, str(rho.shape[0]), rho.view(float))
+    _write_lines(directory, name, [str(rho.shape[0]), *map(_csv_line, rho.view(float))])
 
 
 def load_density_matrix(path):
@@ -379,7 +379,6 @@ class TestMle:
                     50_000,
                     pipeline="ideal-fock",
                     seed=500 + s,
-                    fock_n=1,
                 ),
                 edges,
             )
@@ -414,7 +413,6 @@ class TestMle:
                     20_000,
                     pipeline="ideal-fock",
                     seed=700 + s,
-                    fock_n=1,
                 ),
                 edges,
             )
