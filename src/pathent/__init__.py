@@ -20,7 +20,6 @@ from .homodyne import (
     SampleBatch,
     joint_pdf_fock,
     sample_batch,
-    sample_fock_pair,
 )
 from .states import (
     NoiseModel,
@@ -47,7 +46,6 @@ __all__ = [
     "load_config",
     "psd_operator_sqrt",
     "sample_batch",
-    "sample_fock_pair",
     "splitter_output",
     "wavefunction_value",
     "window_overlap",

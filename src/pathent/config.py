@@ -17,6 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .decoy import DecoyIntensitySet
+from .homodyne import PIPELINES
 from .states import NoiseModel
 
 DEFAULT_INTENSITIES = (0.0872, 0.2314, 0.9840)
@@ -29,6 +30,9 @@ MAX_BINS = 1000
 # The POVM holds n_phases * (cutoff + 1)^4 complex phase factors, as do the
 # MLE's temporaries; the default point has 117,128, the cap is 160 MB of them.
 MAX_POVM_CELLS = 10_000_000
+# Tomography counts n_phases * (bins per axis)^2 cells per intensity label, and
+# the MLE's temporaries are as large; the default has 20,000, 8 phases fit at MAX_BINS.
+MAX_HISTOGRAM_CELLS = 10_000_000
 
 
 class ConfigError(ValueError):
@@ -58,7 +62,7 @@ class ExperimentConfig:
     scale: int = 1
 
     def __post_init__(self):
-        if self.pipeline not in ("physical", "equivalent", "ideal-fock"):
+        if self.pipeline not in PIPELINES:
             raise ConfigError(f"unknown pipeline {self.pipeline!r}")
         if self.samples_per_point < 1 or self.vacuum_samples < 1:
             raise ConfigError("sample counts must be at least 1")
@@ -95,6 +99,8 @@ class ExperimentConfig:
             raise ConfigError(f"x_range and bin_width give over {MAX_BINS} bins per axis")
         if round(n_bins) < 1:
             raise ConfigError("bin_width leaves no bin in [-x_range, x_range]")
+        if self.n_phases * round(n_bins) ** 2 > MAX_HISTOGRAM_CELLS:
+            raise ConfigError(f"n_phases * bins^2 is over {MAX_HISTOGRAM_CELLS} histogram cells")
 
     @property
     def intensity_set(self) -> DecoyIntensitySet:

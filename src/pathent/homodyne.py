@@ -6,8 +6,8 @@ Three pipelines produce (x_a, x_b) pairs:
   sqrt(mu * eta_tot) cos(theta - phi) and variance 1/2.
 - ``physical``: per-arm photodiode loss, additive electronic noise, then the
   sqrt(eta_ele) rescale. Distribution-identical to ``equivalent``.
-- ``ideal-fock``: rejection sampling from the exact joint density of the
-  single-photon Fock state |1> through the 50:50 splitter.
+- ``ideal-fock``: the single-photon Fock state |1> through the 50:50
+  splitter, drawn exactly as the two-component mixture its density is.
 
 All sampling is chunked (2^16 records per chunk) and drawn in place, with an
 independent RNG stream per (seed, chunk index), so output is reproducible and
@@ -24,7 +24,6 @@ import os
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -228,8 +227,6 @@ def _coherent_arm(
     that a draw of exactly +-0.0 (p ~ 2^-52) may keep a sign that adding a
     zero mean would flip. Count tables read |x| and x > 0, so bin +-0 alike.
     """
-    if pipeline not in ("equivalent", "physical"):
-        raise ValueError(f"unknown pipeline {pipeline!r}")
     eta = noise.eta_tot if pipeline == "equivalent" else noise.eta_pd
     rng.standard_normal(out=out)
     out *= np.sqrt(0.5)
@@ -260,50 +257,27 @@ def joint_pdf_fock(n, x_a, x_b, dtheta: float):
     return np.abs(amp) ** 2
 
 
-@lru_cache(maxsize=256)
-def _envelope_bound(n: int, dtheta: float) -> float:
-    """Numeric bound on pdf / product-Normal(0,1) envelope, with 5% margin.
+def _single_photon_arms(
+    out_a: np.ndarray, out_b: np.ndarray, dtheta: float, rng: np.random.Generator
+) -> None:
+    """Draw |1> split 50:50 at phase gap dtheta exactly into `out_a`, `out_b`.
 
-    Callers round dtheta to 12 digits, so nearby phase gaps share a cache entry.
+    In u, v = (x_a +- x_b)/sqrt(2), joint_pdf_fock(1, ., ., dtheta) is
+    e^(-u^2 - v^2) ((1 + c) u^2 + (1 - c) v^2) / pi with c = cos(dtheta):
+    with probability (1 + c)/2, u^2 ~ Gamma(3/2) with a random sign and
+    v ~ N(0, 1/2), else u and v swap roles (Lvovsky & Raymer, RMP 81, 299
+    (2009)). Swapping u and v keeps x_a and negates x_b.
     """
-    grid = np.linspace(-8.0, 8.0, 641)
-    xa, xb = np.meshgrid(grid, grid)
-    pdf = joint_pdf_fock(n, xa, xb, dtheta)
-    env = np.exp(-0.5 * (xa**2 + xb**2)) / (2.0 * np.pi)
-    return float(np.max(pdf / env)) * 1.05
-
-
-def sample_fock_pair(
-    n: int, dtheta: float, rng: np.random.Generator, count: int = 1
-) -> tuple[np.ndarray, np.ndarray]:
-    """Rejection-sample `count` pairs from joint_pdf_fock(n, ., ., dtheta).
-
-    Envelope: independent Normal(0, 1) per arm. Raises if any proposal
-    exceeds the precomputed envelope constant rather than truncating.
-    """
-    if n < 0:
-        raise ValueError("photon number must be non-negative")
-    bound = _envelope_bound(n, round(float(dtheta), 12))
-    out_a = np.empty(count)
-    out_b = np.empty(count)
-    filled = 0
-    while filled < count:
-        m = max(256, int((count - filled) * bound * 1.3))
-        xa = rng.normal(0.0, 1.0, m)
-        xb = rng.normal(0.0, 1.0, m)
-        u = rng.uniform(0.0, 1.0, m)
-        env = np.exp(-0.5 * (xa**2 + xb**2)) / (2.0 * np.pi)
-        ratio = joint_pdf_fock(n, xa, xb, dtheta) / (bound * env)
-        if np.any(ratio > 1.0):
-            raise RuntimeError(
-                "rejection envelope constant too small; increase the bound"
-            )
-        acc = u < ratio
-        take = min(int(acc.sum()), count - filled)
-        out_a[filled : filled + take] = xa[acc][:take]
-        out_b[filled : filled + take] = xb[acc][:take]
-        filled += take
-    return out_a, out_b
+    size = out_a.size
+    rng.standard_gamma(1.5, out=out_a)
+    np.sqrt(out_a, out=out_a)
+    np.negative(out_a, out=out_a, where=rng.random(size) < 0.5)
+    v = rng.normal(0.0, np.sqrt(0.5), size)
+    np.subtract(out_a, v, out=out_b)
+    out_a += v
+    np.negative(out_b, out=out_b, where=rng.random(size) >= (1.0 + np.cos(dtheta)) / 2.0)
+    out_a *= np.sqrt(0.5)
+    out_b *= np.sqrt(0.5)
 
 
 def _chunk_samples(
@@ -320,7 +294,7 @@ def _chunk_samples(
     rng = _chunk_rng(seed, chunk)
     size = out_a.size
     if pipeline == "ideal-fock":
-        out_a[:], out_b[:] = sample_fock_pair(1, settings.dtheta, rng, size)
+        _single_photon_arms(out_a, out_b, settings.dtheta, rng)
         return
     if mu > 0:
         theta = rng.uniform(0.0, 2.0 * np.pi, size)

@@ -18,6 +18,7 @@ from pathent.cli import (
 from pathent.config import (
     _SECTION_FIELDS,
     MAX_BINS,
+    MAX_HISTOGRAM_CELLS,
     MAX_POVM_CELLS,
     MAX_THRESHOLDS,
     ConfigError,
@@ -171,6 +172,13 @@ class TestConfig:
         for cutoff, n_phases in ((33, 8), (60, 8), (10**12, 8), (10, 10**5)):
             with pytest.raises(ConfigError, match="POVM cells"):
                 ExperimentConfig(cutoff=cutoff, n_phases=n_phases)
+        # And so are count tables too large to hold: 8 phases fit at MAX_BINS.
+        top_width = 2.0 * 5.0 / MAX_BINS
+        assert 8 * MAX_BINS**2 <= MAX_HISTOGRAM_CELLS < 11 * MAX_BINS**2
+        assert ExperimentConfig(n_phases=10, cutoff=1, bin_width=top_width).n_phases == 10
+        for n_phases, cutoff, bin_width in ((625_000, 1, 0.2), (11, 10, top_width)):
+            with pytest.raises(ConfigError, match="histogram cells"):
+                ExperimentConfig(n_phases=n_phases, cutoff=cutoff, bin_width=bin_width)
 
     def test_threshold_grid_size_capped(self):
         top = MAX_THRESHOLDS - 1
@@ -238,6 +246,9 @@ class TestExitCodes:
             ("noise", "v_e", "inf", "chsh-scan"),
             ("source", "intensities", "0.0872, 0.2314, nan", "chsh-scan"),
             ("source", "intensities", "0.0872, 0.2314, inf", "decoy-estimate"),
+            # The histogram cap needs a second key, so the value opens its section.
+            ("phases", "n_phases", "625000\n[tomography]\ncutoff = 1", "tomography"),
+            ("phases", "n_phases", "11\n[tomography]\nbin_width = 0.01", "simulate"),
         ],
         ids=[
             "cutoff",
@@ -261,6 +272,8 @@ class TestExitCodes:
             "v_e_inf",
             "intensities_nan",
             "intensities_inf",
+            "n_phases_histogram_too_large",
+            "bins_histogram_too_large",
         ],
     )
     def test_invalid_value_exits_before_sampling(

@@ -6,7 +6,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 from scipy import integrate
-from scipy.stats import kstest, ks_2samp, norm
+from scipy.stats import chi2, kstest, ks_2samp, norm
 
 import pathent.homodyne as hm
 from pathent.chsh import threshold_binning
@@ -17,7 +17,6 @@ from pathent.homodyne import (
     SampleBatch,
     joint_pdf_fock,
     sample_batch,
-    sample_fock_pair,
 )
 from pathent.states import IDEAL_NOISE, NoiseModel
 from pathent.tomography import histogram_binning
@@ -310,43 +309,64 @@ class TestJointPdf:
         assert np.allclose(marg, expect, atol=1e-8)
 
 
-class TestFockSampling:
-    def test_vacuum_matches_normal(self):
-        rng = np.random.default_rng(12)
-        xa, xb = sample_fock_pair(0, 0.0, rng, 100_000)
-        assert kstest(xa, norm(scale=np.sqrt(0.5)).cdf).pvalue > 1e-3
-        assert kstest(xb, norm(scale=np.sqrt(0.5)).cdf).pvalue > 1e-3
+def fock_cell_masses(edges, dtheta, nodes=8):
+    """Mass of joint_pdf_fock(1, ., ., dtheta) in each cell of the grid
+    `edges` x `edges`, by `nodes`-point Gauss-Legendre along each axis of
+    every cell."""
+    g, w = np.polynomial.legendre.leggauss(nodes)
+    width = np.diff(edges)[:, None]
+    x = (edges[:-1, None] + width * (g + 1.0) / 2.0).ravel()
+    wx = (width * w / 2.0).ravel()
+    mass = joint_pdf_fock(1, x[:, None], x[None, :], dtheta) * wx[:, None] * wx[None, :]
+    n = len(edges) - 1
+    return mass.reshape(n, nodes, n, nodes).sum(axis=(1, 3))
 
+
+def single_photon_batch(dtheta, count, seed):
+    """The ideal-fock pipeline's stored batch at phase gap dtheta."""
+    return sample_batch(
+        0.0, MeasurementSettings(dtheta, 0.0), count, pipeline="ideal-fock", seed=seed
+    )
+
+
+class TestFockSampling:
     def test_single_photon_correlation_sign(self):
-        rng = np.random.default_rng(13)
-        xa0, xb0 = sample_fock_pair(1, 0.0, rng, 200_000)
-        xapi, xbpi = sample_fock_pair(1, np.pi, rng, 200_000)
-        assert np.corrcoef(xa0, xb0)[0, 1] > 0.2
-        assert np.corrcoef(xapi, xbpi)[0, 1] < -0.2
+        b0 = single_photon_batch(0.0, 200_000, seed=13)
+        bpi = single_photon_batch(np.pi, 200_000, seed=13)
+        assert np.corrcoef(b0.x_a, b0.x_b)[0, 1] > 0.2
+        assert np.corrcoef(bpi.x_a, bpi.x_b)[0, 1] < -0.2
 
     def test_correlation_matches_quadrature(self):
-        rng = np.random.default_rng(14)
-        xa, xb = sample_fock_pair(1, 0.0, rng, 300_000)
+        batch = single_photon_batch(0.0, 300_000, seed=14)
         nodes, weights = np.polynomial.legendre.leggauss(120)
         x = 8.0 * nodes
         w = 8.0 * weights
         pdf = joint_pdf_fock(1, x[:, None], x[None, :], 0.0)
         exy = float(np.sum(w[:, None] * w[None, :] * x[:, None] * x[None, :] * pdf))
-        assert np.mean(xa * xb) == pytest.approx(exy, abs=0.006)
+        assert np.mean(batch.x_a * batch.x_b) == pytest.approx(exy, abs=0.006)
 
-    def test_envelope_bound_cached_per_rounded_gap(self):
-        hm._envelope_bound.cache_clear()
-        rng = np.random.default_rng(16)
-        sample_fock_pair(1, 0.3, rng, 10)
-        sample_fock_pair(1, 0.3 + 1e-14, rng, 10)
-        info = hm._envelope_bound.cache_info()
-        assert (info.misses, info.hits) == (1, 1)
-
-    def test_envelope_breach_detected(self, monkeypatch):
-        monkeypatch.setattr(hm, "_envelope_bound", lambda n, dtheta: 1e-3)
-        rng = np.random.default_rng(15)
-        with pytest.raises(RuntimeError):
-            sample_fock_pair(1, 0.0, rng, 100)
+    @pytest.mark.parametrize("dtheta", [0.0, 0.7, np.pi / 2, np.pi, -2.3])
+    def test_draw_matches_density(self, dtheta):
+        """Pearson chi^2 of the binned draw against the cell masses of the
+        exact density. Cells expected to hold fewer than 5 records are pooled
+        with everything outside the grid into one cell."""
+        count = 1_000_000
+        edges = np.linspace(-3.0, 3.0, 25)
+        table = sample_batch(
+            0.0,
+            MeasurementSettings(dtheta, 0.0),
+            count,
+            pipeline="ideal-fock",
+            seed=17,
+            workers=2,
+            binning=histogram_binning(edges),
+        )
+        expected = count * fock_cell_masses(edges, dtheta)
+        keep = expected >= 5.0
+        observed = np.append(table.counts[keep], count - table.counts[keep].sum())
+        expected = np.append(expected[keep], count - expected[keep].sum())
+        stat = float(np.sum((observed - expected) ** 2 / expected))
+        assert chi2.sf(stat, keep.sum()) > 1e-3, f"chi2 {stat:.0f} on {keep.sum()} dof"
 
 
 def load_batch(path):
