@@ -15,10 +15,17 @@ independent of worker scheduling. Vacuum chunks skip the phase draw.
 Given a `Binning`, `sample_batch` counts each chunk as soon as it is drawn,
 placing records by an exact lattice lookup (`grid_index`), and keeps only
 the count table, so its memory does not grow with the batch.
+
+`SampleBatch.save` writes %.17g text with numpy array arithmetic: for a
+double in fixed notation (decimal exponent -4 to 16) the 17 digits are an
+exactly rounded integer, from Dekker's error-free product of |x| and a power
+of ten, and the text is gathered from a template. Zeros, subnormals,
+|x| < 1e-4 or >= 1e17, inf and nan are formatted by `"%.17g" %` one by one.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 from collections.abc import Callable
@@ -31,9 +38,12 @@ from .fock import hermite_functions
 from .states import IDEAL_NOISE, NoiseModel, splitter_output
 
 CHUNK_SIZE = 1 << 16
-# Rows per formatted write in SampleBatch.save; larger blocks buy little
-# speed for a larger peak of Python floats and text.
-SAVE_BLOCK = 4096
+# Rows per block in SampleBatch.save. A block's 2 * SAVE_BLOCK doubles are
+# turned into text by one pass of array operations (`_format_17g`) whose
+# temporaries, about 0.7 KB per row, bound the writer's memory. On a 2-core
+# Xeon, 2048-row blocks took 7-15% less CPU time in `simulate --scale 120`
+# but raised its peak RSS 0.9 MB more, to 4.9% above the %-format writer's.
+SAVE_BLOCK = 1024
 PIPELINES = ("physical", "equivalent", "ideal-fock")
 
 # CHSH setting label -> LO phase. The b-labels are assigned so that the
@@ -94,17 +104,27 @@ class SampleBatch:
         """Write the records as CSV, one row per record: x_a and x_b as %.17g
         (17 significant digits, so every double reads back bit-exact), then
         the intensity label and the two setting labels. A JSON sidecar
-        (`<name>.meta.json`) holds the provenance. Rows are formatted and
-        written SAVE_BLOCK at a time, by one %-format call per block.
+        (`<name>.meta.json`) holds the provenance. Rows are built SAVE_BLOCK
+        at a time as NUL-padded byte rows and written without the pads. The
+        text of each double comes from `_format_17g`: digits computed exactly
+        with integer arithmetic where %.17g uses fixed notation (decimal
+        exponent -4 to 16), and `"%.17g" %` itself for zeros, subnormals,
+        |x| < 1e-4 or >= 1e17, inf and nan.
         """
-        lbl = f",{self.intensity_label},{self.settings.label_a},{self.settings.label_b}\n"
-        row = "%.17g,%.17g" + lbl
-        with open(path, "w") as fh:
-            fh.write("x_a,x_b,intensity_label,setting_a,setting_b\n")
+        label = f",{self.intensity_label},{self.settings.label_a},{self.settings.label_b}\n"
+        rows = np.empty((SAVE_BLOCK, 2 * _TEXT_WIDTH + 1 + len(label)), dtype=np.uint8)
+        rows[:, _TEXT_WIDTH] = ord(",")
+        rows[:, 2 * _TEXT_WIDTH + 1 :] = np.frombuffer(label.encode(), dtype=np.uint8)
+        with open(path, "wb") as fh:
+            fh.write(b"x_a,x_b,intensity_label,setting_a,setting_b\n")
             for start in range(0, len(self), SAVE_BLOCK):
-                stop = start + SAVE_BLOCK
-                block = np.column_stack((self.x_a[start:stop], self.x_b[start:stop]))
-                fh.write((row * len(block)) % tuple(block.ravel().tolist()))
+                x_a, x_b = self.x_a[start : start + SAVE_BLOCK], self.x_b[start : start + SAVE_BLOCK]
+                text = _format_17g(np.concatenate((x_a, x_b))).reshape(2, x_a.size, _TEXT_WIDTH)
+                block = rows[: x_a.size]
+                block[:, :_TEXT_WIDTH] = text[0]
+                block[:, _TEXT_WIDTH + 1 : 2 * _TEXT_WIDTH + 1] = text[1]
+                chars = block.reshape(-1)
+                fh.write(chars[chars != 0])
         meta = {
             "seed": self.seed,
             "pipeline": self.pipeline,
@@ -201,6 +221,120 @@ def grid_index(levels, side: str = "left"):
         return k
 
     return index
+
+
+# %.17g prints a double x with 17 significant digits, in fixed notation when
+# its decimal exponent X is in [-4, 16]. There the digits are the integer
+# D = round(|x| 10^(16-X)) in [1e16, 1e17), computed exactly: X is found by
+# exact comparisons with the powers of ten, 10^s is an exact double for
+# s <= 22, Dekker's TwoProduct (Numer. Math. 18, 224 (1971)) gives
+# |x| 10^s = hi + lo exactly, and hi >= 2^53 is an even integer, so
+# hi + rint(lo) rounds half to even as %.17g does. D is spelled three digits
+# at a time from a table, and each text is gathered from its value's digits
+# by a template chosen by (sign, X, digits kept once trailing zeros are
+# stripped). Every other value is formatted by "%.17g" % x: zeros,
+# subnormals, |x| < 1e-4, |x| >= 1e17, inf and nan. The tables are built on
+# the first save, so runs that never write CSV do not hold them.
+_TEXT_WIDTH = 24  # the longest %.17g text, e.g. "-1.2345678901234567e-308"
+_POW10 = np.array([float(10**s) for s in range(23)])
+# 10^k for k in [-4, 17], exact for k >= 0 and rounded up for k < 0, so that
+# a double x is >= 10^k exactly when it is >= _DECADES[k + 4].
+_DECADES = np.array([float(f"1e{k}") for k in range(-4, 18)])
+_GROUP_SCALE = np.array([[1e6], [1e3], [1.0]])
+_SOURCE_ROW = 4 * 2 * SAVE_BLOCK  # bytes per row of _format_17g's digit source
+
+
+@functools.cache
+def _group_tables() -> tuple[np.ndarray, np.ndarray]:
+    """Each 3-digit group g spelled as "ggg" and a NUL in one uint32; and,
+    for g at group position j of "0" + D, the digits of D kept up to g's
+    last non-zero digit (0 for g = 0)."""
+    g = np.arange(1000)
+    spelled = np.zeros((1000, 4), dtype=np.uint8)
+    for c, scale in enumerate((100, 10, 1)):
+        spelled[:, c] = g // scale % 10 + ord("0")
+    trailing_zeros = (g % 10 == 0).astype(int) + (g % 100 == 0)
+    kept = np.where(g > 0, 3 * np.arange(6)[:, None] + 2 - trailing_zeros, 0)
+    return spelled.view(np.uint32).ravel(), kept.ravel()
+
+
+@functools.cache
+def _fixed_templates() -> np.ndarray:
+    """Per (sign, X in [-4, 16], kept digits k), the byte offsets of the
+    fixed-notation text in _format_17g's digit source, relative to the
+    value's own column, NUL-padded: [-]D[0..X].D[X+1..k-1] (no point when
+    k <= X + 1) for X >= 0, [-]0.0..0D[0..k-1] with -X-1 zeros for X < 0.
+    Source rows 0-5 spell "0" + D, row 6 holds ".", "-" and a NUL."""
+    neg, exp10, kept, pos = np.ix_(range(2), range(-4, 17), range(1, 18), range(_TEXT_WIDTH))
+    j = pos - neg  # position after the sign
+    length = np.where(exp10 < 0, 1 - exp10 + kept, np.where(kept > exp10 + 1, kept + 1, exp10 + 1))
+    char = np.where(exp10 < 0, j + exp10, np.where(j <= exp10, j + 1, j))  # index into "0" + D
+    point = np.where(exp10 < 0, j == 1, j == exp10 + 1)
+    marks = 6 * _SOURCE_ROW
+    offsets = np.select(
+        [j < 0, j >= length, point, (exp10 < 0) & (j < 1 - exp10)],
+        [marks + 1, marks + 2, marks, 0],
+        char // 3 * _SOURCE_ROW + char % 3,
+    )
+    return offsets.reshape(-1, _TEXT_WIDTH)
+
+
+def _two_product(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(hi, lo) with hi = fl(a b) and hi + lo = a b exactly, by Veltkamp's
+    splitting; a b must be far from overflow and underflow."""
+    hi = a * b
+    a_hi, b_hi = (134217729.0 * v for v in (a, b))  # 2^27 + 1
+    a_hi -= a_hi - a
+    b_hi -= b_hi - b
+    a_lo, b_lo = a - a_hi, b - b_hi
+    return hi, a_lo * b_lo - (((hi - a_hi * b_hi) - a_lo * b_hi) - a_hi * b_lo)
+
+
+def _fixed_digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(fixed, exp10, digits): where x prints in fixed notation, and there its
+    decimal exponent X and its 17 digits D, an int64 in [1e16, 1e17)."""
+    mag = np.abs(x)
+    exp10 = np.searchsorted(_DECADES, mag, side="right") - 5  # nan sorts last
+    fixed = (exp10 >= -4) & (exp10 <= 16)
+    mag[~fixed] = 1.0  # keeps 0, inf and nan out of the arithmetic
+    exp10[~fixed] = 0
+    hi, lo = _two_product(mag, _POW10[16 - exp10])
+    # Rounding never carries D to 1e17: the largest double below 10^k, k in
+    # [-3, 17], lies more than 8e-17 * 10^k below it, and rounding to 17
+    # digits moves a value by at most 5e-18 * 10^k.
+    return fixed, exp10, hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+
+
+def _spell_digits(digits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The digit source of `_fixed_templates` for 17-digit integers D, and
+    how many of each D's digits are kept once trailing zeros are stripped."""
+    size = digits.size
+    group_text, group_kept = _group_tables()
+    top = digits // 10**9
+    halves = np.empty((2, 1, size))  # D's two 9-digit halves, exact as doubles
+    halves[0, 0], halves[1, 0] = top, digits - top * 10**9
+    groups = np.floor(halves / _GROUP_SCALE)
+    groups[:, 1:] -= 1000 * groups[:, :-1]
+    groups = groups.reshape(6, size).astype(np.intp)  # "0" + D, 3 digits each
+    source = np.empty((7, _SOURCE_ROW // 4), dtype=np.uint32)
+    np.take(group_text, groups, out=source[:6, :size])
+    source[6, :size] = np.frombuffer(b".-\0\0", dtype=np.uint32)
+    groups += 1000 * np.arange(6)[:, None]
+    return source, np.take(group_kept, groups).max(axis=0)
+
+
+def _format_17g(x: np.ndarray) -> np.ndarray:
+    """(x.size, _TEXT_WIDTH) uint8, row i holding b"%.17g" % x[i] padded
+    with NULs, for at most 2 * SAVE_BLOCK doubles x."""
+    fixed, exp10, digits = _fixed_digits(x)
+    source, kept = _spell_digits(digits)
+    template = ((x < 0) * 21 + exp10 + 4) * 17 + kept - 1
+    offsets = np.take(_fixed_templates(), template, axis=0)
+    offsets += np.arange(0, 4 * x.size, 4)[:, None]
+    text = np.take(source.reshape(-1).view(np.uint8), offsets)
+    for i in np.flatnonzero(~fixed).tolist():
+        text[i] = np.frombuffer((b"%.17g" % x[i]).ljust(_TEXT_WIDTH, b"\0"), dtype=np.uint8)
+    return text
 
 
 def _sidecar_path(path: str) -> str:

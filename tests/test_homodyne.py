@@ -1,7 +1,10 @@
 import itertools
 import json
+import math
 import os
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -437,8 +440,10 @@ class TestPersistence:
         with open(path) as fh:
             assert fh.readline().strip() == "x_a,x_b,intensity_label,setting_a,setting_b"
 
+    # Batches ending one row short of, on and one row past the end of the
+    # fourth block, and five rows into the thirteenth.
     @pytest.mark.parametrize(
-        "count", [1, hm.SAVE_BLOCK - 1, hm.SAVE_BLOCK, hm.SAVE_BLOCK + 1, 3 * hm.SAVE_BLOCK + 5]
+        "count", [1, 4 * hm.SAVE_BLOCK - 1, 4 * hm.SAVE_BLOCK, 4 * hm.SAVE_BLOCK + 1, 12 * hm.SAVE_BLOCK + 5]
     )
     @pytest.mark.parametrize("label, combo", [(0, (0, 0)), (1, (1, 0)), (2, (0, 1)), (3, (1, 1))])
     def test_bytes_match_row_writer(self, tmp_path, count, label, combo):
@@ -466,3 +471,91 @@ class TestPersistence:
         batch.save(str(tmp_path / "block.csv"))
         reference_save(batch, str(tmp_path / "row.csv"))
         assert read_bytes(tmp_path / "block.csv") == read_bytes(tmp_path / "row.csv")
+
+    def test_save_memory_is_bounded(self, tmp_path):
+        """Writing a 1 M-record batch (~45 MB of text) allocates well under
+        2 MB beyond the batch: one block of text and its temporaries."""
+        batch = sample_batch(0.5, MeasurementSettings.chsh(0, 1), 1_000_000, seed=3)
+        tracemalloc.start()
+        try:
+            batch.save(str(tmp_path / "big.csv"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
+
+
+def kernel_text(values):
+    """The text `SampleBatch.save` writes for each of the doubles `values`."""
+    values = np.asarray(values, dtype=float)
+    step = 2 * hm.SAVE_BLOCK
+    rows = [row for i in range(0, values.size, step) for row in hm._format_17g(values[i : i + step])]
+    return [bytes(row[row != 0]) for row in rows]
+
+
+def misprinted(values):
+    """(value, kernel text) wherever the kernel differs from "%.17g" % value."""
+    values = np.asarray(values, dtype=float).ravel()
+    return [(v, text) for v, text in zip(values.tolist(), kernel_text(values)) if text != b"%.17g" % v]
+
+
+def ulps_around(values, n):
+    """Each value and its n nearest doubles on either side."""
+    values = np.atleast_1d(np.asarray(values, dtype=float))
+    out, up, down = [values], values, values
+    for _ in range(n):
+        up, down = np.nextafter(up, np.inf), np.nextafter(down, -np.inf)
+        out += [up, down]
+    return np.concatenate(out)
+
+
+class TestFormat17g:
+    """The save kernel spells every double exactly as "%.17g" % x does, on
+    values chosen to break it (AWKWARD_VALUES go through `save` in
+    TestPersistence); pytest turns any RuntimeWarning into an error."""
+
+    def test_log_uniform_sweep(self):
+        rng = np.random.default_rng(2024)
+        magnitudes = 10.0 ** rng.uniform(-30.0, 30.0, 100_000)
+        assert misprinted(magnitudes * rng.choice([-1.0, 1.0], magnitudes.size)) == []
+
+    def test_ulps_around_powers_of_ten(self):
+        powers = np.array([float(f"1e{k}") for k in range(-6, 19)])
+        values = ulps_around(powers, 3)
+        assert misprinted(np.concatenate((values, -values))) == []
+
+    @pytest.mark.parametrize("edge", [1e-4, 1e16, 1e17])
+    def test_notation_edges(self, edge):
+        """1e-4 and 1e17 bound %.17g's fixed notation; at 1e16 the last of
+        the 17 digits becomes the units digit, so no point is printed."""
+        values = ulps_around(edge, 500)
+        assert misprinted(np.concatenate((values, -values))) == []
+
+    def test_dyadic_ties(self):
+        """m / 2^j with odd m is m 5^j / 10^j; when m 5^j has 18 digits (the
+        last a 5) the value lies halfway between two 17-digit decimals."""
+        rng = np.random.default_rng(7)
+        values = []
+        for j in range(2, 26):
+            lo, hi = -(-(10**17) // 5**j), min(10**18 // 5**j, 2**53)
+            odd = (rng.integers(lo, hi, 400) | 1).tolist()
+            assert all(len(str(m * 5**j)) == 18 for m in odd)
+            values += [math.ldexp(m, -j) for m in odd]
+        assert misprinted(values) == []
+
+    def test_decades_are_the_least_doubles_from_each_power_of_ten(self):
+        """x >= 10^k exactly when x >= _DECADES[k + 4], for every double x."""
+        for k, start in zip(range(-4, 18), hm._DECADES.tolist()):
+            power = Fraction(10) ** k
+            assert Fraction(math.nextafter(start, 0.0)) < power <= Fraction(start)
+
+    def test_rounding_never_carries_to_a_power_of_ten(self):
+        """The kernel keeps the exponent it measured before rounding: no
+        double below 10^k (k in [-3, 17]) is within half a unit of the 17th
+        digit (5e-18 * 10^k) of it, so D = round(|x| 10^(16-X)) < 1e17."""
+        for k in range(-3, 18):
+            power = Fraction(10) ** k
+            below = float(power)
+            if Fraction(below) >= power:
+                below = math.nextafter(below, 0.0)
+            assert power - Fraction(below) > power * Fraction(5, 10**18)
