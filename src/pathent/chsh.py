@@ -1,6 +1,10 @@
 """Threshold binning, coincidence statistics, bounded correlations and
 CHSH assembly, plus the ideal single-photon reference curve.
 
+The reference is closed form: a single photon split 50:50 gives
+E(dtheta, T) = kappa(T) cos(dtheta), exact for every finite T >= 0, and
+kappa(T) = `ideal_single_photon_correlation(0, T)`.
+
 Binning rule: outcome 0 when x < -T, outcome 1 when x > T, discard
 otherwise, independently per arm; a record survives only if both arms do.
 
@@ -19,12 +23,11 @@ in OUTCOME_PAIRS order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .decoy import DecoyIntensitySet, bound_statistic, estimate_single_photon_statistic
-from .homodyne import Binning, CountTable, MeasurementSettings, grid_index, joint_pdf_fock
+from .homodyne import Binning, CountTable, MeasurementSettings, grid_index
 
 OUTCOME_PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
@@ -133,55 +136,26 @@ def chsh_from_correlations(e00, e10, e01, e11, threshold: float = 0.0) -> ChshRe
     return ChshResult(threshold, s_est, s_lower, s_upper)
 
 
-@lru_cache(maxsize=4096)
-def _quadrant_probs_single_photon(T: float):
-    """2-D Gauss-Legendre integrals of the n=1 joint pdf over the four
-    quadrant windows, split into the dtheta-independent and cos(dtheta)
-    pieces (the pdf is p0 + p_c * cos dtheta with both pieces factorizable,
-    but we integrate the full 2-D grid as an independent route)."""
-    x_max = 10.0
-    order = 160
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    # Map to [T, x_max] (the x > T window); mirror symmetry covers x < -T.
-    half = 0.5 * (x_max - T)
-    xs = T + half * (nodes + 1.0)
-    ws = half * weights
-    # pdf(xa, xb, dth) = base(xa, xb) + cross(xa, xb) cos(dth)
-    xa = xs[:, None]
-    xb = xs[None, :]
-    p_at_0 = joint_pdf_fock(1, xa, xb, 0.0)
-    p_at_pi = joint_pdf_fock(1, xa, xb, np.pi)
-    w2 = ws[:, None] * ws[None, :]
-    base = float(np.sum(w2 * 0.5 * (p_at_0 + p_at_pi)))
-    cross = float(np.sum(w2 * 0.5 * (p_at_0 - p_at_pi)))
-    return base, cross
-
-
 def ideal_single_photon_correlation(dtheta: float, T: float) -> float:
-    """Reference E(dtheta, T) for a true single-photon input, by numerical
-    quadrature of the exact joint density over the quadrant windows."""
-    if T < 0:
-        raise ValueError("threshold must be non-negative")
-    base, cross = _quadrant_probs_single_photon(float(T))
-    c = np.cos(dtheta)
-    # Same-sign quadrants pick +cross, opposite-sign quadrants -cross
-    # (mirroring one axis flips the odd interference term).
-    p_same = base + cross * c
-    p_opp = base - cross * c
-    den = 2.0 * (p_same + p_opp)
-    if den <= 0:
-        raise ArithmeticError("quadrature produced non-positive total mass")
-    return float(2.0 * (p_same - p_opp) / den)
+    """Reference E(dtheta, T) = kappa(T) cos(dtheta) for a true single photon
+    split 50:50 (Morin et al., PRL 110, 130401 (2013)), exact for every
+    finite T >= 0. Over x > T, psi_0^2, psi_1^2 and psi_0 psi_1 integrate to
+    A0 = erfc(T)/2, A1 = A0 + T e^(-T^2)/sqrt(pi) and B = e^(-T^2)/sqrt(2 pi),
+    and kappa = B^2 / (A0 A1), written with erfcx so nothing underflows."""
+    if not 0 <= T < np.inf:
+        raise ValueError("threshold must be non-negative and finite")
+    from scipy.special import erfcx
+
+    g = erfcx(T)
+    kappa = 2.0 / (np.pi * g * (g + 2.0 * T / np.sqrt(np.pi)))
+    return float(kappa * np.cos(dtheta))
 
 
 def ideal_single_photon_chsh(T: float) -> float:
-    """Reference S(T) assembled from the ideal correlation at the four
-    CHSH phase combinations."""
-    total = 0.0
-    for idx, (la, lb) in enumerate(CHSH_COMBOS):
-        e = ideal_single_photon_correlation(MeasurementSettings.chsh(la, lb).dtheta, T)
-        total += -e if idx == 3 else e
-    return total
+    """Reference S(T) from the ideal correlation at the four CHSH settings."""
+    dthetas = [MeasurementSettings.chsh(*combo).dtheta for combo in CHSH_COMBOS]
+    e = [ideal_single_photon_correlation(dtheta, T) for dtheta in dthetas]
+    return chsh_from_correlations(*zip(e, e, e), threshold=float(T)).s_est
 
 
 def decoy_coincidence_bounds(tables: list, intensity_set: DecoyIntensitySet, T: float) -> tuple:

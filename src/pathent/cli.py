@@ -144,8 +144,7 @@ def cmd_simulate(config: ExperimentConfig, out_dir: str) -> tuple[int, list]:
     def save(batch) -> list:
         settings = batch.settings
         name = f"batch_a{settings.label_a}b{settings.label_b}_mu{batch.intensity_label}.csv"
-        batch.save(os.path.join(out_dir, name))
-        return [name, name.replace(".csv", ".meta.json")]
+        return [os.path.basename(p) for p in batch.save(os.path.join(out_dir, name))]
 
     saved = _sweep(config, CHSH_SETTINGS, 0, reduce=save)
     return EXIT_OK, [name for by_label in saved.values() for names in by_label for name in names]

@@ -39,14 +39,11 @@ class DecoyIntensitySet:
     def num_levels(self) -> int:
         return len(self.intensities)
 
+    @cached_property
     def estimator_coefficients(self) -> tuple[np.ndarray, float]:
         """Linear weights (w_1..w_L, w_0) so the single-photon estimate is
         sum_j w_j Q_{mu_j} + w_0 Q_{mu_0}. Computed once per set; the weight
         array is read-only because every caller shares it."""
-        return self._coefficients
-
-    @cached_property
-    def _coefficients(self) -> tuple[np.ndarray, float]:
         mus = np.asarray(self.intensities)
         L = len(mus)
         prod = np.prod(mus)
@@ -61,7 +58,7 @@ class DecoyIntensitySet:
     @cached_property
     def _delta(self) -> float:
         """Delta_L of `bound_interval`, computed once per set."""
-        w, w0 = self._coefficients
+        w, w0 = self.estimator_coefficients
         # Gains for Y_n = 1 (all n): Q_mu = 1 for every intensity including vacuum.
         all_ones = float(np.sum(w) + w0)
         sign = -1.0 if self.num_levels % 2 == 0 else 1.0
@@ -81,7 +78,7 @@ def estimate_single_photon_statistic(gains, intensity_set: DecoyIntensitySet):
     """
     if len(gains) != intensity_set.num_levels + 1:
         raise ValueError("need one gain per intensity label, the vacuum first")
-    w, w0 = intensity_set.estimator_coefficients()
+    w, w0 = intensity_set.estimator_coefficients
     est = w0 * np.asarray(gains[0], dtype=float)
     for wj, qj in zip(w, gains[1:]):
         est = est + wj * np.asarray(qj, dtype=float)

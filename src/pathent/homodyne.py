@@ -100,7 +100,7 @@ class SampleBatch:
     def __len__(self) -> int:
         return self.x_a.size
 
-    def save(self, path: str) -> None:
+    def save(self, path: str) -> tuple[str, str]:
         """Write the records as CSV, one row per record: x_a and x_b as %.17g
         (17 significant digits, so every double reads back bit-exact), then
         the intensity label and the two setting labels. A JSON sidecar
@@ -109,7 +109,8 @@ class SampleBatch:
         text of each double comes from `_format_17g`: digits computed exactly
         with integer arithmetic where %.17g uses fixed notation (decimal
         exponent -4 to 16), and `"%.17g" %` itself for zeros, subnormals,
-        |x| < 1e-4 or >= 1e17, inf and nan.
+        |x| < 1e-4 or >= 1e17, inf and nan. Returns the paths of the CSV and
+        of the sidecar.
         """
         label = f",{self.intensity_label},{self.settings.label_a},{self.settings.label_b}\n"
         rows = np.empty((SAVE_BLOCK, 2 * _TEXT_WIDTH + 1 + len(label)), dtype=np.uint8)
@@ -139,9 +140,11 @@ class SampleBatch:
             "label_b": self.settings.label_b,
             "intensity_label": self.intensity_label,
         }
-        with open(_sidecar_path(path), "w") as fh:
+        sidecar = os.path.splitext(path)[0] + ".meta.json"
+        with open(sidecar, "w") as fh:
             json.dump(meta, fh, indent=2, sort_keys=True)
             fh.write("\n")
+        return path, sidecar
 
 
 @dataclass(frozen=True, eq=False)
@@ -335,11 +338,6 @@ def _format_17g(x: np.ndarray) -> np.ndarray:
     for i in np.flatnonzero(~fixed).tolist():
         text[i] = np.frombuffer((b"%.17g" % x[i]).ljust(_TEXT_WIDTH, b"\0"), dtype=np.uint8)
     return text
-
-
-def _sidecar_path(path: str) -> str:
-    root, _ = os.path.splitext(path)
-    return root + ".meta.json"
 
 
 def _chunk_rng(seed: int, chunk: int) -> np.random.Generator:

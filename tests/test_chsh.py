@@ -16,7 +16,14 @@ from pathent.chsh import (
 )
 from pathent.decoy import DecoyIntensitySet, bound_interval, estimate_single_photon_statistic
 from pathent.config import ExperimentConfig
-from pathent.homodyne import CHUNK_SIZE, MeasurementSettings, SampleBatch, grid_index, sample_batch
+from pathent.homodyne import (
+    CHUNK_SIZE,
+    MeasurementSettings,
+    SampleBatch,
+    grid_index,
+    joint_pdf_fock,
+    sample_batch,
+)
 from scipy.special import erf
 
 
@@ -334,6 +341,49 @@ class TestIdealCurve:
         vals = [ideal_single_photon_chsh(T) for T in grid]
         assert all(v > 2.0 for v in vals)
         assert all(b >= a - 1e-9 for a, b in zip(vals, vals[1:]))
+
+
+def quadrature_correlation(dtheta, T, order=160):
+    """E(dtheta, T) of the ideal single photon from a 2-D Gauss-Legendre
+    integral of `joint_pdf_fock` over [T, T + 12]^2 (same-sign quadrant)
+    and its mirror in x_b (opposite-sign quadrant); the (-, -) and (-, +)
+    quadrants repeat these by symmetry."""
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    xs = T + 6.0 * (nodes + 1.0)
+    w2 = np.outer(6.0 * weights, 6.0 * weights)
+    same = np.sum(w2 * joint_pdf_fock(1, xs[:, None], xs[None, :], dtheta))
+    opposite = np.sum(w2 * joint_pdf_fock(1, xs[:, None], -xs[None, :], dtheta))
+    return (same - opposite) / (same + opposite)
+
+
+class TestClosedForm:
+    @pytest.mark.parametrize("T", [0.0, 0.5, 0.82, 1.5, 3.0, 5.0, 9.9, 12.0])
+    def test_matches_quadrature(self, T):
+        for dtheta in (0.0, np.pi / 4, 3 * np.pi / 4, 1.1):
+            exact = ideal_single_photon_correlation(dtheta, T)
+            assert abs(exact - quadrature_correlation(dtheta, T)) < 1e-12
+
+    def test_chsh_at_default_operating_point(self):
+        assert abs(ideal_single_photon_chsh(0.82) - 2.6526254183947344) < 1e-14
+
+    # Past the old quadrature's fixed upper limit x = 10.
+    @pytest.mark.parametrize("T, s", [(10.0, 2.8283591), (12.0, 2.8283939), (30.0, 2.8284263)])
+    def test_chsh_at_high_thresholds(self, T, s):
+        assert ideal_single_photon_chsh(T) == pytest.approx(s, abs=5e-8)
+
+    def test_chsh_rises_to_tsirelson_bound(self):
+        vals = [ideal_single_photon_chsh(T) for T in np.arange(0.0, 100.01, 0.5)]
+        assert all(np.isfinite(vals))
+        assert all(b > a for a, b in zip(vals, vals[1:]))
+        assert vals[-1] < 2.0 * np.sqrt(2.0)
+        assert ideal_single_photon_chsh(1e4) == pytest.approx(2.0 * np.sqrt(2.0), abs=1e-14)
+
+    @pytest.mark.parametrize("T", [-1e-300, -1.0, np.nan, np.inf, -np.inf])
+    def test_rejects_negative_or_non_finite_threshold(self, T):
+        with pytest.raises(ValueError):
+            ideal_single_photon_correlation(0.0, T)
+        with pytest.raises(ValueError):
+            ideal_single_photon_chsh(T)
 
 
 class TestMonteCarloAgreement:

@@ -32,17 +32,17 @@ class TestIntensitySet:
     def test_single_level_closed_form(self):
         # L = 1: estimate = (e^mu Q_mu - Q_0) / mu
         mu = 0.3
-        w, w0 = DecoyIntensitySet((mu,)).estimator_coefficients()
+        w, w0 = DecoyIntensitySet((mu,)).estimator_coefficients
         assert w[0] == pytest.approx(math.exp(mu) / mu, abs=1e-12)
         assert w0 == pytest.approx(-1.0 / mu, abs=1e-12)
 
     def test_coefficients_computed_once_and_read_only(self):
         iset = DecoyIntensitySet(NOMINAL_INTENSITIES)
-        w, w0 = iset.estimator_coefficients()
-        assert iset.estimator_coefficients()[0] is w
+        w, w0 = iset.estimator_coefficients
+        assert iset.estimator_coefficients[0] is w
         with pytest.raises(ValueError):
             w[0] = 1.0
-        fresh, fresh_w0 = DecoyIntensitySet(NOMINAL_INTENSITIES).estimator_coefficients()
+        fresh, fresh_w0 = DecoyIntensitySet(NOMINAL_INTENSITIES).estimator_coefficients
         assert fresh is not w
         assert fresh.tolist() == w.tolist() and fresh_w0 == w0
 
@@ -114,7 +114,7 @@ class TestBoundInterval:
     @pytest.mark.parametrize("mus", [(0.1,), (0.1, 0.5), NOMINAL_INTENSITIES])
     def test_cached_per_set_with_the_same_bits(self, mus):
         iset = DecoyIntensitySet(mus)
-        w, w0 = iset.estimator_coefficients()
+        w, w0 = iset.estimator_coefficients
         sign = -1.0 if iset.num_levels % 2 == 0 else 1.0
         expected = max(sign * (float(np.sum(w) + w0) - 1.0), 0.0)
         assert bound_interval(iset) == expected
@@ -122,7 +122,7 @@ class TestBoundInterval:
 
     def test_negative_interval_is_a_fault(self):
         iset = DecoyIntensitySet(NOMINAL_INTENSITIES)
-        iset.__dict__["_coefficients"] = (np.zeros(3), -1.0)  # corrupt weights
+        iset.__dict__["estimator_coefficients"] = (np.zeros(3), -1.0)  # corrupt weights
         for _ in range(2):  # raised on every call, never cached
             with pytest.raises(ArithmeticError):
                 bound_interval(iset)

@@ -423,7 +423,7 @@ class TestPersistence:
             intensity_label=2,
         )
         path = str(tmp_path / "batch.csv")
-        batch.save(path)
+        assert batch.save(path) == (path, str(tmp_path / "batch.meta.json"))
         loaded = load_batch(path)
         assert np.array_equal(batch.x_a, loaded.x_a)
         assert np.array_equal(batch.x_b, loaded.x_b)
