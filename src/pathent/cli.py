@@ -53,7 +53,7 @@ def _simulate_point(
     binning=None,
 ):
     """One batch at `settings`, as its count table under `binning` or, with
-    none, as stored samples. Label 0 is the vacuum; labels 1..L the decoy
+    none, as an undrawn batch. Label 0 is the vacuum; labels 1..L the decoy
     levels, with intensities compensated by 1/eta_tot at the source so the
     post-loss intensities hit the configured targets. Label None is the
     noiseless single-photon source that ideal-fock tomography measures."""
@@ -82,7 +82,7 @@ def _sweep(
 ) -> dict:
     """Per key of `settings`, `reduce` of one batch per intensity label, in
     label order: of its count table under `binning` or, with none, of the
-    stored batch. Batches are sampled key by key and label by label, the
+    undrawn batch. Batches are sampled key by key and label by label, the
     i-th with batch index first_index + i, and each is reduced before the
     next is sampled. The labels are the vacuum and every decoy level, or
     for the ideal-fock pipeline the one noiseless |1> source (label None)."""

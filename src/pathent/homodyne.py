@@ -9,12 +9,14 @@ Three pipelines produce (x_a, x_b) pairs:
 - ``ideal-fock``: the single-photon Fock state |1> through the 50:50
   splitter, drawn exactly as the two-component mixture its density is.
 
-All sampling is chunked (2^16 records per chunk) and drawn in place, with an
-independent RNG stream per (seed, chunk index), so output is reproducible and
-independent of worker scheduling. Vacuum chunks skip the phase draw.
-Given a `Binning`, `sample_batch` counts each chunk as soon as it is drawn,
-placing records by an exact lattice lookup (`grid_index`), and keeps only
-the count table, so its memory does not grow with the batch.
+All sampling goes through one chunk loop, `SampleBatch.chunks`: 2^16 records
+per chunk, drawn in place into one reused pair from an independent RNG stream
+per (seed, chunk index), so output is reproducible, independent of worker
+scheduling, and no array grows with the batch. Vacuum chunks skip the phase
+draw. Given a `Binning`, `sample_batch` counts each chunk as soon as it is
+drawn, by an exact lattice lookup (`grid_index`), and keeps only the count
+table; without one it returns the undrawn batch, which `save` writes a chunk
+at a time.
 
 `SampleBatch.save` writes %.17g text with numpy array arithmetic: for a
 double in fixed notation (decimal exponent -4 to 16) the 17 digits are an
@@ -28,7 +30,7 @@ from __future__ import annotations
 import functools
 import json
 import os
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -73,59 +75,54 @@ class MeasurementSettings:
         return self.phi_a - self.phi_b
 
 
-@dataclass
+@dataclass(frozen=True)
 class SampleBatch:
-    """Joint quadrature outcomes with provenance.
+    """One batch of `count` joint quadrature outcomes, with its provenance.
 
-    Records are stored columnwise; x_a[i], x_b[i] form record i. The state
-    phase theta used to generate coherent samples is deliberately not stored
-    (it is inaccessible to the measurement).
+    The batch is described, not held: `chunks` draws its records chunk by
+    chunk, the same records for every call. The state phase theta used to
+    generate coherent samples is never exposed (it is inaccessible to the
+    measurement).
     """
 
-    x_a: np.ndarray
-    x_b: np.ndarray
     settings: MeasurementSettings
     intensity_label: int
     seed: int
     pipeline: str
+    count: int
     mu: float = 0.0
     noise: NoiseModel = field(default_factory=lambda: IDEAL_NOISE)
 
-    def __post_init__(self):
-        self.x_a = np.asarray(self.x_a, dtype=float)
-        self.x_b = np.asarray(self.x_b, dtype=float)
-        if self.x_a.shape != self.x_b.shape:
-            raise ValueError("x_a and x_b must have identical length")
-
     def __len__(self) -> int:
-        return self.x_a.size
+        return self.count
+
+    def chunks(self, first: int = 0, step: int = 1) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """Yield `(x_a, x_b)` for chunks first, first + step, ... in turn,
+        record i of the chunk being (x_a[i], x_b[i]). Each chunk is drawn
+        from its own stream into one reused (2, CHUNK_SIZE) scratch pair, and
+        the views yielded are overwritten by the next chunk: copy what you
+        keep.
+        """
+        pair = np.empty((2, CHUNK_SIZE))
+        for i in range(first, -(-self.count // CHUNK_SIZE), step):
+            x_a, x_b = pair[:, : min(CHUNK_SIZE, self.count - i * CHUNK_SIZE)]
+            _chunk_samples(x_a, x_b, self.mu, self.settings, self.noise, self.pipeline, self.seed, i)
+            yield x_a, x_b
 
     def save(self, path: str) -> tuple[str, str]:
         """Write the records as CSV, one row per record: x_a and x_b as %.17g
         (17 significant digits, so every double reads back bit-exact), then
-        the intensity label and the two setting labels. A JSON sidecar
-        (`<name>.meta.json`) holds the provenance. Rows are built SAVE_BLOCK
-        at a time as NUL-padded byte rows and written without the pads. The
-        text of each double comes from `_format_17g`: digits computed exactly
-        with integer arithmetic where %.17g uses fixed notation (decimal
-        exponent -4 to 16), and `"%.17g" %` itself for zeros, subnormals,
-        |x| < 1e-4 or >= 1e17, inf and nan. Returns the paths of the CSV and
-        of the sidecar.
+        the intensity label and the two setting labels. The chunks are drawn
+        in order on this thread, each written (`_write_rows`) before the
+        next is drawn: the time is in the writer. A JSON sidecar
+        (`<name>.meta.json`) holds the provenance. Returns the paths of the
+        CSV and of the sidecar.
         """
-        label = f",{self.intensity_label},{self.settings.label_a},{self.settings.label_b}\n"
-        rows = np.empty((SAVE_BLOCK, 2 * _TEXT_WIDTH + 1 + len(label)), dtype=np.uint8)
-        rows[:, _TEXT_WIDTH] = ord(",")
-        rows[:, 2 * _TEXT_WIDTH + 1 :] = np.frombuffer(label.encode(), dtype=np.uint8)
+        rows = _row_template(f",{self.intensity_label},{self.settings.label_a},{self.settings.label_b}\n")
         with open(path, "wb") as fh:
             fh.write(b"x_a,x_b,intensity_label,setting_a,setting_b\n")
-            for start in range(0, len(self), SAVE_BLOCK):
-                x_a, x_b = self.x_a[start : start + SAVE_BLOCK], self.x_b[start : start + SAVE_BLOCK]
-                text = _format_17g(np.concatenate((x_a, x_b))).reshape(2, x_a.size, _TEXT_WIDTH)
-                block = rows[: x_a.size]
-                block[:, :_TEXT_WIDTH] = text[0]
-                block[:, _TEXT_WIDTH + 1 : 2 * _TEXT_WIDTH + 1] = text[1]
-                chars = block.reshape(-1)
-                fh.write(chars[chars != 0])
+            for x_a, x_b in self.chunks():
+                _write_rows(fh, x_a, x_b, rows)
         meta = {
             "seed": self.seed,
             "pipeline": self.pipeline,
@@ -145,6 +142,30 @@ class SampleBatch:
             json.dump(meta, fh, indent=2, sort_keys=True)
             fh.write("\n")
         return path, sidecar
+
+
+def _row_template(tail: str) -> np.ndarray:
+    """SAVE_BLOCK byte rows for `_write_rows`: two _TEXT_WIDTH text fields
+    with a comma between them, then `tail`, the row's labels and newline."""
+    rows = np.empty((SAVE_BLOCK, 2 * _TEXT_WIDTH + 1 + len(tail)), dtype=np.uint8)
+    rows[:, _TEXT_WIDTH] = ord(",")
+    rows[:, 2 * _TEXT_WIDTH + 1 :] = np.frombuffer(tail.encode(), dtype=np.uint8)
+    return rows
+
+
+def _write_rows(fh, x_a: np.ndarray, x_b: np.ndarray, rows: np.ndarray) -> None:
+    """Write one CSV row per record (x_a[i], x_b[i]) to the binary file
+    `fh`, SAVE_BLOCK rows at a time: each block is built in `rows`
+    (`_row_template`) as NUL-padded bytes, its doubles spelled exactly as
+    %.17g by `_format_17g`, and written without the pads."""
+    for start in range(0, x_a.size, SAVE_BLOCK):
+        a, b = x_a[start : start + SAVE_BLOCK], x_b[start : start + SAVE_BLOCK]
+        text = _format_17g(np.concatenate((a, b))).reshape(2, a.size, _TEXT_WIDTH)
+        block = rows[: a.size]
+        block[:, :_TEXT_WIDTH] = text[0]
+        block[:, _TEXT_WIDTH + 1 : 2 * _TEXT_WIDTH + 1] = text[1]
+        chars = block.reshape(-1)
+        fh.write(chars[chars != 0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -422,7 +443,7 @@ def _chunk_samples(
     seed: int,
     chunk: int,
 ) -> None:
-    """Fill `out_a`, `out_b` (one chunk's slices) from the chunk's stream."""
+    """Fill `out_a`, `out_b` with one chunk's records from its stream."""
     rng = _chunk_rng(seed, chunk)
     size = out_a.size
     if pipeline == "ideal-fock":
@@ -453,11 +474,11 @@ def sample_batch(
     """Deterministic batch of joint samples; state phase is uniform i.i.d.
 
     Chunks of 2^16 records each own an RNG stream derived from (seed, chunk
-    index). Up to `workers` threads, no more than there are chunks or usable
-    CPUs, draw every n-th chunk each. Without a `binning` the chunks fill one
-    stored batch; with one, each thread draws into one reused chunk-sized
-    pair and counts it at once, and the batch's table is the exact sum of
-    the threads' counts. Either way the result is bit-identical for any
+    index). Without a `binning` the batch is returned undrawn, for its
+    reader to draw through `SampleBatch.chunks`. With one, up to `workers`
+    threads, no more than there are chunks or usable CPUs, draw every n-th
+    chunk each and count it at once, and the batch's table is the exact sum
+    of the threads' counts. Either way the records are bit-identical for any
     worker count.
     """
     if count < 1:
@@ -466,40 +487,18 @@ def sample_batch(
         raise ValueError("intensity must be non-negative and finite")
     if pipeline not in PIPELINES:
         raise ValueError(f"unknown pipeline {pipeline!r}")
-    n_chunks = -(-count // CHUNK_SIZE)
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    n_workers = max(1, min(workers, n_chunks, cpus or 1))
+    batch = SampleBatch(settings, intensity_label, seed, pipeline, count, mu, noise)
     if binning is None:
-        x_a, x_b = np.empty(count), np.empty(count)
+        return batch
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    n_workers = max(1, min(workers, -(-count // CHUNK_SIZE), cpus or 1))
 
-    def run(first: int) -> np.ndarray | None:
-        """Draw chunks first, first + n_workers, ...; under a binning, each
-        into one reused scratch pair, counted as soon as it is drawn."""
-        if binning is not None:
-            cells = np.zeros(binning.size, dtype=np.int64)
-            pair = np.empty((2, CHUNK_SIZE))
-        for i in range(first, n_chunks, n_workers):
-            span = slice(i * CHUNK_SIZE, min((i + 1) * CHUNK_SIZE, count))
-            arms = (x_a[span], x_b[span]) if binning is None else pair[:, : span.stop - span.start]
-            _chunk_samples(*arms, mu, settings, noise, pipeline, seed, i)
-            if binning is not None:
-                cells += binning.count(*arms)
-        return None if binning is None else cells
+    def run(first: int) -> np.ndarray:
+        """Exact int64 cell counts of chunks first, first + n_workers, ..."""
+        counts = (binning.count(x_a, x_b) for x_a, x_b in batch.chunks(first, n_workers))
+        return sum(counts, np.zeros(binning.size, dtype=np.int64))
 
-    if n_workers > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            partials = list(pool.map(run, range(n_workers)))
-    else:
-        partials = [run(0)]
-    if binning is not None:
-        return binning.table(sum(partials), count)
-    return SampleBatch(
-        x_a=x_a,
-        x_b=x_b,
-        settings=settings,
-        intensity_label=intensity_label,
-        seed=seed,
-        pipeline=pipeline,
-        mu=mu,
-        noise=noise,
-    )
+    if n_workers == 1:
+        return binning.table(run(0), count)
+    with ThreadPoolExecutor(max_workers=n_workers) as pool:
+        return binning.table(sum(pool.map(run, range(n_workers))), count)

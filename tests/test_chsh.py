@@ -19,23 +19,26 @@ from pathent.config import ExperimentConfig
 from pathent.homodyne import (
     CHUNK_SIZE,
     MeasurementSettings,
-    SampleBatch,
     grid_index,
     joint_pdf_fock,
     sample_batch,
 )
 from scipy.special import erf
 
+from helpers import records
+
 
 class EmptySurvivorError(RuntimeError):
     """All records fell inside the discard window."""
 
 
-def threshold_counts(batch, t_grid):
-    """Count table of a stored batch under `threshold_binning(t_grid)`, in
-    one pass over the whole batch (the sampler sums it chunk by chunk)."""
+def threshold_counts(x_a, x_b, t_grid):
+    """Count table of the records (x_a[i], x_b[i]) under
+    `threshold_binning(t_grid)`, in one pass over all of them (the sampler
+    sums it chunk by chunk)."""
+    x_a, x_b = np.asarray(x_a, dtype=float), np.asarray(x_b, dtype=float)
     binning = threshold_binning(t_grid)
-    return binning.table(binning.count(batch.x_a, batch.x_b), len(batch))
+    return binning.table(binning.count(x_a, x_b), x_a.size)
 
 
 def counts_at(table, T):
@@ -53,36 +56,22 @@ def correlation(counts) -> float:
     return (n00 + n11 - n01 - n10) / surv
 
 
-def make_batch(x_a, x_b):
-    return SampleBatch(
-        x_a=np.asarray(x_a, dtype=float),
-        x_b=np.asarray(x_b, dtype=float),
-        settings=MeasurementSettings(0.0, 0.0),
-        intensity_label=0,
-        seed=0,
-        pipeline="equivalent",
-    )
-
-
 class TestBinning:
     def test_four_record_example(self):
-        batch = make_batch([-2.0, 2.0, -2.0, 0.5], [-2.0, 2.0, 2.0, -2.0])
-        table = threshold_counts(batch, [1.0])
+        table = threshold_counts([-2.0, 2.0, -2.0, 0.5], [-2.0, 2.0, 2.0, -2.0], [1.0])
         assert counts_at(table, 1.0) == (1, 1, 0, 1)
         assert table.total - sum(counts_at(table, 1.0)) == 1  # discarded
         assert bin_coincidences(table, 1.0).tolist() == [0.25, 0.25, 0.0, 0.25]
 
     def test_zero_threshold_keeps_everything(self):
         rng = np.random.default_rng(0)
-        batch = make_batch(rng.normal(size=1000), rng.normal(size=1000))
-        table = threshold_counts(batch, [0.0])
+        table = threshold_counts(rng.normal(size=1000), rng.normal(size=1000), [0.0])
         assert sum(counts_at(table, 0.0)) == table.total
 
     def test_survivors_shrink_with_threshold(self):
         rng = np.random.default_rng(1)
-        batch = make_batch(rng.normal(size=5000), rng.normal(size=5000))
         grid = (0.0, 0.3, 0.8, 1.5)
-        table = threshold_counts(batch, grid)
+        table = threshold_counts(rng.normal(size=5000), rng.normal(size=5000), grid)
         prev = None
         for T in grid:
             surv = sum(counts_at(table, T))
@@ -92,7 +81,7 @@ class TestBinning:
 
     def test_vacuum_survival_probability(self):
         batch = sample_batch(0.0, MeasurementSettings(0.0, 0.0), 200_000, seed=17)
-        table = threshold_counts(batch, [1.0])
+        table = threshold_counts(*records(batch), [1.0])
         gains = bin_coincidences(table, 1.0)
         # Per arm P(|x| > T) = 1 - erf(T) for the vacuum; arms independent.
         expect = (1.0 - erf(1.0)) ** 2
@@ -102,13 +91,12 @@ class TestBinning:
         assert gains[0] == pytest.approx(expect / 4, abs=5 * se)
 
     def test_negative_threshold_rejected(self):
-        batch = make_batch([0.0], [0.0])
         with pytest.raises(ValueError):
-            threshold_counts(batch, [-1.0])
+            threshold_counts([0.0], [0.0], [-1.0])
         with pytest.raises(ValueError):
-            threshold_counts(batch, [0.5, -0.1])
+            threshold_counts([0.0], [0.0], [0.5, -0.1])
         with pytest.raises(ValueError):
-            bin_coincidences(threshold_counts(batch, [0.5]), -0.5)
+            bin_coincidences(threshold_counts([0.0], [0.0], [0.5]), -0.5)
 
 
 def reference_counts(x_a, x_b, T):
@@ -136,14 +124,13 @@ def adversarial_values(grid):
 
 class TestThresholdCounts:
     def check_against_reference(self, x_a, x_b, grid):
-        batch = make_batch(x_a, x_b)
-        table = threshold_counts(batch, grid)
+        table = threshold_counts(x_a, x_b, grid)
         assert len(table) == len(x_a)
         assert table.grid.tolist() == sorted(set(grid))
         for T in grid:
-            expect = reference_counts(batch.x_a, batch.x_b, T)
+            expect = reference_counts(x_a, x_b, T)
             assert counts_at(table, T) == expect
-            assert counts_at(threshold_counts(batch, [T]), T) == expect
+            assert counts_at(threshold_counts(x_a, x_b, [T]), T) == expect
             assert bin_coincidences(table, T).tolist() == [n / len(x_a) for n in expect]
 
     def test_adversarial_records(self):
@@ -154,7 +141,7 @@ class TestThresholdCounts:
     def test_nan_in_either_arm_is_discarded(self):
         x_a = np.array([np.nan, 3.0, np.nan, -3.0])
         x_b = np.array([3.0, np.nan, np.nan, -3.0])
-        table = threshold_counts(make_batch(x_a, x_b), [0.0, 1.0])
+        table = threshold_counts(x_a, x_b, [0.0, 1.0])
         for T in (0.0, 1.0):
             assert counts_at(table, T) == (1, 0, 0, 0)
             assert table.total - sum(counts_at(table, T)) == 3
@@ -177,15 +164,15 @@ class TestThresholdCounts:
         self.check_against_reference(x_a, x_b, grid)
 
     def test_empty_grid_and_threshold_off_grid(self):
-        batch = make_batch([1.0, -2.0], [2.0, -1.0])
-        assert threshold_counts(batch, []).counts.shape == (0, 4)
-        table = threshold_counts(batch, [0.5])
+        x_a, x_b = [1.0, -2.0], [2.0, -1.0]
+        assert threshold_counts(x_a, x_b, []).counts.shape == (0, 4)
+        table = threshold_counts(x_a, x_b, [0.5])
         with pytest.raises(ValueError):
             bin_coincidences(table, 0.25)
         with pytest.raises(ValueError):
             bin_coincidences(table, np.nan)
         with pytest.raises(ZeroDivisionError):  # no records, so no gains
-            bin_coincidences(threshold_counts(make_batch([], []), [0.5]), 0.5)
+            bin_coincidences(threshold_counts([], [], [0.5]), 0.5)
 
 
 GRIDS = {
@@ -397,7 +384,7 @@ class TestMonteCarloAgreement:
             batch = sample_batch(
                 0.0, settings, count, pipeline="ideal-fock", seed=300 + idx
             )
-            counts = counts_at(threshold_counts(batch, [T]), T)
+            counts = counts_at(threshold_counts(*records(batch), [T]), T)
             e = correlation(counts)
             var += (1.0 - e * e) / sum(counts)
             s_est += -e if idx == 3 else e
@@ -416,7 +403,8 @@ class TestDecoyPipeline:
         return out
 
     def make_tables(self, settings, seed, grid):
-        return [threshold_counts(batch, grid) for batch in self.make_batches(settings, seed)]
+        batches = self.make_batches(settings, seed)
+        return [threshold_counts(*records(batch), grid) for batch in batches]
 
     def test_coincidence_bounds_contain_estimates(self):
         settings = MeasurementSettings.chsh(0, 0)
@@ -442,22 +430,22 @@ class TestDecoyPipeline:
             batches = [sample_batch(0.0, settings, 2000, seed=80)]
             for j, mu in enumerate(self.iset.intensities, start=1):
                 batches.append(sample_batch(mu, settings, 2000, seed=81 + j))
-            tables[combo] = [threshold_counts(batch, [0.5, 9.0]) for batch in batches]
+            tables[combo] = [threshold_counts(*records(batch), [0.5, 9.0]) for batch in batches]
         results = scan_threshold(tables, self.iset, [0.5, 9.0])
         assert results[0].valid
         assert not results[1].valid
 
     def test_scan_same_on_full_and_one_value_grids(self):
         grid = [0.6, 0.0, 0.3, 0.6, 9.0]
-        batches = {
-            combo: self.make_batches(MeasurementSettings.chsh(*combo), 90 + 10 * idx)
+        arms = {
+            combo: [records(b) for b in self.make_batches(MeasurementSettings.chsh(*combo), 90 + 10 * idx)]
             for idx, combo in enumerate(CHSH_COMBOS)
         }
 
         def tables_over(t_grid):
             return {
-                combo: [threshold_counts(batch, t_grid) for batch in by_label]
-                for combo, by_label in batches.items()
+                combo: [threshold_counts(x_a, x_b, t_grid) for x_a, x_b in by_label]
+                for combo, by_label in arms.items()
             }
 
         tables = tables_over(grid)
@@ -538,7 +526,7 @@ class TestScalarReference:
             batches = [sample_batch(0.0, settings, 20_000, seed=500 + 10 * idx)]
             for j, mu in enumerate(iset.intensities, start=1):
                 batches.append(sample_batch(mu, settings, 5_000, seed=500 + 10 * idx + j))
-            tables[combo] = [threshold_counts(batch, grid) for batch in batches]
+            tables[combo] = [threshold_counts(*records(batch), grid) for batch in batches]
 
         expect = scalar_scan(tables, iset, grid)
         got = [

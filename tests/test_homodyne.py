@@ -1,3 +1,4 @@
+import io
 import itertools
 import json
 import math
@@ -24,6 +25,8 @@ from pathent.homodyne import (
 from pathent.states import IDEAL_NOISE, NoiseModel
 from pathent.tomography import histogram_binning
 
+from helpers import records
+
 
 def reference_chunk(mu, settings, noise, pipeline, seed, chunk, size):
     """One chunk by the plain formula: a uniform theta (also for the
@@ -45,9 +48,9 @@ def reference_chunk(mu, settings, noise, pipeline, seed, chunk, size):
 
 
 def stored_table(batch, binning):
-    """Count table of a stored batch under `binning`, in one pass over the
-    whole batch (the sampler sums it chunk by chunk)."""
-    return binning.table(binning.count(batch.x_a, batch.x_b), len(batch))
+    """Count table of a batch's records under `binning`, in one pass over
+    all of them (the sampler sums it chunk by chunk)."""
+    return binning.table(binning.count(*records(batch)), len(batch))
 
 
 def assert_same_table(got, expect):
@@ -120,9 +123,9 @@ class TestCoherentSampling:
         assert abs(xs.mean()) < 0.02
 
     def test_vacuum_marginals(self):
-        batch = sample_batch(0.0, MeasurementSettings(0.0, 0.0), 200_000, seed=7)
-        assert kstest(batch.x_a, norm(scale=np.sqrt(0.5)).cdf).pvalue > 1e-3
-        assert 0.49 < batch.x_b.var() < 0.51
+        x_a, x_b = records(sample_batch(0.0, MeasurementSettings(0.0, 0.0), 200_000, seed=7))
+        assert kstest(x_a, norm(scale=np.sqrt(0.5)).cdf).pvalue > 1e-3
+        assert 0.49 < x_b.var() < 0.51
 
     def test_phase_randomized_variance(self):
         # var = 1/2 + mu * eta_tot / 2 once the phase is averaged out.
@@ -130,16 +133,16 @@ class TestCoherentSampling:
         mu = 0.984
         batch = sample_batch(mu, MeasurementSettings(0.0, 0.0), 400_000, noise, seed=3)
         expect = 0.5 + mu * noise.eta_tot / 2.0
-        assert batch.x_a.var() == pytest.approx(expect, rel=0.01)
+        assert records(batch)[0].var() == pytest.approx(expect, rel=0.01)
 
     def test_pipeline_equivalence_ks(self):
         noise = NoiseModel(0.617, 2.0 / 3.0)
         settings = MeasurementSettings(0.0, np.pi / 4)
         for mu in (0.0, 0.984):
-            bp = sample_batch(mu, settings, 50_000, noise, "physical", seed=11)
-            be = sample_batch(mu, settings, 50_000, noise, "equivalent", seed=22)
-            assert ks_2samp(bp.x_a, be.x_a).pvalue > 1e-3
-            assert ks_2samp(bp.x_b, be.x_b).pvalue > 1e-3
+            bp = records(sample_batch(mu, settings, 50_000, noise, "physical", seed=11))
+            be = records(sample_batch(mu, settings, 50_000, noise, "equivalent", seed=22))
+            assert ks_2samp(bp[0], be[0]).pvalue > 1e-3
+            assert ks_2samp(bp[1], be[1]).pvalue > 1e-3
 
 
 class TestDeterminism:
@@ -163,8 +166,9 @@ class TestDeterminism:
                 batch = sample_batch(
                     mu, settings, count, noise, pipeline, seed=5, workers=workers
                 )
-                assert np.array_equal(batch.x_a.view(np.int64), expect_a)
-                assert np.array_equal(batch.x_b.view(np.int64), expect_b)
+                x_a, x_b = records(batch)
+                assert np.array_equal(x_a.view(np.int64), expect_a)
+                assert np.array_equal(x_b.view(np.int64), expect_b)
 
     def test_same_seed_identical(self):
         kwargs = dict(
@@ -173,10 +177,10 @@ class TestDeterminism:
             count=150_000,
             seed=42,
         )
-        b1 = sample_batch(**kwargs)
-        b2 = sample_batch(**kwargs)
-        assert np.array_equal(b1.x_a, b2.x_a)
-        assert np.array_equal(b1.x_b, b2.x_b)
+        b1 = records(sample_batch(**kwargs))
+        b2 = records(sample_batch(**kwargs))
+        assert np.array_equal(b1[0], b2[0])
+        assert np.array_equal(b1[1], b2[1])
 
     def test_workers_do_not_change_output(self):
         kwargs = dict(
@@ -185,10 +189,10 @@ class TestDeterminism:
             count=300_000,
             seed=42,
         )
-        b1 = sample_batch(workers=1, **kwargs)
-        b4 = sample_batch(workers=4, **kwargs)
-        assert np.array_equal(b1.x_a, b4.x_a)
-        assert np.array_equal(b1.x_b, b4.x_b)
+        b1 = records(sample_batch(workers=1, **kwargs))
+        b4 = records(sample_batch(workers=4, **kwargs))
+        assert np.array_equal(b1[0], b4[0])
+        assert np.array_equal(b1[1], b4[1])
 
     def test_fock_pipeline_deterministic(self):
         kwargs = dict(
@@ -198,15 +202,15 @@ class TestDeterminism:
             pipeline="ideal-fock",
             seed=9,
         )
-        b1 = sample_batch(**kwargs)
-        b2 = sample_batch(workers=3, **kwargs)
-        assert np.array_equal(b1.x_a, b2.x_a)
+        b1 = records(sample_batch(**kwargs))
+        b2 = records(sample_batch(workers=3, **kwargs))
+        assert np.array_equal(b1[0], b2[0])
 
     def test_different_seeds_differ(self):
         settings = MeasurementSettings(0.0, 0.0)
-        b1 = sample_batch(0.5, settings, 1000, seed=1)
-        b2 = sample_batch(0.5, settings, 1000, seed=2)
-        assert not np.array_equal(b1.x_a, b2.x_a)
+        b1 = records(sample_batch(0.5, settings, 1000, seed=1))
+        b2 = records(sample_batch(0.5, settings, 1000, seed=2))
+        assert not np.array_equal(b1[0], b2[0])
 
 
 class TestBinnedSampling:
@@ -262,10 +266,12 @@ class TestBinnedSampling:
         one = sample_batch(workers=1, **kwargs)
         assert started == []
         many = sample_batch(workers=64, **kwargs)
-        assert started == [threads]
-        if binning is None:
-            assert np.array_equal(one.x_a, many.x_a) and np.array_equal(one.x_b, many.x_b)
+        if binning is None:  # its reader draws it, on the reader's thread
+            assert started == []
+            one, many = records(one), records(many)
+            assert np.array_equal(one[0], many[0]) and np.array_equal(one[1], many[1])
         else:
+            assert started == [threads]
             assert_same_table(many, one)
 
     @pytest.mark.parametrize("mu", [np.nan, np.inf, -1.0])
@@ -326,7 +332,7 @@ def fock_cell_masses(edges, dtheta, nodes=8):
 
 
 def single_photon_batch(dtheta, count, seed):
-    """The ideal-fock pipeline's stored batch at phase gap dtheta."""
+    """The ideal-fock pipeline's batch at phase gap dtheta."""
     return sample_batch(
         0.0, MeasurementSettings(dtheta, 0.0), count, pipeline="ideal-fock", seed=seed
     )
@@ -334,19 +340,19 @@ def single_photon_batch(dtheta, count, seed):
 
 class TestFockSampling:
     def test_single_photon_correlation_sign(self):
-        b0 = single_photon_batch(0.0, 200_000, seed=13)
-        bpi = single_photon_batch(np.pi, 200_000, seed=13)
-        assert np.corrcoef(b0.x_a, b0.x_b)[0, 1] > 0.2
-        assert np.corrcoef(bpi.x_a, bpi.x_b)[0, 1] < -0.2
+        b0 = records(single_photon_batch(0.0, 200_000, seed=13))
+        bpi = records(single_photon_batch(np.pi, 200_000, seed=13))
+        assert np.corrcoef(*b0)[0, 1] > 0.2
+        assert np.corrcoef(*bpi)[0, 1] < -0.2
 
     def test_correlation_matches_quadrature(self):
-        batch = single_photon_batch(0.0, 300_000, seed=14)
+        x_a, x_b = records(single_photon_batch(0.0, 300_000, seed=14))
         nodes, weights = np.polynomial.legendre.leggauss(120)
         x = 8.0 * nodes
         w = 8.0 * weights
         pdf = joint_pdf_fock(1, x[:, None], x[None, :], 0.0)
         exy = float(np.sum(w[:, None] * w[None, :] * x[:, None] * x[None, :] * pdf))
-        assert np.mean(batch.x_a * batch.x_b) == pytest.approx(exy, abs=0.006)
+        assert np.mean(x_a * x_b) == pytest.approx(exy, abs=0.006)
 
     @pytest.mark.parametrize("dtheta", [0.0, 0.7, np.pi / 2, np.pi, -2.3])
     def test_draw_matches_density(self, dtheta):
@@ -373,30 +379,39 @@ class TestFockSampling:
 
 
 def load_batch(path):
-    """Read a batch written by SampleBatch.save back, sidecar included."""
+    """Read a batch written by SampleBatch.save back: the batch its sidecar
+    describes, and the records of the CSV as two arrays."""
     with open(os.path.splitext(path)[0] + ".meta.json") as fh:
         meta = json.load(fh)
     data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     settings = MeasurementSettings(meta["phi_a"], meta["phi_b"], meta["label_a"], meta["label_b"])
-    return SampleBatch(
-        x_a=data[:, 0],
-        x_b=data[:, 1],
+    batch = SampleBatch(
         settings=settings,
         intensity_label=meta["intensity_label"],
         seed=meta["seed"],
         pipeline=meta["pipeline"],
+        count=meta["count"],
         mu=meta["mu"],
         noise=NoiseModel(meta["eta_pd"], meta["v_e"]),
     )
+    return batch, data[:, 0], data[:, 1]
 
 
-def reference_save(batch, path):
-    """The CSV part of SampleBatch.save, one row at a time."""
-    with open(path, "w") as fh:
-        fh.write("x_a,x_b,intensity_label,setting_a,setting_b\n")
-        lbl = f",{batch.intensity_label},{batch.settings.label_a},{batch.settings.label_b}\n"
-        for xa, xb in zip(batch.x_a, batch.x_b):
-            fh.write(f"{xa:.17g},{xb:.17g}" + lbl)
+HEADER = b"x_a,x_b,intensity_label,setting_a,setting_b\n"
+
+
+def reference_rows(x_a, x_b, tail):
+    """The CSV rows of the records (x_a[i], x_b[i]) written one at a time
+    with %.17g, each ending in `tail`."""
+    return "".join(f"{xa:.17g},{xb:.17g}{tail}" for xa, xb in zip(x_a, x_b)).encode()
+
+
+def block_writer_bytes(x_a, x_b, tail):
+    """What the save block writer writes for the records (x_a[i], x_b[i])
+    with the row tail `tail`."""
+    out = io.BytesIO()
+    hm._write_rows(out, np.asarray(x_a, dtype=float), np.asarray(x_b, dtype=float), hm._row_template(tail))
+    return out.getvalue()
 
 
 def read_bytes(path):
@@ -424,14 +439,16 @@ class TestPersistence:
         )
         path = str(tmp_path / "batch.csv")
         assert batch.save(path) == (path, str(tmp_path / "batch.meta.json"))
-        loaded = load_batch(path)
-        assert np.array_equal(batch.x_a, loaded.x_a)
-        assert np.array_equal(batch.x_b, loaded.x_b)
+        loaded, x_a, x_b = load_batch(path)
+        expect_a, expect_b = records(batch)
+        assert np.array_equal(expect_a, x_a)
+        assert np.array_equal(expect_b, x_b)
         assert loaded.seed == 99
         assert loaded.pipeline == "physical"
         assert loaded.intensity_label == 2
         assert loaded.settings == batch.settings
         assert loaded.noise == batch.noise
+        assert loaded == batch
 
     def test_header_format(self, tmp_path):
         batch = sample_batch(0.0, MeasurementSettings(0.0, 0.0), 3, seed=1)
@@ -446,7 +463,7 @@ class TestPersistence:
         "count", [1, 4 * hm.SAVE_BLOCK - 1, 4 * hm.SAVE_BLOCK, 4 * hm.SAVE_BLOCK + 1, 12 * hm.SAVE_BLOCK + 5]
     )
     @pytest.mark.parametrize("label, combo", [(0, (0, 0)), (1, (1, 0)), (2, (0, 1)), (3, (1, 1))])
-    def test_bytes_match_row_writer(self, tmp_path, count, label, combo):
+    def test_bytes_match_row_writer(self, count, label, combo):
         batch = sample_batch(
             0.5,
             MeasurementSettings.chsh(*combo),
@@ -455,34 +472,52 @@ class TestPersistence:
             seed=count,
             intensity_label=label,
         )
-        batch.save(str(tmp_path / "block.csv"))
-        reference_save(batch, str(tmp_path / "row.csv"))
-        assert read_bytes(tmp_path / "block.csv") == read_bytes(tmp_path / "row.csv")
+        tail = f",{label},{combo[0]},{combo[1]}\n"
+        x_a, x_b = records(batch)
+        assert block_writer_bytes(x_a, x_b, tail) == reference_rows(x_a, x_b, tail)
 
-    def test_awkward_values_match_row_writer(self, tmp_path):
-        batch = SampleBatch(
-            x_a=AWKWARD_VALUES,
-            x_b=AWKWARD_VALUES[::-1],
-            settings=MeasurementSettings.chsh(1, 0),
-            intensity_label=3,
-            seed=0,
-            pipeline="equivalent",
-        )
-        batch.save(str(tmp_path / "block.csv"))
-        reference_save(batch, str(tmp_path / "row.csv"))
-        assert read_bytes(tmp_path / "block.csv") == read_bytes(tmp_path / "row.csv")
+    def test_save_bytes_across_chunks(self, tmp_path):
+        """`save` writes the header, then each chunk's rows in order; the
+        batch ends five rows into its third chunk."""
+        batch = sample_batch(0.5, MeasurementSettings.chsh(1, 1), 2 * CHUNK_SIZE + 5, seed=8, intensity_label=2)
+        batch.save(str(tmp_path / "b.csv"))
+        expect = HEADER + reference_rows(*records(batch), ",2,1,1\n")
+        assert read_bytes(tmp_path / "b.csv") == expect
+
+    def test_awkward_values_match_row_writer(self):
+        tail = ",3,1,0\n"
+        x_a, x_b = AWKWARD_VALUES, AWKWARD_VALUES[::-1]
+        assert block_writer_bytes(x_a, x_b, tail) == reference_rows(x_a, x_b, tail)
 
     def test_save_memory_is_bounded(self, tmp_path):
-        """Writing a 1 M-record batch (~45 MB of text) allocates well under
-        2 MB beyond the batch: one block of text and its temporaries."""
-        batch = sample_batch(0.5, MeasurementSettings.chsh(0, 1), 1_000_000, seed=3)
-        tracemalloc.start()
-        try:
-            batch.save(str(tmp_path / "big.csv"))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        """Writing 1 M records (~45 MB of text) allocates well under 2 MB
+        beyond the records: one block of text and its temporaries."""
+        x_a, x_b = records(sample_batch(0.5, MeasurementSettings.chsh(0, 1), 1_000_000, seed=3))
+        with open(tmp_path / "big.csv", "wb") as fh:
+            tracemalloc.start()
+            try:
+                hm._write_rows(fh, x_a, x_b, hm._row_template(",0,0,1\n"))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
         assert peak < 2_000_000
+
+    def test_sample_and_save_memory_does_not_grow_with_the_batch(self, tmp_path):
+        """Drawing and saving a 16-chunk batch takes no more memory than a
+        1-chunk batch: each chunk is drawn into one reused pair and written
+        before the next is drawn. Holding the 16 chunks would take 16 MB."""
+
+        def peak(count):
+            tracemalloc.start()
+            try:
+                batch = sample_batch(0.5, MeasurementSettings.chsh(0, 1), count, seed=3)
+                batch.save(str(tmp_path / f"{count}.csv"))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(1)  # the first save builds the formatting tables, which stay cached
+        assert peak(16 * CHUNK_SIZE) <= peak(CHUNK_SIZE) + 256 * 1024
 
 
 def kernel_text(values):

@@ -14,6 +14,8 @@ from pathent.states import (
     splitter_output,
 )
 
+from helpers import records
+
 
 def poisson_weights(mu: float, cutoff: int) -> tuple[np.ndarray, float]:
     """Poisson photon-number weights up to `cutoff`, plus the truncation tail.
@@ -198,10 +200,10 @@ class TestLossEquivalence:
         """Additive noise + rescale vs. equivalent loss: same distribution."""
         noise = NoiseModel(eta_pd=1.0, v_e=1.0)
         settings = MeasurementSettings(phi_a=0.3, phi_b=1.1)
-        b_phys = sample_batch(0.8, settings, 60_000, noise, "physical", seed=5)
-        b_equiv = sample_batch(0.8, settings, 60_000, noise, "equivalent", seed=6)
-        assert ks_2samp(b_phys.x_a, b_equiv.x_a).pvalue > 1e-3
-        assert ks_2samp(b_phys.x_b, b_equiv.x_b).pvalue > 1e-3
+        phys_a, phys_b = records(sample_batch(0.8, settings, 60_000, noise, "physical", seed=5))
+        equiv_a, equiv_b = records(sample_batch(0.8, settings, 60_000, noise, "equivalent", seed=6))
+        assert ks_2samp(phys_a, equiv_a).pvalue > 1e-3
+        assert ks_2samp(phys_b, equiv_b).pvalue > 1e-3
 
     def test_compensated_round_trip(self):
         noise = NoiseModel(0.617, 2.0 / 3.0)

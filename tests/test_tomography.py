@@ -6,7 +6,7 @@ import pytest
 from pathent.cli import _csv_line, _write_lines
 from pathent.config import ExperimentConfig
 from pathent.decoy import DecoyIntensitySet
-from pathent.homodyne import CHUNK_SIZE, MeasurementSettings, SampleBatch, sample_batch
+from pathent.homodyne import CHUNK_SIZE, MeasurementSettings, sample_batch
 from pathent.states import TwoModeFockState, bell_state
 from pathent.tomography import (
     BinnedHistogram,
@@ -20,11 +20,15 @@ from pathent.tomography import (
     multiphoton_mass,
 )
 
-def histogram_counts(batch, edges):
-    """Count table of a stored batch under `histogram_binning(edges)`, in
-    one pass over the whole batch (the sampler sums it chunk by chunk)."""
+from helpers import records
+
+def histogram_counts(x_a, x_b, edges):
+    """Count table of the records (x_a[i], x_b[i]) under
+    `histogram_binning(edges)`, in one pass over all of them (the sampler
+    sums it chunk by chunk)."""
+    x_a, x_b = np.asarray(x_a, dtype=float), np.asarray(x_b, dtype=float)
     binning = histogram_binning(edges)
-    return binning.table(binning.count(batch.x_a, batch.x_b), len(batch))
+    return binning.table(binning.count(x_a, x_b), x_a.size)
 
 
 PHASE_PAIRS_4 = [
@@ -48,17 +52,6 @@ def load_density_matrix(path):
             vals = [float(v) for v in fh.readline().split(",")]
             rows.append([complex(r, i) for r, i in zip(vals[::2], vals[1::2])])
     return np.array(rows)
-
-
-def make_batch(x_a, x_b):
-    return SampleBatch(
-        x_a=x_a,
-        x_b=x_b,
-        settings=MeasurementSettings(0.0, 0.0),
-        intensity_label=0,
-        seed=0,
-        pipeline="equivalent",
-    )
 
 
 def adversarial_values(edges):
@@ -220,7 +213,7 @@ class TestHistogramCounts:
     }
 
     def check_against_histogram2d(self, x_a, x_b, edges):
-        table = histogram_counts(make_batch(x_a, x_b), edges)
+        table = histogram_counts(x_a, x_b, edges)
         expect, _, _ = np.histogram2d(x_a, x_b, bins=(edges, edges))
         assert len(table) == len(x_a)
         assert table.counts.dtype == np.int64
@@ -237,7 +230,7 @@ class TestHistogramCounts:
         edges = np.array([-1.0, 0.0, 1.0])
         x_a = np.array([1.0, np.nan, 0.5, np.inf, -np.inf, 0.5, -1.0])
         x_b = np.array([1.0, 0.5, np.nan, 0.5, 0.5, -np.inf, -0.0])
-        table = histogram_counts(make_batch(x_a, x_b), edges)
+        table = histogram_counts(x_a, x_b, edges)
         assert table.counts.tolist() == [[0, 1], [0, 1]]
         assert len(table) == 7
 
@@ -253,18 +246,18 @@ class TestHistogramCounts:
     def test_density_matches_histogram2d(self):
         edges = self.GRIDS["default"]
         batch = sample_batch(0.5, MeasurementSettings(0.3, -0.3), 20_000, seed=22)
-        density = histogram_density(histogram_counts(batch, edges), edges)
-        counts, _, _ = np.histogram2d(batch.x_a, batch.x_b, bins=(edges, edges))
+        x_a, x_b = records(batch)
+        density = histogram_density(histogram_counts(x_a, x_b, edges), edges)
+        counts, _, _ = np.histogram2d(x_a, x_b, bins=(edges, edges))
         w = np.diff(edges)
         assert np.array_equal(density, counts / (len(batch) * (w[0] * w[0])))
 
     def test_uneven_or_mismatched_edges_rejected(self):
-        batch = make_batch([0.5], [0.5])
         with pytest.raises(ValueError):
-            histogram_counts(batch, np.array([0.0, 1.0, 3.0]))
+            histogram_counts([0.5], [0.5], np.array([0.0, 1.0, 3.0]))
         with pytest.raises(ValueError):
-            histogram_counts(batch, np.array([0.0]))
-        table = histogram_counts(batch, np.linspace(-1.0, 1.0, 3))
+            histogram_counts([0.5], [0.5], np.array([0.0]))
+        table = histogram_counts([0.5], [0.5], np.linspace(-1.0, 1.0, 3))
         with pytest.raises(ValueError):
             histogram_density(table, np.linspace(-1.0, 1.0, 5))
 
@@ -273,7 +266,7 @@ class TestHistograms:
     def test_density_normalization(self):
         batch = sample_batch(0.0, MeasurementSettings(0.0, 0.0), 50_000, seed=21)
         edges = np.linspace(-5.0, 5.0, 51)
-        dens = histogram_density(histogram_counts(batch, edges), edges)
+        dens = histogram_density(histogram_counts(*records(batch), edges), edges)
         area = 0.2 * 0.2
         # Nearly all vacuum mass lies inside +-5.
         assert dens.sum() * area == pytest.approx(1.0, abs=1e-3)
@@ -285,10 +278,10 @@ class TestHistograms:
         edges = np.linspace(-5.0, 5.0, 26)
         pair = (np.pi / 8, -np.pi / 8)
         settings = MeasurementSettings(*pair)
-        tables = [histogram_counts(sample_batch(0.0, settings, 400_000, seed=130), edges)]
+        tables = [histogram_counts(*records(sample_batch(0.0, settings, 400_000, seed=130)), edges)]
         for j, mu in enumerate(iset.intensities, start=1):
             batch = sample_batch(mu, settings, 150_000, seed=130 + j)
-            tables.append(histogram_counts(batch, edges))
+            tables.append(histogram_counts(*records(batch), edges))
         hist = decoy_corrected_histogram({0: tables}, iset, edges)
         centers = 0.5 * (edges[:-1] + edges[1:])
         expect = joint_pdf_fock(1, centers[:, None], centers[None, :], np.pi / 4)
@@ -302,22 +295,11 @@ class TestHistograms:
         assert hist.clamp_fraction[0] < 0.5
 
     def test_corrected_histogram_degenerate_raises(self):
-        from pathent.homodyne import SampleBatch
-
         iset = DecoyIntensitySet((0.1,))
         edges = np.linspace(-1.0, 1.0, 3)
-        settings = MeasurementSettings(0.0, 0.0)
 
         def table(x):
-            batch = SampleBatch(
-                x_a=np.full(100, x),
-                x_b=np.full(100, x),
-                settings=settings,
-                intensity_label=0,
-                seed=0,
-                pipeline="equivalent",
-            )
-            return histogram_counts(batch, edges)
+            return histogram_counts(np.full(100, x), np.full(100, x), edges)
 
         # Vacuum data in-range, decoy data entirely out of range: the
         # corrected density is negative everywhere and clamps to nothing.
@@ -326,8 +308,8 @@ class TestHistograms:
 
     def test_uncorrected_histogram_without_records_in_range_raises(self):
         edges = np.linspace(-1.0, 1.0, 3)
-        tables = {0: histogram_counts(make_batch([0.5], [0.5]), edges)}
-        tables[1] = histogram_counts(make_batch([3.0, np.nan], [0.5, 0.5]), edges)
+        tables = {0: histogram_counts([0.5], [0.5], edges)}
+        tables[1] = histogram_counts([3.0, np.nan], [0.5, 0.5], edges)
         with pytest.raises(ArithmeticError):
             histogram_from_tables(tables, edges)
 
@@ -358,7 +340,7 @@ class TestMle:
         edges = cfg.bin_edges()
         tables = {
             s: histogram_counts(
-                sample_batch(0.0, MeasurementSettings(*pair), 40_000, seed=400 + s), edges
+                *records(sample_batch(0.0, MeasurementSettings(*pair), 40_000, seed=400 + s)), edges
             )
             for s, pair in enumerate(PHASE_PAIRS_4)
         }
@@ -373,12 +355,14 @@ class TestMle:
         edges = cfg.bin_edges()
         tables = {
             s: histogram_counts(
-                sample_batch(
-                    0.0,
-                    MeasurementSettings(*pair),
-                    50_000,
-                    pipeline="ideal-fock",
-                    seed=500 + s,
+                *records(
+                    sample_batch(
+                        0.0,
+                        MeasurementSettings(*pair),
+                        50_000,
+                        pipeline="ideal-fock",
+                        seed=500 + s,
+                    )
                 ),
                 edges,
             )
@@ -401,18 +385,20 @@ class TestMle:
             tables[s] = []
             for j, mu in enumerate((0.0,) + iset.intensities):
                 batch = sample_batch(mu, settings, 60_000, seed=600 + 4 * s + j)
-                tables[s].append(histogram_counts(batch, edges))
+                tables[s].append(histogram_counts(*records(batch), edges))
         return decoy_corrected_histogram(tables, iset, edges)
 
     def fock_histogram(self, edges):
         tables = {
             s: histogram_counts(
-                sample_batch(
-                    0.0,
-                    MeasurementSettings(*pair),
-                    20_000,
-                    pipeline="ideal-fock",
-                    seed=700 + s,
+                *records(
+                    sample_batch(
+                        0.0,
+                        MeasurementSettings(*pair),
+                        20_000,
+                        pipeline="ideal-fock",
+                        seed=700 + s,
+                    )
                 ),
                 edges,
             )
