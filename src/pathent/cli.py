@@ -45,52 +45,44 @@ def _batch_seed(master_seed: int, index: int) -> int:
     return (master_seed * 1_000_003 + index) % (1 << 63)
 
 
-def _simulate_point(
-    config: ExperimentConfig,
-    settings: MeasurementSettings,
-    intensity_label: int | None,
-    batch_index: int,
-    binning=None,
-):
-    """One batch at `settings`, as its count table under `binning` or, with
-    none, as an undrawn batch. Label 0 is the vacuum; labels 1..L the decoy
-    levels, with intensities compensated by 1/eta_tot at the source so the
-    post-loss intensities hit the configured targets. Label None is the
-    noiseless single-photon source that ideal-fock tomography measures."""
-    mu_target = config.intensities[intensity_label - 1] if intensity_label else 0.0
-    count = config.vacuum_samples if intensity_label == 0 else config.samples_per_point
-    noise = IDEAL_NOISE if intensity_label is None else config.noise
-    return sample_batch(
-        mu=compensated_intensity(mu_target, noise),
-        settings=settings,
-        count=config.scaled(count),
-        noise=noise,
-        pipeline=config.pipeline,
-        seed=_batch_seed(config.seed, batch_index),
-        intensity_label=intensity_label or 0,
-        workers=config.workers,
-        binning=binning,
-    )
-
-
-def _sweep(
-    config: ExperimentConfig,
-    settings: dict,
-    first_index: int,
-    binning=None,
-    reduce=lambda result: result,
-) -> dict:
-    """Per key of `settings`, `reduce` of one batch per intensity label, in
-    label order: of its count table under `binning` or, with none, of the
-    undrawn batch. Batches are sampled key by key and label by label, the
-    i-th with batch index first_index + i, and each is reduced before the
-    next is sampled. The labels are the vacuum and every decoy level, or
-    for the ideal-fock pipeline the one noiseless |1> source (label None)."""
-    labels = [None] if config.pipeline == "ideal-fock" else range(len(config.intensities) + 1)
+def _sweep(config: ExperimentConfig, settings: dict, first_index: int, binning=None) -> dict:
+    """Per key of `settings`, one batch per intensity label, in label order:
+    its count table under `binning` or, with none, the undrawn batch. The
+    i-th batch sampled, key by key and label by label, has batch index
+    first_index + i. Label 0 is the vacuum, on vacuum_samples records; labels
+    1..L, on samples_per_point each, are the decoy levels, compensated by
+    1/eta_tot at the source so the post-loss intensities hit their targets.
+    Ideal-fock samples no vacuum: its one label, None, is the noiseless |1>
+    source. Before sampling, stderr names each count used that the scale
+    divisor clamps to 1 record per batch."""
+    ideal = config.pipeline == "ideal-fock"
+    labels = [None] if ideal else range(len(config.intensities) + 1)
+    count_of = {label: "vacuum_samples" if label == 0 else "samples_per_point" for label in labels}
+    clamped = [
+        f"{n} = {getattr(config, n)}"
+        for n in dict.fromkeys(count_of.values())
+        if getattr(config, n) < config.scale
+    ]
+    if clamped:
+        print(
+            f"warning: scale {config.scale} clamps {' and '.join(clamped)} to 1 record per batch",
+            file=sys.stderr,
+        )
+    noise = IDEAL_NOISE if ideal else config.noise
     index = itertools.count(first_index)
     return {
         key: [
-            reduce(_simulate_point(config, setting, label, next(index), binning))
+            sample_batch(
+                mu=compensated_intensity(config.intensities[label - 1] if label else 0.0, noise),
+                settings=setting,
+                count=config.scaled(getattr(config, count_of[label])),
+                noise=noise,
+                pipeline=config.pipeline,
+                seed=_batch_seed(config.seed, next(index)),
+                intensity_label=label or 0,
+                workers=config.workers,
+                binning=binning,
+            )
             for label in labels
         ]
         for key, setting in settings.items()
@@ -100,20 +92,6 @@ def _sweep(
 def _tables_at_t_fixed(config: ExperimentConfig, settings: dict, first_index: int) -> dict:
     """Per key of `settings`, its count tables at t_fixed by intensity label."""
     return _sweep(config, settings, first_index, chsh_mod.threshold_binning([config.t_fixed]))
-
-
-def _warn_if_clamped(config: ExperimentConfig) -> None:
-    """Say on stderr when the scale divisor leaves a batch count below 1,
-    so that batches run on 1 record each."""
-    used = ["samples_per_point"]
-    if config.pipeline != "ideal-fock":  # ideal-fock samples no vacuum batch
-        used.insert(0, "vacuum_samples")
-    clamped = [f"{n} = {getattr(config, n)}" for n in used if getattr(config, n) < config.scale]
-    if clamped:
-        print(
-            f"warning: scale {config.scale} clamps {' and '.join(clamped)} to 1 record per batch",
-            file=sys.stderr,
-        )
 
 
 def _csv_line(row) -> str:
@@ -141,13 +119,15 @@ def _write_manifest(out_dir: str, config: ExperimentConfig, files: list) -> None
 
 
 def cmd_simulate(config: ExperimentConfig, out_dir: str) -> tuple[int, list]:
-    def save(batch) -> list:
-        settings = batch.settings
-        name = f"batch_a{settings.label_a}b{settings.label_b}_mu{batch.intensity_label}.csv"
-        return [os.path.basename(p) for p in batch.save(os.path.join(out_dir, name))]
-
-    saved = _sweep(config, CHSH_SETTINGS, 0, reduce=save)
-    return EXIT_OK, [name for by_label in saved.values() for names in by_label for name in names]
+    """Save each CHSH batch, undrawn until then, as
+    `batch_a<a>b<b>_mu<label>.csv` with its JSON sidecar."""
+    files = []
+    for batches in _sweep(config, CHSH_SETTINGS, 0).values():
+        for batch in batches:
+            settings = batch.settings
+            name = f"batch_a{settings.label_a}b{settings.label_b}_mu{batch.intensity_label}.csv"
+            files += [os.path.basename(p) for p in batch.save(os.path.join(out_dir, name))]
+    return EXIT_OK, files
 
 
 def cmd_correlation_scan(config: ExperimentConfig, out_dir: str) -> tuple[int, list]:
@@ -309,7 +289,6 @@ def main(argv=None) -> int:
         if args.command == "fair-sampling-check":
             code, files = cmd_fair_sampling_check(config, args.out, cutoff=args.cutoff)
         else:
-            _warn_if_clamped(config)
             code, files = COMMANDS[args.command](config, args.out)
         _write_manifest(args.out, config, files)
         return code

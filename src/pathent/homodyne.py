@@ -10,13 +10,13 @@ Three pipelines produce (x_a, x_b) pairs:
   splitter, drawn exactly as the two-component mixture its density is.
 
 All sampling goes through one chunk loop, `SampleBatch.chunks`: 2^16 records
-per chunk, drawn in place into one reused pair from an independent RNG stream
-per (seed, chunk index), so output is reproducible, independent of worker
-scheduling, and no array grows with the batch. Vacuum chunks skip the phase
-draw. Given a `Binning`, `sample_batch` counts each chunk as soon as it is
-drawn, by an exact lattice lookup (`grid_index`), and keeps only the count
-table; without one it returns the undrawn batch, which `save` writes a chunk
-at a time.
+per chunk, each drawn by `SampleBatch._draw` in place into one reused pair
+from an independent RNG stream per (seed, chunk index), so output is
+reproducible, independent of worker scheduling, and no array grows with the
+batch. Vacuum chunks skip the phase draw. Given a `Binning`, `sample_batch`
+counts each chunk as soon as it is drawn, by an exact lattice lookup
+(`grid_index`), and keeps only the count table; without one it returns the
+undrawn batch, which `save` writes a chunk at a time.
 
 `SampleBatch.save` writes %.17g text with numpy array arithmetic: for a
 double in fixed notation (decimal exponent -4 to 16) the 17 digits are an
@@ -80,9 +80,9 @@ class SampleBatch:
     """One batch of `count` joint quadrature outcomes, with its provenance.
 
     The batch is described, not held: `chunks` draws its records chunk by
-    chunk, the same records for every call. The state phase theta used to
-    generate coherent samples is never exposed (it is inaccessible to the
-    measurement).
+    chunk, each by `_draw`, the same records for every call. The state phase
+    theta used to generate coherent samples is never exposed (it is
+    inaccessible to the measurement).
     """
 
     settings: MeasurementSettings
@@ -98,16 +98,34 @@ class SampleBatch:
 
     def chunks(self, first: int = 0, step: int = 1) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """Yield `(x_a, x_b)` for chunks first, first + step, ... in turn,
-        record i of the chunk being (x_a[i], x_b[i]). Each chunk is drawn
-        from its own stream into one reused (2, CHUNK_SIZE) scratch pair, and
-        the views yielded are overwritten by the next chunk: copy what you
-        keep.
+        record i of the chunk being (x_a[i], x_b[i]). Each chunk is drawn by
+        `_draw` from its own stream into one reused (2, CHUNK_SIZE) scratch
+        pair, and the views yielded are overwritten by the next chunk: copy
+        what you keep.
         """
         pair = np.empty((2, CHUNK_SIZE))
         for i in range(first, -(-self.count // CHUNK_SIZE), step):
             x_a, x_b = pair[:, : min(CHUNK_SIZE, self.count - i * CHUNK_SIZE)]
-            _chunk_samples(x_a, x_b, self.mu, self.settings, self.noise, self.pipeline, self.seed, i)
+            self._draw(i, x_a, x_b)
             yield x_a, x_b
+
+    def _draw(self, chunk: int, out_a: np.ndarray, out_b: np.ndarray) -> None:
+        """Fill `out_a`, `out_b` with the records of chunk `chunk`, drawn
+        from its own stream."""
+        rng = _chunk_rng(self.seed, chunk)
+        size = out_a.size
+        if self.pipeline == "ideal-fock":
+            _single_photon_arms(out_a, out_b, self.settings.dtheta, rng)
+            return
+        if self.mu > 0:
+            theta = rng.uniform(0.0, 2.0 * np.pi, size)
+        else:
+            # The vacuum ignores theta. Each uniform double is one PCG64 word, so
+            # skipping `size` words leaves the stream where drawing theta would.
+            theta = None
+            rng.bit_generator.advance(size)
+        _coherent_arm(out_a, self.mu, theta, self.settings.phi_a, self.noise, self.pipeline, rng)
+        _coherent_arm(out_b, self.mu, theta, self.settings.phi_b, self.noise, self.pipeline, rng)
 
     def save(self, path: str) -> tuple[str, str]:
         """Write the records as CSV, one row per record: x_a and x_b as %.17g
@@ -431,33 +449,6 @@ def _single_photon_arms(
     np.negative(out_b, out=out_b, where=rng.random(size) >= (1.0 + np.cos(dtheta)) / 2.0)
     out_a *= np.sqrt(0.5)
     out_b *= np.sqrt(0.5)
-
-
-def _chunk_samples(
-    out_a: np.ndarray,
-    out_b: np.ndarray,
-    mu: float,
-    settings: MeasurementSettings,
-    noise: NoiseModel,
-    pipeline: str,
-    seed: int,
-    chunk: int,
-) -> None:
-    """Fill `out_a`, `out_b` with one chunk's records from its stream."""
-    rng = _chunk_rng(seed, chunk)
-    size = out_a.size
-    if pipeline == "ideal-fock":
-        _single_photon_arms(out_a, out_b, settings.dtheta, rng)
-        return
-    if mu > 0:
-        theta = rng.uniform(0.0, 2.0 * np.pi, size)
-    else:
-        # The vacuum ignores theta. Each uniform double is one PCG64 word, so
-        # skipping `size` words leaves the stream where drawing theta would.
-        theta = None
-        rng.bit_generator.advance(size)
-    _coherent_arm(out_a, mu, theta, settings.phi_a, noise, pipeline, rng)
-    _coherent_arm(out_b, mu, theta, settings.phi_b, noise, pipeline, rng)
 
 
 def sample_batch(

@@ -488,6 +488,27 @@ class TestScaleClampWarning:
         assert err.count("warning:") == 1
         assert "vacuum_samples = 6000 and samples_per_point = 10" in err
 
+    @pytest.mark.parametrize(
+        "pipeline, expected",
+        [
+            ("ideal-fock", ""),  # samples no vacuum batch, so nothing is clamped
+            (
+                "equivalent",
+                "warning: scale 100 clamps vacuum_samples = 50 to 1 record per batch\n",
+            ),
+        ],
+    )
+    def test_names_only_counts_the_pipeline_samples(self, tmp_path, capsys, pipeline, expected):
+        text = (
+            SCAN_CONFIG.replace("pipeline = equivalent", f"pipeline = {pipeline}")
+            .replace("vacuum_samples = 6000", "vacuum_samples = 50")
+            .replace("samples_per_point = 2000", "samples_per_point = 1000")
+        )
+        cfg = write_config(tmp_path, text)
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", cfg, "--out", str(out), "--scale", "100"]) == EXIT_OK
+        assert capsys.readouterr().err == expected
+
 
 class TestSeedStreams:
     """Every batch a subcommand samples, in order, has the seed of its batch

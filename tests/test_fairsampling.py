@@ -4,7 +4,6 @@ from scipy.special import erf
 
 import pathent.fairsampling as fs
 from pathent.fairsampling import (
-    FlaggedState,
     quantum_filter,
     random_qubit_subspace_state,
     theta_independence_residual,
@@ -15,12 +14,14 @@ from pathent.fairsampling import (
 THETAS = np.linspace(0.0, 2 * np.pi, 8, endpoint=False)
 
 
-def pass_mass(state: FlaggedState) -> float:
-    return float(np.trace(state.sigma_pass).real)
+def pass_mass(state) -> float:
+    """Trace of the pass block of a `quantum_filter` (pass, discard) pair."""
+    return float(np.trace(state[0]).real)
 
 
-def discard_mass(state: FlaggedState) -> float:
-    return float(np.trace(state.sigma_discard).real)
+def discard_mass(state) -> float:
+    """Trace of the discard block of a `quantum_filter` (pass, discard) pair."""
+    return float(np.trace(state[1]).real)
 
 
 def kronecker_residual(rho, T, theta_grid, cutoff):
@@ -30,7 +31,7 @@ def kronecker_residual(rho, T, theta_grid, cutoff):
     the AND of the flags sends anything the setting filter discards to
     discard."""
     n, d = len(theta_grid), cutoff + 1
-    fq = quantum_filter(rho, T, cutoff, theta=0.0)
+    fq_pass, fq_disc = quantum_filter(rho, T, cutoff, theta=0.0)
     worst = 0.0
     for a in range(n):
         proj = np.zeros((n, n), dtype=complex)
@@ -44,10 +45,8 @@ def kronecker_residual(rho, T, theta_grid, cutoff):
             lhs_pass[blk, blk] = s_pass @ xi[blk, blk] @ s_pass
             lhs_disc[blk, blk] = s_disc @ xi[blk, blk] @ s_disc
         fc_pass, fc_disc = proj, np.zeros_like(proj)
-        rhs_pass = np.kron(fc_pass, fq.sigma_pass)
-        rhs_disc = np.kron(fc_pass, fq.sigma_discard) + np.kron(
-            fc_disc, fq.sigma_pass + fq.sigma_discard
-        )
+        rhs_pass = np.kron(fc_pass, fq_pass)
+        rhs_disc = np.kron(fc_pass, fq_disc) + np.kron(fc_disc, fq_pass + fq_disc)
         worst = max(
             worst,
             float(np.max(np.abs(lhs_pass - rhs_pass))),
@@ -66,7 +65,7 @@ class TestQuantumFilter:
     def test_zero_threshold_passes_everything(self):
         rho = np.diag([0.4, 0.6]).astype(complex)
         out = quantum_filter(rho, 0.0, 1)
-        assert np.allclose(out.sigma_pass, rho)
+        assert np.allclose(out[0], rho)
         assert discard_mass(out) == pytest.approx(0.0, abs=1e-14)
 
     def test_vacuum_discard_mass(self):
@@ -86,8 +85,8 @@ class TestQuantumFilter:
         rng = np.random.default_rng(5)
         rho = random_qubit_subspace_state(rng, 1)
         out = quantum_filter(rho, 0.82, 1)
-        assert np.linalg.eigvalsh(out.sigma_pass)[0] >= -1e-12
-        assert np.linalg.eigvalsh(out.sigma_discard)[0] >= -1e-12
+        assert np.linalg.eigvalsh(out[0])[0] >= -1e-12
+        assert np.linalg.eigvalsh(out[1])[0] >= -1e-12
 
 
 class TestFactorization:
@@ -146,13 +145,3 @@ class TestFactorization:
         rng = np.random.default_rng(9)
         rho = random_qubit_subspace_state(rng, 1)
         assert verify_factorization(rho, 0.82, THETAS, cutoff=1) > 1e-10
-
-
-class TestFlaggedState:
-    def test_mass_properties(self):
-        st = FlaggedState(
-            sigma_pass=np.diag([0.3, 0.2]).astype(complex),
-            sigma_discard=np.diag([0.5, 0.0]).astype(complex),
-        )
-        assert pass_mass(st) == pytest.approx(0.5)
-        assert discard_mass(st) == pytest.approx(0.5)
