@@ -198,6 +198,7 @@ def cmd_tomography(config: ExperimentConfig, out_dir: str) -> tuple[int, list]:
         f"iterations = {result.iterations}",
         f"converged = {result.converged}",
         f"log_likelihood = {result.log_likelihood[-1]:.17g}",
+        f"likelihood_gap = {result.likelihood_gap:.17g}",
         f"clamp_fraction = {_csv_line(hist.clamp_fraction)}",
     ]
     _write_lines(out_dir, "tomography_summary.txt", summary)

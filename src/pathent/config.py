@@ -27,8 +27,8 @@ MAX_THRESHOLDS = 100_000
 # Each tomography count table holds (bins per axis + 2)^2 int64 cells, and the
 # POVM one overlap matrix per bin; the default grid has 50 bins per axis.
 MAX_BINS = 1000
-# The POVM holds n_phases * (cutoff + 1)^4 complex phase factors, as do the
-# MLE's temporaries; the default point has 117,128, the cap is 160 MB of them.
+# Each MLE evaluation phases one (cutoff + 1)^4 matrix per setting, so it
+# touches n_phases * (cutoff + 1)^4 cells; the default point has 117,128.
 MAX_POVM_CELLS = 10_000_000
 # Tomography counts n_phases * (bins per axis)^2 cells per intensity label, and
 # the MLE's temporaries are as large; the default has 20,000, 8 phases fit at MAX_BINS.
@@ -55,6 +55,9 @@ class ExperimentConfig:
     cutoff: int = 10
     bin_width: float = 0.2
     x_range: float = 5.0
+    # The MLE stops once two consecutive iterations each gain less than
+    # `tolerance` in log-likelihood; a run whose `max_iterations` L-BFGS
+    # iterations end first exits 4. At the default point it takes ~100.
     max_iterations: int = 500
     tolerance: float = 1e-9
     seed: int = 12345

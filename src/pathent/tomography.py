@@ -1,5 +1,5 @@
-"""Decoy-corrected joint-quadrature histograms and iterative
-maximum-likelihood reconstruction of the two-mode density matrix.
+"""Decoy-corrected joint-quadrature histograms and maximum-likelihood
+reconstruction of the two-mode density matrix.
 
 Analysis takes count tables only: the sampler counts each batch over the
 2-D bin grid, chunk by chunk as it is drawn (`histogram_binning`), and the
@@ -14,9 +14,12 @@ phases (phi_a, phi_b) is E(B_a, phi_a) (x) E(B_b, phi_b) with single-mode
 entries e^(i(n-m)phi) * integral of phi_m phi_n over the bin. The integrals
 are real and the same for every setting, and on the realigned density
 matrix R~[(m_a,n_a),(m_b,n_b)] = rho[(m_a,m_b),(n_a,n_b)] a setting's phases
-are only an elementwise factor. So each step of the standard R-rho-R fixed
-point is a handful of real matrix products with one phase-free bin operator,
-stacked over all settings.
+are only an elementwise factor. So the bin probabilities, and the likelihood
+operator R = sum f/p E, are a handful of real matrix products per setting
+with one phase-free bin operator.
+
+The fit is L-BFGS ascent on a factor A of rho = A A^H / tr(A A^H), so every
+iterate is a density matrix (see `mle_reconstruct`).
 """
 
 from __future__ import annotations
@@ -51,6 +54,9 @@ class TomographyResult:
     log_likelihood: list
     iterations: int
     converged: bool
+    # lambda_max(R) - 1 at rho, R the likelihood operator: by concavity it
+    # bounds how far the log-likelihood is below its maximum.
+    likelihood_gap: float
 
 
 def _realign(op: np.ndarray, d: int) -> np.ndarray:
@@ -63,10 +69,12 @@ class PovmSet:
 
     `bins[i]` is the real single-mode overlap matrix of bin i (integrals of
     phi_m phi_n over the bin) flattened to length d^2, the same for both
-    modes and every setting. `phases[s]` = outer(f_a, f_b) with
+    modes and every setting. phases[s] = outer(f_a[s], f_b[s]) with
     f[(m, n)] = e^(i(m-n)phi) is all that setting s adds: the probability of
     2-D bin (i, j) is (bins @ Re(R~ o phases[s]) @ bins.T)[i, j] on the
-    realigned density matrix R~.
+    realigned density matrix R~. Only the per-mode factors f_a and f_b are
+    stored; each evaluation applies them one setting at a time, so nothing
+    of size (settings, d^2, d^2) is ever built.
     """
 
     def __init__(self, phase_pairs, edges, cutoff):
@@ -77,12 +85,11 @@ class PovmSet:
         self.cutoff = int(cutoff)
         d = self.cutoff + 1
         self.bins = _bin_overlap_tensor(self.edges, self.cutoff).reshape(-1, d * d)
-        self._bins_t = np.ascontiguousarray(self.bins.T)  # stacked matmuls want it contiguous
+        self._bins_t = np.ascontiguousarray(self.bins.T)  # matmuls want it contiguous
         m, n = np.divmod(np.arange(d * d), d)
         phi = np.array(self.phase_pairs, dtype=float).reshape(-1, 2)
-        f_a = np.exp(1j * (m - n)[None, :] * phi[:, :1])
-        f_b = np.exp(1j * (m - n)[None, :] * phi[:, 1:])
-        self.phases = f_a[:, :, None] * f_b[:, None, :]  # (settings, d^2, d^2)
+        self._f_a = np.exp(1j * (m - n)[None, :] * phi[:, :1])  # (settings, d^2)
+        self._f_b = np.exp(1j * (m - n)[None, :] * phi[:, 1:])
 
     @property
     def n_settings(self) -> int:
@@ -95,15 +102,27 @@ class PovmSet:
     def probabilities(self, rho: np.ndarray) -> np.ndarray:
         """Tr(rho * kron(Ea_i, Eb_j)) for every in-range bin (i, j) of every
         setting, stacked as (settings, bins, bins)."""
-        r = _realign(np.asarray(rho), self.cutoff + 1)
-        return self.bins @ (r * self.phases).real @ self._bins_t
+        r = _realign(np.asarray(rho, dtype=complex), self.cutoff + 1)
+        out = np.empty((self.n_settings, self.n_bins, self.n_bins))
+        phased, real = np.empty_like(r), np.empty(r.shape)
+        for s, (f_a, f_b) in enumerate(zip(self._f_a, self._f_b)):
+            np.multiply(r, f_a[:, None], out=phased)
+            phased *= f_b
+            np.copyto(real, phased.real)
+            out[s] = self.bins @ real @ self._bins_t
+        return out
 
     def likelihood_operator(self, weights: np.ndarray) -> np.ndarray:
         """sum over settings s and bins (i, j) of weights[s, i, j] *
         kron(Ea_i, Eb_j), as a d^2 x d^2 matrix: the realigned sum over s
         of (bins.T @ weights[s] @ bins) o conj(phases[s])."""
-        m = self._bins_t @ weights @ self.bins  # (settings, d^2, d^2), real
-        return _realign(np.conj((m * self.phases).sum(axis=0)), self.cutoff + 1)
+        total = np.zeros((self.bins.shape[1],) * 2, dtype=complex)
+        term = np.empty_like(total)
+        for w, f_a, f_b in zip(weights, self._f_a.conj(), self._f_b.conj()):
+            np.multiply(self._bins_t @ w @ self.bins, f_a[:, None], out=term)
+            term *= f_b
+            total += term
+        return _realign(total, self.cutoff + 1)
 
 
 def _bin_overlap_tensor(edges: np.ndarray, cutoff: int, order: int = 24) -> np.ndarray:
@@ -203,40 +222,135 @@ def histogram_from_tables(tables: dict, edges) -> BinnedHistogram:
     return _normalized([histogram_density(tables[s], edges) for s in range(len(tables))])
 
 
+# L-BFGS keeps this many (step, gradient change) pairs.
+LBFGS_MEMORY = 2
+# Armijo sufficient-increase fraction of the slope, and the step below which
+# the backtracking gives up.
+ARMIJO_FRACTION = 1e-4
+MIN_STEP = 1e-10
+
+
 def mle_reconstruct(
     hist: BinnedHistogram, povm: PovmSet, max_iterations: int, tolerance: float
 ) -> TomographyResult:
-    """R-rho-R fixed-point maximum-likelihood reconstruction at the POVM's
-    cutoff.
+    """Maximum-likelihood reconstruction at the POVM's cutoff by L-BFGS
+    ascent on a factor A of rho = A A^H / tr(A A^H).
 
-    Starts from the maximally mixed state; stops when the log-likelihood
-    gain drops below `tolerance` or at `max_iterations`. The likelihood is
-    sum over settings and bins of f log p with frequencies f normalized to
-    total mass 1 across settings.
+    The likelihood is sum over settings and bins of f log p with frequencies
+    f normalized to total mass 1 across settings. With R the likelihood
+    operator sum f/p E, its gradient in A is 2 (R - I) A / tr(A A^H), since
+    tr(R rho) = sum f = 1. Each iteration takes the L-BFGS direction and
+    backtracks from step 1 until the Armijo condition holds; a failed
+    backtrack stays put and drops the history. Starts from A = I / d^2, the
+    maximally mixed state, and with no history the first step is one RrhoR
+    step. Stops when the log-likelihood gain has been below `tolerance` on
+    two consecutive iterations (converged) or after `max_iterations`
+    iterations (not converged). `log_likelihood` holds the start and each
+    iteration's value; the last one is that of the returned `rho`.
+    `likelihood_gap` is one eigvalsh of R at the returned `rho`.
     """
     if hist.probabilities.shape != (povm.n_settings, povm.n_bins, povm.n_bins):
         raise ValueError("histogram and POVM settings or bins differ")
-    d2 = (povm.cutoff + 1) ** 2
     freqs = hist.probabilities / povm.n_settings  # sums to 1 overall
+    a, p, ll_trace, iterations, converged = _lbfgs_ascent(povm, freqs, max_iterations, tolerance)
+    gap = float(np.linalg.eigvalsh(povm.likelihood_operator(freqs / p))[-1]) - 1.0
+    return TomographyResult(_density(a), ll_trace, iterations, converged, gap)
+
+
+def _lbfgs_ascent(povm: PovmSet, freqs: np.ndarray, max_iterations: int, tolerance: float):
+    """The iterations of `mle_reconstruct`: the last factor A, its bin
+    probabilities, the log-likelihood trace, the iteration count and
+    whether the stopping rule was met. Its L-BFGS history is freed on
+    return, before the caller's final R and eigvalsh, which keeps them out
+    of the run's peak memory."""
+    d2 = (povm.cutoff + 1) ** 2
     observed = freqs > 0
     f_observed = freqs[observed]
 
-    rho = np.eye(d2, dtype=complex) / d2
-    ll_trace: list[float] = []
+    def log_likelihood(a):
+        p = np.clip(povm.probabilities(_density(a)), 1e-300, None)
+        return float(np.sum(f_observed * np.log(p[observed]))), p
+
+    def gradient(a, p):
+        r_mat = povm.likelihood_operator(freqs / p)
+        r_mat[np.diag_indices(d2)] -= 1.0
+        g = r_mat @ a
+        g *= 2.0 / _dot(a, a)
+        return g
+
+    a = np.eye(d2, dtype=complex) / d2
+    ll, p = log_likelihood(a)
+    g = gradient(a, p)
+    ll_trace = [ll]
+    history: list = []  # (s, y, 1 / <s, y>), oldest first
+    scale = _dot(a, a) / 2.0  # makes the first step an RrhoR step
+    trial = np.empty_like(a)
     converged = False
     it = 0
     for it in range(1, max_iterations + 1):
-        p = np.clip(povm.probabilities(rho), 1e-300, None)
-        ll_trace.append(float(np.sum(f_observed * np.log(p[observed]))))
-        if len(ll_trace) >= 2 and ll_trace[-1] - ll_trace[-2] < tolerance:
-            converged = ll_trace[-1] >= ll_trace[-2] - 1e-10
+        direction = _two_loop(g, history, scale)
+        slope = _dot(g, direction)
+        step = 1.0
+        while step >= MIN_STEP:
+            np.multiply(direction, step, out=trial)
+            trial += a
+            ll_trial, p_trial = log_likelihood(trial)
+            # Even a direction that rounding made downhill may not lose.
+            if ll_trial >= ll + ARMIJO_FRACTION * step * max(slope, 0.0):
+                break
+            step *= 0.5
+        if step >= MIN_STEP:
+            # The step and the gradient change take over the arrays of the
+            # direction and the old gradient.
+            g_trial = gradient(trial, p_trial)
+            s_k, y_k = direction, g
+            s_k *= step
+            y_k -= g_trial
+            sy = _dot(s_k, y_k)
+            if sy > 0:
+                history.append((s_k, y_k, 1.0 / sy))
+                del history[:-LBFGS_MEMORY]
+                scale = sy / _dot(y_k, y_k)
+            a, trial, g, ll, p = trial, a, g_trial, ll_trial, p_trial
+        else:
+            history.clear()
+        ll_trace.append(ll)
+        if len(ll_trace) >= 3 and max(np.diff(ll_trace[-3:])) < tolerance:
+            converged = True
             break
-        r_mat = povm.likelihood_operator(freqs / p)
-        rho = r_mat @ rho @ r_mat
-        rho = 0.5 * (rho + rho.conj().T)
-        rho = rho / np.trace(rho).real
+    return a, p, ll_trace, it, converged
 
-    return TomographyResult(rho=rho, log_likelihood=ll_trace, iterations=it, converged=converged)
+
+def _density(a: np.ndarray) -> np.ndarray:
+    """rho = A A^H / tr(A A^H), Hermitian to the last bit."""
+    rho = a @ a.conj().T
+    rho += rho.conj().T
+    rho /= np.trace(rho).real
+    return rho
+
+
+def _dot(u: np.ndarray, v: np.ndarray) -> float:
+    """Real inner product Re tr(u^H v) of complex matrices as real vectors.
+    numpy sums it in one fixed order; a BLAS dot would split it over its
+    threads, and the fit would then depend on the BLAS thread count."""
+    return float(np.einsum("i,i->", u.reshape(-1).view(float), v.reshape(-1).view(float)))
+
+
+def _two_loop(g: np.ndarray, history: list, scale: float) -> np.ndarray:
+    """L-BFGS two-loop recursion: the inverse-Hessian estimate from
+    `history`, with `scale` times the identity as its seed, applied to the
+    gradient `g`. Each y is the gradient change old minus new, so for a
+    concave objective <s, y> > 0 and the result is an ascent direction."""
+    q = g.copy()
+    alphas = []
+    for s_k, y_k, inv_sy in reversed(history):
+        alpha = inv_sy * _dot(s_k, q)
+        q -= alpha * y_k
+        alphas.append(alpha)
+    q *= scale
+    for (s_k, y_k, inv_sy), alpha in zip(history, reversed(alphas)):
+        q += (alpha - inv_sy * _dot(y_k, q)) * s_k
+    return q
 
 
 def fidelity(rho: np.ndarray, target: TwoModeFockState) -> float:

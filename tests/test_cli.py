@@ -208,6 +208,19 @@ class TestStartup:
         proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src))
         assert proc.returncode == 0
 
+    def test_tomography_run_leaves_scipy_unloaded(self, tmp_path):
+        """Nor does a whole tomography run: the MLE is plain numpy, and
+        importing scipy.optimize alone takes ~0.5 s."""
+        import pathent
+
+        src = os.path.dirname(os.path.dirname(os.path.abspath(pathent.__file__)))
+        config = write_config(tmp_path, TOMO_CONFIG)
+        argv = ["tomography", "--config", config, "--out", str(tmp_path / "o")]
+        code = "import sys, pathent.cli; pathent.cli.main(sys.argv[1:]); sys.exit('scipy' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code, *argv], env=dict(os.environ, PYTHONPATH=src))
+        assert proc.returncode == 0
+        assert (tmp_path / "o" / "tomography_summary.txt").exists()
+
     def test_config_import_leaves_tomography_unloaded(self):
         """The config checks its own tomography values; it needs no numerics."""
         import pathent
@@ -586,6 +599,24 @@ class TestDeterminism:
 
     def test_tomography_byte_identical(self, tmp_path):
         self.run_twice(tmp_path, TOMO_CONFIG, "tomography", "density_matrix.txt")
+
+    def test_tomography_byte_identical_across_blas_threads(self, tmp_path):
+        """At cutoff 10 the fit's reductions run over 121^2 complex entries,
+        which a threaded BLAS splits across threads: the output must not
+        depend on how many it has."""
+        import pathent
+
+        src = os.path.dirname(os.path.dirname(os.path.abspath(pathent.__file__)))
+        cfg = write_config(tmp_path, TOMO_CONFIG.replace("cutoff = 2", "cutoff = 10"))
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"blas-{threads}"
+            argv = ["tomography", "--config", cfg, "--out", str(out)]
+            blas = {k: threads for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+            env = dict(os.environ, PYTHONPATH=src, **blas)
+            assert subprocess.run([sys.executable, "-m", "pathent.cli", *argv], env=env).returncode == EXIT_OK
+            outputs.append([read_bytes(str(out / f)) for f in ("density_matrix.txt", "tomography_summary.txt")])
+        assert outputs[0] == outputs[1]
 
     def test_simulate_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path, SCAN_CONFIG)

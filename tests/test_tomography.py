@@ -91,37 +91,42 @@ def complement(povm, s):
     return np.eye((povm.cutoff + 1) ** 2, dtype=complex) - total
 
 
-def reference_mle(hist, povm, max_iterations, tolerance):
-    """The R-rho-R loop with one einsum per setting and direction, on the
-    explicit phased single-mode operators."""
+def reference_likelihood(hist, povm, rho):
+    """Log-likelihood of `rho` and its likelihood operator R, with one
+    einsum per setting and direction on the explicit phased single-mode
+    operators."""
     d = povm.cutoff + 1
-    d2 = d * d
-    n_set = povm.n_settings
     ops_a, ops_b = mode_a(povm), mode_b(povm)
-    freqs = hist.probabilities / n_set
+    freqs = hist.probabilities / povm.n_settings
+    rho4 = rho.reshape(d, d, d, d).transpose(0, 2, 1, 3)
+    r_op = np.zeros((d, d, d, d), dtype=complex)
+    ll = 0.0
+    for s in range(povm.n_settings):
+        p = np.einsum("acbd,ica,jdb->ij", rho4, ops_a[s], ops_b[s], optimize=True).real
+        p = np.clip(p, 1e-300, None)
+        f = freqs[s]
+        mask = f > 0
+        ll += float(np.sum(f[mask] * np.log(p[mask])))
+        wgt = np.where(mask, f / p, 0.0)
+        r_op += np.einsum("ij,iac,jbd->acbd", wgt, ops_a[s], ops_b[s], optimize=True)
+    return ll, r_op.transpose(0, 2, 1, 3).reshape(d * d, d * d)
+
+
+def reference_mle(hist, povm, max_iterations, tolerance):
+    """The R-rho-R fixed-point loop on `reference_likelihood`, from the
+    maximally mixed state until the log-likelihood gain drops below
+    `tolerance`."""
+    d2 = (povm.cutoff + 1) ** 2
     rho = np.eye(d2, dtype=complex) / d2
     ll_trace = []
     converged = False
     it = 0
     for it in range(1, max_iterations + 1):
-        rho4 = rho.reshape(d, d, d, d).transpose(0, 2, 1, 3)
-        r_op = np.zeros((d, d, d, d), dtype=complex)
-        ll = 0.0
-        for s in range(n_set):
-            p = np.einsum(
-                "acbd,ica,jdb->ij", rho4, ops_a[s], ops_b[s], optimize=True
-            ).real
-            p = np.clip(p, 1e-300, None)
-            f = freqs[s]
-            mask = f > 0
-            ll += float(np.sum(f[mask] * np.log(p[mask])))
-            wgt = np.where(mask, f / p, 0.0)
-            r_op += np.einsum("ij,iac,jbd->acbd", wgt, ops_a[s], ops_b[s], optimize=True)
+        ll, r_mat = reference_likelihood(hist, povm, rho)
         ll_trace.append(ll)
         if len(ll_trace) >= 2 and ll_trace[-1] - ll_trace[-2] < tolerance:
             converged = ll_trace[-1] >= ll_trace[-2] - 1e-10
             break
-        r_mat = r_op.transpose(0, 2, 1, 3).reshape(d2, d2)
         rho = r_mat @ rho @ r_mat
         rho = 0.5 * (rho + rho.conj().T)
         rho = rho / np.trace(rho).real
@@ -406,22 +411,52 @@ class TestMle:
         }
         return histogram_from_tables(tables, edges)
 
-    @pytest.mark.parametrize("source", ["decoy", "ideal-fock"])
-    def test_same_as_reference_loop(self, source):
+    def fit_inputs(self, source):
+        """The config, histogram and POVM of a cutoff-2 fit to `source` data."""
         cfg = ExperimentConfig(
             cutoff=self.CUTOFF, max_iterations=300, tolerance=1e-9, bin_width=0.5, x_range=4.0
         )
         edges = cfg.bin_edges()
         hist = self.decoy_histogram(edges) if source == "decoy" else self.fock_histogram(edges)
-        povm = build_povm_elements(PHASE_PAIRS_4, edges, cfg.cutoff)
+        return cfg, hist, build_povm_elements(PHASE_PAIRS_4, edges, cfg.cutoff)
+
+    @pytest.mark.parametrize("source", ["decoy", "ideal-fock"])
+    def test_reaches_reference_loop_optimum(self, source):
+        """The reported likelihood is that of the returned state, it is at
+        least what R-rho-R reaches when run to its own stop, and it never
+        falls from one iteration to the next."""
+        cfg, hist, povm = self.fit_inputs(source)
         result = mle_reconstruct(hist, povm, cfg.max_iterations, cfg.tolerance)
-        rho, ll_trace, iterations, converged = reference_mle(
-            hist, povm, cfg.max_iterations, cfg.tolerance
-        )
-        assert result.iterations == iterations
-        assert result.converged == converged
-        assert np.max(np.abs(result.rho - rho)) < 1e-12
-        assert np.max(np.abs(np.array(result.log_likelihood) - ll_trace)) < 1e-12
+        _, rr_trace, _, rr_converged = reference_mle(hist, povm, 20_000, cfg.tolerance)
+        ll, _ = reference_likelihood(hist, povm, result.rho)
+        assert result.converged and rr_converged
+        assert abs(result.log_likelihood[-1] - ll) < 1e-12
+        assert result.log_likelihood[-1] >= rr_trace[-1] - 1e-9
+        assert np.diff(result.log_likelihood).min() >= -1e-10
+
+    @pytest.mark.parametrize("source", ["decoy", "ideal-fock"])
+    def test_stops_after_two_small_gains(self, source):
+        """The fit stops at the first two consecutive gains below the
+        tolerance, and only there."""
+        cfg, hist, povm = self.fit_inputs(source)
+        result = mle_reconstruct(hist, povm, cfg.max_iterations, cfg.tolerance)
+        small = np.diff(result.log_likelihood) < cfg.tolerance
+        assert result.converged
+        assert len(result.log_likelihood) == result.iterations + 1
+        assert np.flatnonzero(small[:-1] & small[1:]).tolist() == [result.iterations - 2]
+
+    def test_likelihood_gap_bounds_the_shortfall(self):
+        """lambda_max(R) - 1 of the oracle's R, and by concavity at least
+        the log-likelihood still to gain, also on a fit stopped early."""
+        cfg, hist, povm = self.fit_inputs("decoy")
+        best = mle_reconstruct(hist, povm, cfg.max_iterations, cfg.tolerance)
+        for budget in (0, 3, cfg.max_iterations):
+            result = mle_reconstruct(hist, povm, budget, cfg.tolerance)
+            ll, r_mat = reference_likelihood(hist, povm, result.rho)
+            gap = np.linalg.eigvalsh(r_mat)[-1] - 1.0
+            shortfall = best.log_likelihood[-1] - ll
+            assert result.likelihood_gap == pytest.approx(gap, abs=1e-10)
+            assert shortfall <= result.likelihood_gap + 1e-12
 
     def test_mismatched_settings_rejected(self):
         cfg = ExperimentConfig(cutoff=1, bin_width=0.5, x_range=2.0)
