@@ -1,4 +1,5 @@
-"""Threshold binning, coincidence statistics, bounded correlations and
+"""The CHSH settings (`CHSH_SETTINGS`, the one place their LO phases are
+defined), threshold binning, coincidence statistics, bounded correlations and
 CHSH assembly, plus the ideal single-photon reference curve.
 
 The reference is closed form: a single photon split 50:50 gives
@@ -34,6 +35,13 @@ OUTCOME_PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
 # CHSH setting combinations in the order they enter S: the (a1, b1) term is
 # subtracted (its correlation is negative for the entangled state).
 CHSH_COMBOS = ((0, 0), (1, 0), (0, 1), (1, 1))
+
+# LO phases (phi_a, phi_b) per setting pair, chosen so that S is maximal for
+# the single-photon state, whose E is proportional to cos(dtheta).
+CHSH_SETTINGS = {
+    (a, b): MeasurementSettings((0.0, np.pi / 2)[a], (np.pi / 4, -np.pi / 4)[b], a, b)
+    for a, b in CHSH_COMBOS
+}
 
 
 @dataclass(frozen=True)
@@ -153,8 +161,7 @@ def ideal_single_photon_correlation(dtheta: float, T: float) -> float:
 
 def ideal_single_photon_chsh(T: float) -> float:
     """Reference S(T) from the ideal correlation at the four CHSH settings."""
-    dthetas = [MeasurementSettings.chsh(*combo).dtheta for combo in CHSH_COMBOS]
-    e = [ideal_single_photon_correlation(dtheta, T) for dtheta in dthetas]
+    e = [ideal_single_photon_correlation(s.dtheta, T) for s in CHSH_SETTINGS.values()]
     return chsh_from_correlations(*zip(e, e, e), threshold=float(T)).s_est
 
 

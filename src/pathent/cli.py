@@ -1,8 +1,10 @@
 """Command-line orchestration for the full desk-scale experiment.
 
-Subcommands: simulate, correlation-scan, chsh-scan, tomography,
-decoy-estimate, fair-sampling-check. Every run is deterministic given the
-config and seed; repeated invocations (with any --workers value) produce
+`COMMANDS` maps each subcommand (simulate, correlation-scan, chsh-scan,
+tomography, decoy-estimate, fair-sampling-check) to its `cmd_*(config, args)`;
+the parser and `main` both read it. Every file but the `simulate` batches and
+their sidecars goes through `_write_lines`. Every run is deterministic given
+the config and seed; repeated invocations (with any --workers value) produce
 byte-identical output files. Exit codes: 0 success, 2 config error,
 3 acceptance breach, 4 numerical failure.
 """
@@ -26,8 +28,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_BREACH = 3
 EXIT_NUMERICAL = 4
-
-CHSH_SETTINGS = {combo: MeasurementSettings.chsh(*combo) for combo in chsh_mod.CHSH_COMBOS}
 
 # Subcommands that decoy-bound gains across intensity labels. The ideal-fock
 # pipeline samples one single-photon state for every label, vacuum included.
@@ -89,11 +89,6 @@ def _sweep(config: ExperimentConfig, settings: dict, first_index: int, binning=N
     }
 
 
-def _tables_at_t_fixed(config: ExperimentConfig, settings: dict, first_index: int) -> dict:
-    """Per key of `settings`, its count tables at t_fixed by intensity label."""
-    return _sweep(config, settings, first_index, chsh_mod.threshold_binning([config.t_fixed]))
-
-
 def _csv_line(row) -> str:
     """`row` as one CSV line: numbers as .17g, strings as they are."""
     return ",".join(v if isinstance(v, str) else f"{v:.17g}" for v in row)
@@ -113,39 +108,38 @@ def _write_manifest(out_dir: str, config: ExperimentConfig, files: list) -> None
         if not (os.path.exists(path) and os.path.getsize(path) > 0):
             raise RuntimeError(f"manifest references missing or empty file {f}")
     manifest = {"config_hash": config.content_hash(), "files": sorted(files)}
-    with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_lines(out_dir, "manifest.json", [json.dumps(manifest, indent=2, sort_keys=True)])
 
 
-def cmd_simulate(config: ExperimentConfig, out_dir: str) -> tuple[int, list]:
+def cmd_simulate(config: ExperimentConfig, args) -> tuple[int, list]:
     """Save each CHSH batch, undrawn until then, as
     `batch_a<a>b<b>_mu<label>.csv` with its JSON sidecar."""
     files = []
-    for batches in _sweep(config, CHSH_SETTINGS, 0).values():
+    for batches in _sweep(config, chsh_mod.CHSH_SETTINGS, 0).values():
         for batch in batches:
             settings = batch.settings
             name = f"batch_a{settings.label_a}b{settings.label_b}_mu{batch.intensity_label}.csv"
-            files += [os.path.basename(p) for p in batch.save(os.path.join(out_dir, name))]
+            files += [os.path.basename(p) for p in batch.save(os.path.join(args.out, name))]
     return EXIT_OK, files
 
 
-def cmd_correlation_scan(config: ExperimentConfig, out_dir: str) -> tuple[int, list]:
+def cmd_correlation_scan(config: ExperimentConfig, args) -> tuple[int, list]:
     settings = {
         float(dtheta): MeasurementSettings(phi_a=float(dtheta), phi_b=0.0)
         for dtheta in config.dtheta_grid()
     }
+    binning = chsh_mod.threshold_binning([config.t_fixed])
     iset = config.intensity_set
     rows = []
-    for dtheta, tables in _tables_at_t_fixed(config, settings, 10_000).items():
+    for dtheta, tables in _sweep(config, settings, 10_000, binning).items():
         rows.append((dtheta, *chsh_mod.decoy_correlation(tables, iset, config.t_fixed)))
     lines = ["dtheta,e_est,e_lower,e_upper", *map(_csv_line, rows)]
-    return EXIT_OK, [_write_lines(out_dir, "correlation_scan.csv", lines)]
+    return EXIT_OK, [_write_lines(args.out, "correlation_scan.csv", lines)]
 
 
-def cmd_chsh_scan(config: ExperimentConfig, out_dir: str) -> tuple[int, list]:
+def cmd_chsh_scan(config: ExperimentConfig, args) -> tuple[int, list]:
     t_grid = config.t_grid()
-    tables = _sweep(config, CHSH_SETTINGS, 0, chsh_mod.threshold_binning(t_grid))
+    tables = _sweep(config, chsh_mod.CHSH_SETTINGS, 0, chsh_mod.threshold_binning(t_grid))
     rows = [
         (r.threshold, r.s_est, r.s_lower, r.s_upper)
         if r.valid
@@ -153,23 +147,23 @@ def cmd_chsh_scan(config: ExperimentConfig, out_dir: str) -> tuple[int, list]:
         for r in chsh_mod.scan_threshold(tables, config.intensity_set, t_grid)
     ]
     lines = ["T,s_est,s_lower,s_upper", *map(_csv_line, rows)]
-    return EXIT_OK, [_write_lines(out_dir, "chsh_scan.csv", lines)]
+    return EXIT_OK, [_write_lines(args.out, "chsh_scan.csv", lines)]
 
 
-def cmd_decoy_estimate(config: ExperimentConfig, out_dir: str) -> tuple[int, list]:
+def cmd_decoy_estimate(config: ExperimentConfig, args) -> tuple[int, list]:
     """Decoy-bounded single-photon coincidence probabilities at t_fixed for
     each CHSH setting pair."""
-    iset = config.intensity_set
+    binning = chsh_mod.threshold_binning([config.t_fixed])
     rows = []
-    for combo, tables in _tables_at_t_fixed(config, CHSH_SETTINGS, 0).items():
-        bounds = chsh_mod.decoy_coincidence_bounds(tables, iset, config.t_fixed)
+    for combo, tables in _sweep(config, chsh_mod.CHSH_SETTINGS, 0, binning).items():
+        bounds = chsh_mod.decoy_coincidence_bounds(tables, config.intensity_set, config.t_fixed)
         for pair, bound in zip(chsh_mod.OUTCOME_PAIRS, zip(*bounds)):
             rows.append((*combo, *pair, *bound))
     lines = ["setting_a,setting_b,outcome_a,outcome_b,estimate,lower,upper", *map(_csv_line, rows)]
-    return EXIT_OK, [_write_lines(out_dir, "decoy_estimate.csv", lines)]
+    return EXIT_OK, [_write_lines(args.out, "decoy_estimate.csv", lines)]
 
 
-def cmd_tomography(config: ExperimentConfig, out_dir: str) -> tuple[int, list]:
+def cmd_tomography(config: ExperimentConfig, args) -> tuple[int, list]:
     edges = config.bin_edges()
     # Split each phase difference symmetrically across the two arms: the data
     # depend only on dtheta, but varying both LO phases conditions the
@@ -191,7 +185,7 @@ def cmd_tomography(config: ExperimentConfig, out_dir: str) -> tuple[int, list]:
 
     # Dimension header, then each row as its re,im pairs.
     rows = map(_csv_line, result.rho.view(float))
-    _write_lines(out_dir, "density_matrix.txt", [str(result.rho.shape[0]), *rows])
+    _write_lines(args.out, "density_matrix.txt", [str(result.rho.shape[0]), *rows])
     summary = [
         f"fidelity = {fid:.17g}",
         f"multiphoton_mass = {mass:.17g}",
@@ -201,7 +195,7 @@ def cmd_tomography(config: ExperimentConfig, out_dir: str) -> tuple[int, list]:
         f"likelihood_gap = {result.likelihood_gap:.17g}",
         f"clamp_fraction = {_csv_line(hist.clamp_fraction)}",
     ]
-    _write_lines(out_dir, "tomography_summary.txt", summary)
+    _write_lines(args.out, "tomography_summary.txt", summary)
     files = ["density_matrix.txt", "tomography_summary.txt"]
     if not result.converged:
         tail = ",".join(f"{v:.12g}" for v in result.log_likelihood[-10:])
@@ -210,9 +204,8 @@ def cmd_tomography(config: ExperimentConfig, out_dir: str) -> tuple[int, list]:
     return EXIT_OK, files
 
 
-def cmd_fair_sampling_check(
-    config: ExperimentConfig, out_dir: str, cutoff: int = 1
-) -> tuple[int, list]:
+def cmd_fair_sampling_check(config: ExperimentConfig, args) -> tuple[int, list]:
+    cutoff = args.cutoff
     # Any integer seeds the report, as it does the sampling subcommands.
     report = verification_report(seed=config.seed % (1 << 63), cutoff=cutoff)
     verdict = "PASS" if report["passed"] else "FAIL"
@@ -225,7 +218,19 @@ def cmd_fair_sampling_check(
         verdict,
     ]
     code = EXIT_BREACH if cutoff == 1 and not report["passed"] else EXIT_OK
-    return code, [_write_lines(out_dir, "fair_sampling_report.txt", lines)]
+    return code, [_write_lines(args.out, "fair_sampling_report.txt", lines)]
+
+
+# Each subcommand returns its exit code and the files it wrote, which `main`
+# lists in the manifest.
+COMMANDS = {
+    "simulate": cmd_simulate,
+    "correlation-scan": cmd_correlation_scan,
+    "chsh-scan": cmd_chsh_scan,
+    "tomography": cmd_tomography,
+    "decoy-estimate": cmd_decoy_estimate,
+    "fair-sampling-check": cmd_fair_sampling_check,
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -234,14 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Single-photon path entanglement simulation and certification",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in (
-        "simulate",
-        "correlation-scan",
-        "chsh-scan",
-        "tomography",
-        "decoy-estimate",
-        "fair-sampling-check",
-    ):
+    for name in COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", type=str, default=None, help="INI config file")
         p.add_argument("--seed", type=int, default=None, help="master RNG seed")
@@ -253,17 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
                 "--cutoff", type=int, default=1, help="Fock cutoff (>1 is report-only)"
             )
     return parser
-
-
-# Each subcommand returns its exit code and the files it wrote, which `main`
-# lists in the manifest.
-COMMANDS = {
-    "simulate": cmd_simulate,
-    "correlation-scan": cmd_correlation_scan,
-    "chsh-scan": cmd_chsh_scan,
-    "tomography": cmd_tomography,
-    "decoy-estimate": cmd_decoy_estimate,
-}
 
 
 def main(argv=None) -> int:
@@ -287,10 +274,7 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        if args.command == "fair-sampling-check":
-            code, files = cmd_fair_sampling_check(config, args.out, cutoff=args.cutoff)
-        else:
-            code, files = COMMANDS[args.command](config, args.out)
+        code, files = COMMANDS[args.command](config, args)
         _write_manifest(args.out, config, files)
         return code
     except (ArithmeticError, RuntimeError) as exc:

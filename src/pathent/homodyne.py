@@ -48,12 +48,6 @@ CHUNK_SIZE = 1 << 16
 SAVE_BLOCK = 1024
 PIPELINES = ("physical", "equivalent", "ideal-fock")
 
-# CHSH setting label -> LO phase. The b-labels are assigned so that the
-# standard S combination E(a0,b0)+E(a1,b0)+E(a0,b1)-E(a1,b1) is maximized
-# for the single-photon entangled state (E is proportional to cos(dtheta)).
-ALICE_PHASES = (0.0, np.pi / 2)
-BOB_PHASES = (np.pi / 4, -np.pi / 4)
-
 
 @dataclass(frozen=True)
 class MeasurementSettings:
@@ -63,12 +57,6 @@ class MeasurementSettings:
     phi_b: float
     label_a: int = 0
     label_b: int = 0
-
-    @classmethod
-    def chsh(cls, label_a: int, label_b: int) -> "MeasurementSettings":
-        if label_a not in (0, 1) or label_b not in (0, 1):
-            raise ValueError("CHSH labels must be 0 or 1")
-        return cls(ALICE_PHASES[label_a], BOB_PHASES[label_b], label_a, label_b)
 
     @property
     def dtheta(self) -> float:

@@ -84,7 +84,11 @@ class PovmSet:
             raise ValueError("bin edges must be strictly increasing (no overlap)")
         self.cutoff = int(cutoff)
         d = self.cutoff + 1
-        self.bins = _bin_overlap_tensor(self.edges, self.cutoff).reshape(-1, d * d)
+        # 24 Gauss-Legendre points per bin match a 400-point rule to 1.6e-14 for
+        # widths <= 2 at cutoff <= 32; a width-5 bin errs 2.3e-7 at cutoff 20, 4.4e-4 at 32.
+        spans = zip(self.edges[:-1], self.edges[1:])
+        bins = [overlap_matrix(a, b, self.cutoff, 24) for a, b in spans]
+        self.bins = np.reshape(bins, (-1, d * d))
         self._bins_t = np.ascontiguousarray(self.bins.T)  # matmuls want it contiguous
         m, n = np.divmod(np.arange(d * d), d)
         phi = np.array(self.phase_pairs, dtype=float).reshape(-1, 2)
@@ -123,11 +127,6 @@ class PovmSet:
             term *= f_b
             total += term
         return _realign(total, self.cutoff + 1)
-
-
-def _bin_overlap_tensor(edges: np.ndarray, cutoff: int, order: int = 24) -> np.ndarray:
-    """Exact Gauss-Legendre integrals of phi_m phi_n over each bin."""
-    return np.array([overlap_matrix(a, b, cutoff, order) for a, b in zip(edges[:-1], edges[1:])])
 
 
 def build_povm_elements(phase_pairs, edges, cutoff: int) -> PovmSet:

@@ -13,6 +13,7 @@ from scipy.stats import ks_2samp, poisson
 
 from pathent.chsh import (
     CHSH_COMBOS,
+    CHSH_SETTINGS,
     chsh_from_correlations,
     decoy_correlation,
     ideal_single_photon_chsh,
@@ -119,7 +120,7 @@ def test_criterion_4_chsh_monte_carlo_vs_oracle():
     tables = [
         sample_batch(
             0.0,
-            MeasurementSettings.chsh(la, lb),
+            CHSH_SETTINGS[(la, lb)],
             1_000_000,
             pipeline="ideal-fock",
             seed=9000 + idx,
@@ -155,7 +156,7 @@ def test_criterion_5_decoy_chsh_violation():
     bounds = []
     idx = 0
     for combo in CHSH_COMBOS:
-        settings = MeasurementSettings.chsh(*combo)
+        settings = CHSH_SETTINGS[combo]
         by_intensity = []
         for mu in (0.0,) + iset.intensities:
             binning = threshold_binning([0.82])

@@ -3,6 +3,7 @@ import pytest
 
 from pathent.chsh import (
     CHSH_COMBOS,
+    CHSH_SETTINGS,
     ChshResult,
     bin_coincidences,
     chsh_from_correlations,
@@ -380,7 +381,7 @@ class TestMonteCarloAgreement:
         s_est = 0.0
         var = 0.0
         for idx, (la, lb) in enumerate(CHSH_COMBOS):
-            settings = MeasurementSettings.chsh(la, lb)
+            settings = CHSH_SETTINGS[(la, lb)]
             batch = sample_batch(
                 0.0, settings, count, pipeline="ideal-fock", seed=300 + idx
             )
@@ -407,7 +408,7 @@ class TestDecoyPipeline:
         return [threshold_counts(*records(batch), grid) for batch in batches]
 
     def test_coincidence_bounds_contain_estimates(self):
-        settings = MeasurementSettings.chsh(0, 0)
+        settings = CHSH_SETTINGS[(0, 0)]
         bounds = decoy_coincidence_bounds(self.make_tables(settings, 50, [0.8]), self.iset, 0.8)
         for estimate, lower, upper in zip(*bounds):
             assert lower <= max(min(estimate, 1.0), 0.0) <= upper + 1e-12
@@ -415,10 +416,10 @@ class TestDecoyPipeline:
 
     def test_correlation_sign_tracks_dtheta(self):
         near = decoy_correlation(
-            self.make_tables(MeasurementSettings.chsh(0, 0), 60, [0.8]), self.iset, 0.8
+            self.make_tables(CHSH_SETTINGS[(0, 0)], 60, [0.8]), self.iset, 0.8
         )
         far = decoy_correlation(
-            self.make_tables(MeasurementSettings.chsh(1, 1), 70, [0.8]), self.iset, 0.8
+            self.make_tables(CHSH_SETTINGS[(1, 1)], 70, [0.8]), self.iset, 0.8
         )
         assert near[0] > 0.2
         assert far[0] < -0.2
@@ -426,7 +427,7 @@ class TestDecoyPipeline:
     def test_scan_marks_hopeless_threshold_invalid(self):
         tables = {}
         for combo in CHSH_COMBOS:
-            settings = MeasurementSettings.chsh(*combo)
+            settings = CHSH_SETTINGS[combo]
             batches = [sample_batch(0.0, settings, 2000, seed=80)]
             for j, mu in enumerate(self.iset.intensities, start=1):
                 batches.append(sample_batch(mu, settings, 2000, seed=81 + j))
@@ -438,7 +439,7 @@ class TestDecoyPipeline:
     def test_scan_same_on_full_and_one_value_grids(self):
         grid = [0.6, 0.0, 0.3, 0.6, 9.0]
         arms = {
-            combo: [records(b) for b in self.make_batches(MeasurementSettings.chsh(*combo), 90 + 10 * idx)]
+            combo: [records(b) for b in self.make_batches(CHSH_SETTINGS[combo], 90 + 10 * idx)]
             for idx, combo in enumerate(CHSH_COMBOS)
         }
 
@@ -522,7 +523,7 @@ class TestScalarReference:
         grid = np.append(ExperimentConfig().t_grid(), [2.5, 3.0, 9.0])
         tables = {}
         for idx, combo in enumerate(CHSH_COMBOS):
-            settings = MeasurementSettings.chsh(*combo)
+            settings = CHSH_SETTINGS[combo]
             batches = [sample_batch(0.0, settings, 20_000, seed=500 + 10 * idx)]
             for j, mu in enumerate(iset.intensities, start=1):
                 batches.append(sample_batch(mu, settings, 5_000, seed=500 + 10 * idx + j))

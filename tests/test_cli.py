@@ -477,6 +477,39 @@ class TestScans:
             assert (meta["fock_n"], meta["intensity_label"], meta["count"]) == (1, 0, 3000)
 
 
+class TestCommandTable:
+    def test_parser_has_every_command_in_table_order(self):
+        import argparse
+
+        import pathent.cli as cli_mod
+
+        (sub,) = (
+            a for a in cli_mod.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        assert list(sub.choices) == list(cli_mod.COMMANDS) == [
+            "simulate",
+            "correlation-scan",
+            "chsh-scan",
+            "tomography",
+            "decoy-estimate",
+            "fair-sampling-check",
+        ]
+        common = {"--config", "--seed", "--out", "--scale", "--workers"}
+        for name, parser in sub.choices.items():
+            options = {opt for a in parser._actions for opt in a.option_strings} - {"-h", "--help"}
+            assert options == common | ({"--cutoff"} if name == "fair-sampling-check" else set())
+
+    def test_manifest_is_indented_sorted_json(self, tmp_path):
+        out = tmp_path / "fs"
+        assert main(["fair-sampling-check", "--out", str(out)]) == EXIT_OK
+        manifest = {
+            "files": ["fair_sampling_report.txt"],
+            "config_hash": ExperimentConfig().content_hash(),
+        }
+        expected = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+        assert read_bytes(str(out / "manifest.json")) == expected.encode()
+
+
 class TestScaleClampWarning:
     CONFIG = SCAN_CONFIG.replace("samples_per_point = 2000", "samples_per_point = 10")
 

@@ -13,7 +13,7 @@ from scipy import integrate
 from scipy.stats import chi2, kstest, ks_2samp, norm
 
 import pathent.homodyne as hm
-from pathent.chsh import threshold_binning
+from pathent.chsh import CHSH_SETTINGS, threshold_binning
 from pathent.config import ExperimentConfig
 from pathent.homodyne import (
     CHUNK_SIZE,
@@ -80,21 +80,22 @@ def sample_coherent_pair(mu, theta, settings, noise, pipeline, rng):
 
 class TestSettings:
     def test_chsh_phase_table(self):
-        assert MeasurementSettings.chsh(0, 0).phi_a == 0.0
-        assert MeasurementSettings.chsh(1, 0).phi_a == pytest.approx(np.pi / 2)
-        assert MeasurementSettings.chsh(0, 0).phi_b == pytest.approx(np.pi / 4)
-        assert MeasurementSettings.chsh(0, 1).phi_b == pytest.approx(-np.pi / 4)
+        assert CHSH_SETTINGS[(0, 0)].phi_a == 0.0
+        assert CHSH_SETTINGS[(1, 0)].phi_a == pytest.approx(np.pi / 2)
+        assert CHSH_SETTINGS[(0, 0)].phi_b == pytest.approx(np.pi / 4)
+        assert CHSH_SETTINGS[(0, 1)].phi_b == pytest.approx(-np.pi / 4)
 
     def test_chsh_dthetas(self):
         # Three settings at |dtheta| = pi/4 and the subtracted one at 3pi/4.
-        assert abs(MeasurementSettings.chsh(0, 0).dtheta) == pytest.approx(np.pi / 4)
-        assert abs(MeasurementSettings.chsh(1, 0).dtheta) == pytest.approx(np.pi / 4)
-        assert abs(MeasurementSettings.chsh(0, 1).dtheta) == pytest.approx(np.pi / 4)
-        assert abs(MeasurementSettings.chsh(1, 1).dtheta) == pytest.approx(3 * np.pi / 4)
+        assert abs(CHSH_SETTINGS[(0, 0)].dtheta) == pytest.approx(np.pi / 4)
+        assert abs(CHSH_SETTINGS[(1, 0)].dtheta) == pytest.approx(np.pi / 4)
+        assert abs(CHSH_SETTINGS[(0, 1)].dtheta) == pytest.approx(np.pi / 4)
+        assert abs(CHSH_SETTINGS[(1, 1)].dtheta) == pytest.approx(3 * np.pi / 4)
 
-    def test_rejects_bad_labels(self):
-        with pytest.raises(ValueError):
-            MeasurementSettings.chsh(2, 0)
+    def test_settings_are_the_four_label_pairs(self):
+        assert list(CHSH_SETTINGS) == [(0, 0), (1, 0), (0, 1), (1, 1)]
+        for (a, b), settings in CHSH_SETTINGS.items():
+            assert (settings.label_a, settings.label_b) == (a, b)
 
 
 class TestCoherentSampling:
@@ -151,7 +152,7 @@ class TestDeterminism:
     @pytest.mark.parametrize("mu", [0.0, 0.0872])
     def test_bits_match_reference_chunks(self, pipeline, v_e, mu):
         noise = NoiseModel(0.617, v_e)
-        settings = MeasurementSettings.chsh(1, 0)
+        settings = CHSH_SETTINGS[(1, 0)]
         for count in (1, CHUNK_SIZE, CHUNK_SIZE + 1):
             starts = range(0, count, CHUNK_SIZE)
             chunks = [
@@ -231,7 +232,7 @@ class TestBinnedSampling:
     def test_binned_equals_stored(self, pipeline, mu, v_e, count):
         kwargs = dict(
             mu=mu,
-            settings=MeasurementSettings.chsh(0, 1),
+            settings=CHSH_SETTINGS[(0, 1)],
             count=count,
             noise=NoiseModel(0.617, v_e),
             pipeline=pipeline,
@@ -430,7 +431,7 @@ class TestPersistence:
     def test_round_trip_bit_exact(self, tmp_path):
         batch = sample_batch(
             0.7,
-            MeasurementSettings.chsh(1, 0),
+            CHSH_SETTINGS[(1, 0)],
             500,
             NoiseModel(0.617, 2.0 / 3.0),
             "physical",
@@ -466,7 +467,7 @@ class TestPersistence:
     def test_bytes_match_row_writer(self, count, label, combo):
         batch = sample_batch(
             0.5,
-            MeasurementSettings.chsh(*combo),
+            CHSH_SETTINGS[combo],
             count,
             NoiseModel(0.617, 2.0 / 3.0),
             seed=count,
@@ -479,7 +480,7 @@ class TestPersistence:
     def test_save_bytes_across_chunks(self, tmp_path):
         """`save` writes the header, then each chunk's rows in order; the
         batch ends five rows into its third chunk."""
-        batch = sample_batch(0.5, MeasurementSettings.chsh(1, 1), 2 * CHUNK_SIZE + 5, seed=8, intensity_label=2)
+        batch = sample_batch(0.5, CHSH_SETTINGS[(1, 1)], 2 * CHUNK_SIZE + 5, seed=8, intensity_label=2)
         batch.save(str(tmp_path / "b.csv"))
         expect = HEADER + reference_rows(*records(batch), ",2,1,1\n")
         assert read_bytes(tmp_path / "b.csv") == expect
@@ -492,7 +493,7 @@ class TestPersistence:
     def test_save_memory_is_bounded(self, tmp_path):
         """Writing 1 M records (~45 MB of text) allocates well under 2 MB
         beyond the records: one block of text and its temporaries."""
-        x_a, x_b = records(sample_batch(0.5, MeasurementSettings.chsh(0, 1), 1_000_000, seed=3))
+        x_a, x_b = records(sample_batch(0.5, CHSH_SETTINGS[(0, 1)], 1_000_000, seed=3))
         with open(tmp_path / "big.csv", "wb") as fh:
             tracemalloc.start()
             try:
@@ -510,7 +511,7 @@ class TestPersistence:
         def peak(count):
             tracemalloc.start()
             try:
-                batch = sample_batch(0.5, MeasurementSettings.chsh(0, 1), count, seed=3)
+                batch = sample_batch(0.5, CHSH_SETTINGS[(0, 1)], count, seed=3)
                 batch.save(str(tmp_path / f"{count}.csv"))
                 return tracemalloc.get_traced_memory()[1]
             finally:
