@@ -11,7 +11,8 @@ otherwise, independently per arm; a record survives only if both arms do.
 
 Analysis takes count tables only: the sampler counts each batch, chunk by
 chunk as it is drawn, at every threshold of the scan grid
-(`threshold_binning`), and the decoy bounds, correlations and CHSH scan read
+(`threshold_binning`; a vacuum batch's table is drawn whole from its exact
+cell masses), and the decoy bounds, correlations and CHSH scan read
 those tables, one per intensity label (0 = vacuum, then the decoy levels)
 for each setting. A record's place in the grid comes from an exact lattice
 lookup (`homodyne.grid_index`), not a binary search per record.
@@ -23,6 +24,7 @@ in OUTCOME_PAIRS order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,6 +73,10 @@ def threshold_binning(t_grid) -> Binning:
     (an exact lattice lookup, `homodyne.grid_index`; a NaN in either arm
     survives none), and a reverse cumulative sum turns those counts into
     survivors per threshold. Integer sums keep it exact.
+
+    For the vacuum, min(|x_a|, |x_b|) > t with probability S(t) = erfc(t)^2,
+    and each sign quadrant holds a quarter of every depth, because the sign
+    and |x| of a centred Gaussian are independent.
     """
     grid = np.asarray(t_grid, dtype=float).ravel()
     if not np.all(grid >= 0):
@@ -87,7 +93,9 @@ def threshold_binning(t_grid) -> Binning:
     def survivors(cells):
         return np.cumsum(cells.reshape(4, width)[:, ::-1], axis=1)[:, -2::-1].T
 
-    return Binning(levels, 4 * width, key, survivors)
+    survival = [1.0, *(math.erfc(t) ** 2 for t in levels), 0.0]
+    vacuum = np.tile(-np.diff(survival) / 4.0, 4)
+    return Binning(levels, 4 * width, key, survivors, vacuum)
 
 
 def bin_coincidences(table: CountTable, T: float) -> np.ndarray:

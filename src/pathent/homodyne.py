@@ -18,6 +18,12 @@ counts each chunk as soon as it is drawn, by an exact lattice lookup
 (`grid_index`), and keeps only the count table; without one it returns the
 undrawn batch, which `save` writes a chunk at a time.
 
+A binned vacuum batch of either coherent pipeline draws no records: both
+arms are independent N(0, 1/2) (`physical` rescales its electronic noise
+away, since eta_ele (1 + v_e) = 1), so its table is one multinomial draw of
+`count` records over the binning's exact cell masses, `Binning.vacuum`.
+`simulate`, which takes no binning, still draws and writes vacuum records.
+
 `SampleBatch.save` writes %.17g text with numpy array arithmetic: for a
 double in fixed notation (decimal exponent -4 to 16) the 17 digits are an
 exactly rounded integer, from Dekker's error-free product of |x| and a power
@@ -46,6 +52,9 @@ CHUNK_SIZE = 1 << 16
 # Xeon, 2048-row blocks took 7-15% less CPU time in `simulate --scale 120`
 # but raised its peak RSS 0.9 MB more, to 4.9% above the %-format writer's.
 SAVE_BLOCK = 1024
+# The stream index of a binned vacuum batch's table (`sample_batch`): beyond
+# every chunk index, since no batch has 2^48 records.
+VACUUM_STREAM = 1 << 32
 PIPELINES = ("physical", "equivalent", "ideal-fock")
 
 
@@ -198,13 +207,15 @@ class Binning:
     """How `sample_batch` reduces each chunk to counts over `grid`:
     `key(x_a, x_b)` maps a chunk of each arm to one cell in [0, size) per
     record, and `finish` turns the int64 cell counts of the whole batch
-    into the table's counts.
+    into the table's counts. `vacuum[c]` is the probability of cell c for
+    the vacuum, whose arms are independent N(0, 1/2).
     """
 
     grid: np.ndarray
     size: int
     key: Callable[[np.ndarray, np.ndarray], np.ndarray]
     finish: Callable[[np.ndarray], np.ndarray]
+    vacuum: np.ndarray
 
     def count(self, x_a: np.ndarray, x_b: np.ndarray) -> np.ndarray:
         """Cell counts of the records (x_a[i], x_b[i])."""
@@ -459,6 +470,12 @@ def sample_batch(
     chunk each and count it at once, and the batch's table is the exact sum
     of the threads' counts. Either way the records are bit-identical for any
     worker count.
+
+    A binned vacuum batch (mu = 0, a coherent pipeline) is drawn as a count
+    table, not as records: one multinomial draw of `count` over
+    `binning.vacuum`, from the stream of chunk index 2^32, which no chunk
+    reaches. It is the same table for any worker count, and it follows the
+    binned distribution of the records exactly but is not their binning.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
@@ -469,6 +486,9 @@ def sample_batch(
     batch = SampleBatch(settings, intensity_label, seed, pipeline, count, mu, noise)
     if binning is None:
         return batch
+    if mu == 0 and pipeline != "ideal-fock":
+        cells = _chunk_rng(seed, VACUUM_STREAM).multinomial(count, binning.vacuum)
+        return binning.table(cells, count)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     n_workers = max(1, min(workers, -(-count // CHUNK_SIZE), cpus or 1))
 

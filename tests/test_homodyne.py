@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import itertools
 import json
@@ -51,6 +52,12 @@ def stored_table(batch, binning):
     """Count table of a batch's records under `binning`, in one pass over
     all of them (the sampler sums it chunk by chunk)."""
     return binning.table(binning.count(*records(batch)), len(batch))
+
+
+def raw_cells(binning):
+    """`binning` with its cell counts kept as they are, so a table's
+    `counts` are the batch's counts per cell."""
+    return dataclasses.replace(binning, finish=lambda cells: cells)
 
 
 def assert_same_table(got, expect):
@@ -240,7 +247,15 @@ class TestBinnedSampling:
         )
         stored = sample_batch(**kwargs)
         for binning in self.BINNINGS.values():
-            expect = stored_table(stored, binning)
+            if mu == 0 and pipeline != "ideal-fock":
+                # A binned vacuum batch is one multinomial draw over the exact
+                # cell masses, not the binning of the stored records
+                # (TestVacuumTables): it must still hold `count` records and
+                # be the same table on every call and at every worker count.
+                assert sample_batch(**kwargs, binning=raw_cells(binning)).counts.sum() == count
+                expect = sample_batch(**kwargs, binning=binning)
+            else:
+                expect = stored_table(stored, binning)
             for workers in (1, 2, 3):
                 assert_same_table(sample_batch(**kwargs, workers=workers, binning=binning), expect)
 
@@ -280,6 +295,80 @@ class TestBinnedSampling:
     def test_rejects_bad_intensity(self, mu, binning):
         with pytest.raises(ValueError, match="intensity must be non-negative and finite"):
             sample_batch(mu, MeasurementSettings(0.0, 0.0), 10, binning=self.BINNINGS.get(binning))
+
+
+def normal_mass(lo, hi):
+    """P(lo < x < hi) for x ~ N(0, 1/2), by adaptive quadrature of its density."""
+    mass, _ = integrate.quad(lambda x: np.exp(-x * x) / np.sqrt(np.pi), lo, hi, epsabs=1e-14, epsrel=1e-13)
+    return mass
+
+
+class TestVacuumTables:
+    """A binned vacuum batch is a multinomial draw over `Binning.vacuum`."""
+
+    T_GRIDS = {
+        "default": ExperimentConfig().t_grid(),
+        "repeated-unsorted": [1.5, 0.3, 2.0, 0.3, 0.0, 4.0, 1.5, 0.82],
+    }
+    EDGES = {
+        "default": ExperimentConfig().bin_edges(),
+        "coarse": np.linspace(-3.0, 3.0, 7),
+    }
+
+    @pytest.mark.parametrize("grid", T_GRIDS.values(), ids=T_GRIDS.keys())
+    def test_threshold_masses_match_quadrature(self, grid):
+        """Quadrant (s_a, s_b) at depth (a, b], min(|x_a|, |x_b|) in (a, b],
+        holds P(s_a x_a > a) P(s_b x_b > a) - P(s_a x_a > b) P(s_b x_b > b).
+        Each cell is found by the binning's own key at a point inside it."""
+        binning = threshold_binning(grid)
+        depths = np.concatenate(([0.0], binning.grid, [binning.grid[-1] + 1.0, np.inf]))
+        expected = np.zeros(binning.size)
+        for lo, hi in zip(depths[:-1], depths[1:]):
+            if lo == hi:  # a threshold at 0 leaves depth 0 empty
+                continue
+            mass = normal_mass(lo, np.inf) ** 2 - normal_mass(hi, np.inf) ** 2
+            inside = lo + 0.5 if hi == np.inf else (lo + hi) / 2.0
+            for s_a, s_b in itertools.product((-1.0, 1.0), repeat=2):
+                expected[binning.key(np.array([s_a * inside]), np.array([s_b * inside]))[0]] += mass
+        np.testing.assert_allclose(binning.vacuum, expected, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("edges", EDGES.values(), ids=EDGES.keys())
+    def test_histogram_masses_match_quadrature(self, edges):
+        binning = histogram_binning(edges)
+        bounds = np.concatenate(([-np.inf], edges, [np.inf]))
+        arm = [normal_mass(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+        inside = np.concatenate(([edges[0] - 1.0], (edges[:-1] + edges[1:]) / 2.0, [edges[-1] + 1.0]))
+        x_a, x_b = (v.ravel() for v in np.meshgrid(inside, inside, indexing="ij"))
+        expected = np.zeros(binning.size)
+        expected[binning.key(x_a, x_b)] = np.outer(arm, arm).ravel()
+        np.testing.assert_allclose(binning.vacuum, expected, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("v_e", [0.0, 2.0 / 3.0])
+    @pytest.mark.parametrize("pipeline", ["equivalent", "physical"])
+    @pytest.mark.parametrize("kind", ["threshold", "histogram"])
+    def test_table_matches_binned_records(self, kind, pipeline, v_e):
+        """Pearson chi^2 test that a drawn table and the binned records of
+        the same batch come from one distribution: sum (a - b)^2 / (a + b)
+        over the cells, two samples of equal size. Cells expected to hold
+        fewer than 5 records are pooled into one cell."""
+        count = 1_000_000
+        binning = raw_cells(TestBinnedSampling.BINNINGS[kind])
+        kwargs = dict(
+            mu=0.0,
+            settings=CHSH_SETTINGS[(1, 0)],
+            count=count,
+            noise=NoiseModel(0.617, v_e),
+            pipeline=pipeline,
+            seed=47,
+            workers=2,
+        )
+        drawn = sample_batch(**kwargs, binning=binning).counts
+        binned = stored_table(sample_batch(**kwargs), binning).counts
+        keep = count * binning.vacuum >= 5.0
+        a = np.append(drawn[keep], drawn[~keep].sum())
+        b = np.append(binned[keep], binned[~keep].sum())
+        stat = float(np.sum((a - b) ** 2 / (a + b)))
+        assert chi2.sf(stat, keep.sum()) > 1e-3, f"chi2 {stat:.0f} on {keep.sum()} dof"
 
 
 class TestJointPdf:

@@ -6,6 +6,7 @@ import pytest
 from pathent.cli import _csv_line, _write_lines
 from pathent.config import ExperimentConfig
 from pathent.decoy import DecoyIntensitySet
+from pathent.fock import overlap_matrix
 from pathent.homodyne import CHUNK_SIZE, MeasurementSettings, sample_batch
 from pathent.states import TwoModeFockState, bell_state
 from pathent.tomography import (
@@ -204,6 +205,13 @@ class TestPovm:
             for j in range(4)
         )
         assert np.max(np.abs(povm.likelihood_operator(weights) - expect)) < 1e-14
+
+    @pytest.mark.parametrize("cutoff", [20, 32])
+    def test_wide_bins_match_fine_quadrature(self, cutoff):
+        edges = np.linspace(-10.0, 10.0, 5)
+        povm = build_povm_elements([(0.0, 0.0)], edges, cutoff)
+        fine = [overlap_matrix(a, b, cutoff, 400).ravel() for a, b in zip(edges[:-1], edges[1:])]
+        np.testing.assert_allclose(povm.bins, fine, rtol=0.0, atol=1e-13)
 
     def test_rejects_overlapping_bins(self):
         with pytest.raises(ValueError):
