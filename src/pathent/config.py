@@ -128,9 +128,9 @@ class ExperimentConfig:
         return max(1, count // self.scale)
 
     def content_hash(self) -> str:
-        payload = json.dumps(
-            {k: getattr(self, k) for k in self.__dataclass_fields__}, sort_keys=True
-        )
+        """Hash of every field but `workers`, which changes no output."""
+        fields = {k: getattr(self, k) for k in self.__dataclass_fields__ if k != "workers"}
+        payload = json.dumps(fields, sort_keys=True)
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 

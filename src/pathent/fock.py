@@ -1,14 +1,15 @@
 """Exact quadrature-representation math on truncated Fock spaces.
 
 Provides the harmonic-oscillator quadrature wavefunctions (vacuum variance
-1/2 convention), their overlap integrals over an interval (threshold windows
-and tomography bins), and the pass/discard post-selection operators used by
-the thresholded homodyne measurement model.
+1/2 convention), their overlap integrals over intervals in closed form
+(`overlap_matrices`: threshold windows and tomography bins alike), and the
+pass/discard post-selection operators used by the thresholded homodyne
+measurement model.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+import math
 
 import numpy as np
 
@@ -47,28 +48,39 @@ def wavefunction_value(n: int, x: float, theta: float = 0.0) -> complex:
     return complex(amp * np.exp(1j * n * theta))
 
 
-@lru_cache(maxsize=32)
-def _gauss_legendre(order: int):
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    return nodes, weights
+def overlap_matrices(cuts, cutoff: int) -> np.ndarray:
+    """Integrals of phi_m(x) phi_n(x), m, n = 0..cutoff, over each interval
+    [cuts[k], cuts[k + 1]] between the sorted cut points, in closed form, as
+    an array of shape (len(cuts) - 1, cutoff + 1, cutoff + 1).
 
-
-def overlap_matrix(lo: float, hi: float, cutoff: int, order: int) -> np.ndarray:
-    """Integrals of phi_m(x) phi_n(x) over [lo, hi], m, n = 0..cutoff, by
-    `order`-point Gauss-Legendre quadrature: the threshold windows' and the
-    tomography bins' overlaps alike."""
-    nodes, weights = _gauss_legendre(order)
-    half = 0.5 * (hi - lo)
-    x = lo + half * (nodes + 1.0)
-    w = half * weights
-    phi = hermite_functions(cutoff, x)  # (cutoff + 1, order)
-    return (phi * w) @ phi.T
-
-
-def _overlap_order(T: float) -> int:
-    # Integrand is polynomial * Gaussian; this order holds erf(T) to < 1e-13
-    # for T up to ~10 and photon numbers up to 16.
-    return max(60, int(24 * T) + 40)
+    Off the diagonal: phi_n'' = (x^2 - 2n - 1) phi_n makes the Wronskian
+    (phi_m phi_n' - phi_m' phi_n) / (2(m - n)) an antiderivative of
+    phi_m phi_n, and phi_n' = sqrt(2n) phi_(n-1) - x phi_n turns it into
+    (phi_m r_n - r_m phi_n) / (2(m - n)) with r_n = sqrt(2n) phi_(n-1). On
+    the diagonal: I_00 = (erf(b) - erf(a)) / 2, then the oscillator
+    recurrence I_nn = I_(n-1,n-1) + sqrt((n+1)/n) I_(n+1,n-1)
+    - sqrt((n-1)/n) I_(n,n-2). Each matrix is exactly symmetric, and on a
+    window [-T, T] its entries of odd m + n are exactly 0, since
+    phi_n(-x) = (-1)^n phi_n(x) to the bit.
+    """
+    cuts = np.asarray(cuts, dtype=float)
+    size = cutoff + 2  # the diagonal recurrence reads I_(cutoff+1, cutoff-1)
+    phi = hermite_functions(size - 1, cuts).T  # (points, size)
+    raised = np.zeros_like(phi)
+    raised[:, 1:] = np.sqrt(2.0 * np.arange(1, size)) * phi[:, :-1]
+    cross = phi[:, :, None] * raised[:, None, :]
+    k = np.arange(size)
+    gap = 2.0 * (k[:, None] - k[None, :])
+    gap[k, k] = 1.0  # its zero numerator is replaced below
+    wronskian = cross - cross.transpose(0, 2, 1)
+    wronskian /= gap
+    out = np.diff(wronskian, axis=0)
+    out[:, 0, 0] = np.diff([math.erf(x) for x in cuts]) / 2.0
+    for n in range(1, cutoff + 1):
+        out[:, n, n] = out[:, n - 1, n - 1] + math.sqrt((n + 1) / n) * out[:, n + 1, n - 1]
+        if n > 1:
+            out[:, n, n] -= math.sqrt((n - 1) / n) * out[:, n, n - 2]
+    return out[:, : cutoff + 1, : cutoff + 1]
 
 
 def window_overlap(m: int, n: int, T: float) -> float:
@@ -81,10 +93,7 @@ def window_overlap(m: int, n: int, T: float) -> float:
         raise ValueError("threshold must be non-negative")
     if m < 0 or n < 0:
         raise ValueError("photon numbers must be non-negative")
-    if (m + n) % 2 == 1:
-        return 0.0
-    lo, hi = sorted((m, n))
-    return float(overlap_matrix(-T, T, hi, _overlap_order(T))[lo, hi])
+    return float(overlap_matrices((-T, T), max(m, n))[0, m, n])
 
 
 def build_postselection_operators(
@@ -102,18 +111,13 @@ def build_postselection_operators(
     if cutoff < 1:
         raise ValueError("cutoff must be at least 1")
     d = cutoff + 1
-    # The upper triangle, odd m + n zeroed by parity, mirrored: exactly Hermitian.
-    overlap = np.triu(overlap_matrix(-T, T, cutoff, _overlap_order(T)))
     m, n = np.ogrid[:d, :d]
-    overlap[(m + n) % 2 == 1] = 0.0
-    q = (overlap + np.triu(overlap, 1).T) * np.exp(1j * (n - m) * theta)
+    q = overlap_matrices((-T, T), cutoff)[0] * np.exp(1j * (n - m) * theta)
     q_pass = np.eye(d, dtype=complex) - q
     for name, mat in (("Q_discard", q), ("Q_pass", q_pass)):
         low = float(np.linalg.eigvalsh(mat)[0])
         if low < -PSD_EIG_TOL:
-            raise ArithmeticError(
-                f"{name} not PSD (min eigenvalue {low:.3e}); quadrature failure"
-            )
+            raise ArithmeticError(f"{name} not PSD (min eigenvalue {low:.3e})")
     return q, q_pass
 
 

@@ -13,10 +13,11 @@ All sampling goes through one chunk loop, `SampleBatch.chunks`: 2^16 records
 per chunk, each drawn by `SampleBatch._draw` in place into one reused pair
 from an independent RNG stream per (seed, chunk index), so output is
 reproducible, independent of worker scheduling, and no array grows with the
-batch. Vacuum chunks skip the phase draw. Given a `Binning`, `sample_batch`
-counts each chunk as soon as it is drawn, by an exact lattice lookup
-(`grid_index`), and keeps only the count table; without one it returns the
-undrawn batch, which `save` writes a chunk at a time.
+batch. Every coherent chunk draws its state phases first, the vacuum's
+too. Given a `Binning`, `sample_batch` counts each chunk as soon as it is
+drawn, by an exact lattice lookup (`grid_index`), and keeps only the count
+table; without one it returns the undrawn batch, which `save` writes a
+chunk at a time.
 
 A binned vacuum batch of either coherent pipeline draws no records: both
 arms are independent N(0, 1/2) (`physical` rescales its electronic noise
@@ -110,17 +111,10 @@ class SampleBatch:
         """Fill `out_a`, `out_b` with the records of chunk `chunk`, drawn
         from its own stream."""
         rng = _chunk_rng(self.seed, chunk)
-        size = out_a.size
         if self.pipeline == "ideal-fock":
             _single_photon_arms(out_a, out_b, self.settings.dtheta, rng)
             return
-        if self.mu > 0:
-            theta = rng.uniform(0.0, 2.0 * np.pi, size)
-        else:
-            # The vacuum ignores theta. Each uniform double is one PCG64 word, so
-            # skipping `size` words leaves the stream where drawing theta would.
-            theta = None
-            rng.bit_generator.advance(size)
+        theta = rng.uniform(0.0, 2.0 * np.pi, out_a.size)
         _coherent_arm(out_a, self.mu, theta, self.settings.phi_a, self.noise, self.pipeline, rng)
         _coherent_arm(out_b, self.mu, theta, self.settings.phi_b, self.noise, self.pipeline, rng)
 
@@ -385,7 +379,7 @@ def _chunk_rng(seed: int, chunk: int) -> np.random.Generator:
 def _coherent_arm(
     out: np.ndarray,
     mu: float,
-    theta: np.ndarray | None,
+    theta: np.ndarray,
     phi: float,
     noise: NoiseModel,
     pipeline: str,

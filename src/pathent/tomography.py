@@ -13,7 +13,8 @@ area.
 POVM elements factorize per mode: the element for 2-D bin (B_a, B_b) at LO
 phases (phi_a, phi_b) is E(B_a, phi_a) (x) E(B_b, phi_b) with single-mode
 entries e^(i(n-m)phi) * integral of phi_m phi_n over the bin. The integrals
-are real and the same for every setting, and on the realigned density
+are real, exact (`fock.overlap_matrices`, one call over all the edges) and
+the same for every setting, and on the realigned density
 matrix R~[(m_a,n_a),(m_b,n_b)] = rho[(m_a,m_b),(n_a,n_b)] a setting's phases
 are only an elementwise factor. So the bin probabilities, and the likelihood
 operator R = sum f/p E, are a handful of real matrix products per setting
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decoy import DecoyIntensitySet, estimate_single_photon_statistic
-from .fock import overlap_matrix
+from .fock import overlap_matrices
 from .homodyne import Binning, CountTable, grid_index
 from .states import TwoModeFockState
 
@@ -69,8 +70,9 @@ class PovmSet:
     """Binned POVM for every setting, built from one phase-free operator.
 
     `bins[i]` is the real single-mode overlap matrix of bin i (integrals of
-    phi_m phi_n over the bin) flattened to length d^2, the same for both
-    modes and every setting. phases[s] = outer(f_a[s], f_b[s]) with
+    phi_m phi_n over the bin, in closed form by `fock.overlap_matrices` over
+    all the edges at once) flattened to length d^2, the same for both modes
+    and every setting. phases[s] = outer(f_a[s], f_b[s]) with
     f[(m, n)] = e^(i(m-n)phi) is all that setting s adds: the probability of
     2-D bin (i, j) is (bins @ Re(R~ o phases[s]) @ bins.T)[i, j] on the
     realigned density matrix R~. Only the per-mode factors f_a and f_b are
@@ -85,9 +87,7 @@ class PovmSet:
             raise ValueError("bin edges must be strictly increasing (no overlap)")
         self.cutoff = int(cutoff)
         d = self.cutoff + 1
-        spans = zip(self.edges[:-1], self.edges[1:])
-        bins = [_bin_overlaps(a, b, self.cutoff) for a, b in spans]
-        self.bins = np.reshape(bins, (-1, d * d))
+        self.bins = overlap_matrices(self.edges, self.cutoff).reshape(-1, d * d)
         self._bins_t = np.ascontiguousarray(self.bins.T)  # matmuls want it contiguous
         m, n = np.divmod(np.arange(d * d), d)
         phi = np.array(self.phase_pairs, dtype=float).reshape(-1, 2)
@@ -126,18 +126,6 @@ class PovmSet:
             term *= f_b
             total += term
         return _realign(total, self.cutoff + 1)
-
-
-def _bin_overlaps(lo: float, hi: float, cutoff: int) -> np.ndarray:
-    """Overlaps of phi_m phi_n over the bin [lo, hi], summed over ceil(width
-    / 2) equal pieces of 24 Gauss-Legendre points each. One 24-point rule
-    matches a 400-point one to 1.6e-14 for widths <= 2 at cutoff <= 32, but
-    on a width-5 bin errs 2.3e-7 at cutoff 20 and 4.4e-4 at 32."""
-    cuts = np.linspace(lo, hi, math.ceil((hi - lo) / 2.0) + 1)
-    total = overlap_matrix(cuts[0], cuts[1], cutoff, 24)
-    for a, b in zip(cuts[1:-1], cuts[2:]):
-        total += overlap_matrix(a, b, cutoff, 24)
-    return total
 
 
 def build_povm_elements(phase_pairs, edges, cutoff: int) -> PovmSet:

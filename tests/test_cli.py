@@ -195,6 +195,9 @@ class TestConfig:
     def test_content_hash_changes_with_config(self):
         assert ExperimentConfig().content_hash() != ExperimentConfig(seed=1).content_hash()
 
+    def test_content_hash_ignores_workers(self):
+        assert ExperimentConfig().content_hash() == ExperimentConfig(workers=4).content_hash()
+
 
 class TestStartup:
     def test_import_leaves_scipy_stats_unloaded(self):
@@ -618,7 +621,7 @@ class TestDeterminism:
                 + list(extra)
             )
             assert rc == EXIT_OK
-            outputs.append(read_bytes(str(out / artifact)))
+            outputs.append([read_bytes(str(out / name)) for name in (artifact, "manifest.json")])
         assert outputs[0] == outputs[1] == outputs[2]
 
     def test_chsh_scan_byte_identical(self, tmp_path):

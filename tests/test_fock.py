@@ -6,7 +6,7 @@ from scipy.special import erf
 from pathent.fock import (
     build_postselection_operators,
     hermite_functions,
-    overlap_matrix,
+    overlap_matrices,
     psd_operator_sqrt,
     wavefunction_value,
     window_overlap,
@@ -26,6 +26,19 @@ def quad_overlap(m, n, T):
     phi = lambda k, x: hermite_functions(k, np.asarray(x))[k]
     val, err = integrate.quad(lambda x: phi(m, x) * phi(n, x), -T, T, limit=200)
     assert err < 1e-9
+    return val
+
+
+def quad_overlap_matrix(lo, hi, cutoff):
+    """Adaptive-quadrature oracle for a whole overlap matrix: every entry in
+    one vector-valued integral, asked for 1e-15 in its worst entry."""
+
+    def integrand(x):
+        phi = hermite_functions(cutoff, np.asarray(x))
+        return np.outer(phi, phi)
+
+    val, err = integrate.quad_vec(integrand, lo, hi, epsabs=1e-15, epsrel=0.0, norm="max", limit=2000)
+    assert err < 1e-12
     return val
 
 
@@ -103,12 +116,37 @@ class TestWindowOverlap:
 class TestOverlapMatrix:
     def test_against_adaptive_quadrature_on_an_interval(self):
         lo, hi = -0.3, 1.1
-        got = overlap_matrix(lo, hi, 5, 24)
+        got = overlap_matrices([lo, hi], 5)[0]
         phi = lambda k, x: hermite_functions(k, np.asarray(x))[k]
         for m in range(6):
             for n in range(6):
                 want, _ = integrate.quad(lambda x: phi(m, x) * phi(n, x), lo, hi)
                 assert got[m, n] == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize("cutoff", [1, 10, 32, 100])
+    @pytest.mark.parametrize("T", [0.0, 0.2, 0.82, 2.0, 5.0])
+    def test_windows_match_adaptive_quadrature(self, T, cutoff):
+        """Up to fair-sampling-check's cap on the cutoff: every entry, and
+        exact symmetry and parity zeros."""
+        got = overlap_matrices([-T, T], cutoff)[0]
+        np.testing.assert_allclose(got, quad_overlap_matrix(-T, T, cutoff), rtol=0.0, atol=1e-13)
+        assert np.array_equal(got, got.T)
+        m, n = np.indices(got.shape)
+        assert np.all(got[(m + n) % 2 == 1] == 0.0)
+
+    @pytest.mark.parametrize("width", [0.2, 5.0])
+    def test_bins_match_adaptive_quadrature(self, width):
+        edges = np.linspace(-10.0, 10.0, round(20.0 / width) + 1)
+        got = overlap_matrices(edges, 32)
+        assert got.shape == (len(edges) - 1, 33, 33)
+        for k, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
+            np.testing.assert_allclose(got[k], quad_overlap_matrix(lo, hi, 32), rtol=0.0, atol=1e-13)
+
+    def test_each_interval_as_if_alone(self):
+        cuts = np.array([-4.0, -0.5, 0.3, 2.5])
+        together = overlap_matrices(cuts, 12)
+        for k in range(3):
+            assert np.array_equal(together[k], overlap_matrices(cuts[k : k + 2], 12)[0])
 
 
 class TestPostselectionOperators:

@@ -6,7 +6,7 @@ import pytest
 from pathent.cli import _csv_line, _write_lines
 from pathent.config import ExperimentConfig
 from pathent.decoy import DecoyIntensitySet
-from pathent.fock import overlap_matrix
+from pathent.fock import hermite_functions
 from pathent.homodyne import CHUNK_SIZE, MeasurementSettings, sample_batch
 from pathent.states import TwoModeFockState, bell_state
 from pathent.tomography import (
@@ -35,6 +35,15 @@ def histogram_counts(x_a, x_b, edges):
 PHASE_PAIRS_4 = [
     (dt / 2.0, -dt / 2.0) for dt in (-np.pi, -np.pi / 2, 0.0, np.pi / 2)
 ]
+
+
+def gauss_legendre_overlaps(lo, hi, cutoff, order=400):
+    """Overlaps of phi_m phi_n over [lo, hi] by one `order`-point
+    Gauss-Legendre rule: an oracle independent of the closed form."""
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    half = 0.5 * (hi - lo)
+    phi = hermite_functions(cutoff, lo + half * (nodes + 1.0))
+    return (phi * (half * weights)) @ phi.T
 
 
 def save_density_matrix(rho, path):
@@ -210,7 +219,7 @@ class TestPovm:
     def test_wide_bins_match_fine_quadrature(self, cutoff):
         edges = np.linspace(-10.0, 10.0, 5)
         povm = build_povm_elements([(0.0, 0.0)], edges, cutoff)
-        fine = [overlap_matrix(a, b, cutoff, 400).ravel() for a, b in zip(edges[:-1], edges[1:])]
+        fine = [gauss_legendre_overlaps(a, b, cutoff).ravel() for a, b in zip(edges[:-1], edges[1:])]
         np.testing.assert_allclose(povm.bins, fine, rtol=0.0, atol=1e-13)
 
     def test_rejects_overlapping_bins(self):
