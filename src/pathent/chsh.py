@@ -9,10 +9,10 @@ kappa(T) = `ideal_single_photon_correlation(0, T)`.
 Binning rule: outcome 0 when x < -T, outcome 1 when x > T, discard
 otherwise, independently per arm; a record survives only if both arms do.
 
-Analysis takes count tables only: the sampler counts each batch, chunk by
-chunk as it is drawn, at every threshold of the scan grid
-(`threshold_binning`; a vacuum batch's table is drawn whole from its exact
-cell masses), and the decoy bounds, correlations and CHSH scan read
+Analysis takes count tables only, one per batch over every threshold of
+the scan grid (`threshold_binning`): a coherent batch's table is drawn
+whole from its exact cell masses, and an ideal-fock batch is counted chunk
+by chunk as it is drawn. The decoy bounds, correlations and CHSH scan read
 those tables, one per intensity label (0 = vacuum, then the decoy levels)
 for each setting. A record's place in the grid comes from an exact lattice
 lookup (`homodyne.grid_index`), not a binary search per record.
@@ -24,13 +24,12 @@ in OUTCOME_PAIRS order.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .decoy import DecoyIntensitySet, bound_statistic, estimate_single_photon_statistic
-from .homodyne import Binning, CountTable, MeasurementSettings, grid_index
+from .homodyne import Binning, CountTable, MeasurementSettings, grid_index, upper_tail
 
 OUTCOME_PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
@@ -74,14 +73,18 @@ def threshold_binning(t_grid) -> Binning:
     survives none), and a reverse cumulative sum turns those counts into
     survivors per threshold. Integer sums keep it exact.
 
-    For the vacuum, min(|x_a|, |x_b|) > t with probability S(t) = erfc(t)^2,
-    and each sign quadrant holds a quarter of every depth, because the sign
-    and |x| of a centred Gaussian are independent.
+    Given the state phase, the arms are independent, so quadrant (s_a, s_b)
+    survives t with probability P(s_a x_a > t) P(s_b x_b > t): the upper
+    tail erfc(t - m)/2 of an arm N(m, 1/2) for s = +, the lower tail
+    erfc(t + m)/2 for s = -, at t in [0, *levels]. A cell's mass is the
+    phase average of the survival's drop from its depth to the next, so it
+    is non-negative and carries only the rounding of its own depth.
     """
     grid = np.asarray(t_grid, dtype=float).ravel()
     if not np.all(grid >= 0):
         raise ValueError("threshold must be non-negative")
-    levels = np.unique(grid)
+    levels = np.sort(grid)
+    levels = levels[np.diff(levels, prepend=-1.0) > 0]  # distinct; np.unique imports numpy.ma
     width = len(levels) + 1
     depth_index = grid_index(levels)
 
@@ -93,9 +96,17 @@ def threshold_binning(t_grid) -> Binning:
     def survivors(cells):
         return np.cumsum(cells.reshape(4, width)[:, ::-1], axis=1)[:, -2::-1].T
 
-    survival = [1.0, *(math.erfc(t) ** 2 for t in levels), 0.0]
-    vacuum = np.tile(-np.diff(survival) / 4.0, 4)
-    return Binning(levels, 4 * width, key, survivors, vacuum)
+    depths = np.append(0.0, levels)
+
+    def masses(m_a, m_b):
+        # tails[s, j, k] = P(x < -t_k) for s = 0 and P(x > t_k) for s = 1 at
+        # node j, the lower tail from node j + n/2, whose mean is -m[j].
+        tails_a, tails_b = (upper_tail(depths - m[:, None]) for m in (m_a, m_b))
+        tails_a, tails_b = (np.stack([np.roll(u, len(u) // 2, axis=0), u]) for u in (tails_a, tails_b))
+        survival = tails_a[:, None] * tails_b[None, :]
+        return -np.diff(survival, append=0.0).mean(axis=2).ravel()
+
+    return Binning(levels, 4 * width, key, survivors, masses)
 
 
 def bin_coincidences(table: CountTable, T: float) -> np.ndarray:

@@ -1,14 +1,13 @@
 """Decoy-corrected joint-quadrature histograms and maximum-likelihood
 reconstruction of the two-mode density matrix.
 
-Analysis takes count tables only: the sampler counts each batch over the
-2-D bin grid, chunk by chunk as it is drawn (`histogram_binning`; a vacuum
-batch's table is drawn whole from its exact cell masses), and the
-decoy correction and the uncorrected histogram read those tables. The decoy
-correction takes one table per intensity label (0 = vacuum, then the decoy
-levels) for each setting. Both hand the MLE each setting's bin
-probabilities, summing to 1; only `histogram_density` divides by the bin
-area.
+Analysis takes count tables only, one per batch over the 2-D bin grid
+(`histogram_binning`): a coherent batch's table is drawn whole from its
+exact cell masses, and an ideal-fock batch is counted chunk by chunk as it
+is drawn. The decoy correction takes one table per intensity label (0 =
+vacuum, then the decoy levels) for each setting, the uncorrected histogram
+one per setting. Both hand the MLE each setting's bin probabilities,
+summing to 1; only `histogram_density` divides by the bin area.
 
 POVM elements factorize per mode: the element for 2-D bin (B_a, B_b) at LO
 phases (phi_a, phi_b) is E(B_a, phi_a) (x) E(B_b, phi_b) with single-mode
@@ -33,7 +32,7 @@ import numpy as np
 
 from .decoy import DecoyIntensitySet, estimate_single_photon_statistic
 from .fock import overlap_matrices
-from .homodyne import Binning, CountTable, grid_index
+from .homodyne import Binning, CountTable, grid_index, upper_tail
 from .states import TwoModeFockState
 
 @dataclass
@@ -144,8 +143,8 @@ def histogram_binning(edges) -> Binning:
     `homodyne.grid_index(edges, "right")`, less one on the last edge. Index
     0 (below the grid, and NaN) and n_bins + 1 (above it) collect what falls
     outside. The edges must be evenly spaced, since the densities assume
-    equal bin widths. For the vacuum an arm lies below e with probability
-    erfc(-e)/2, and the arms are independent.
+    equal bin widths. Given the state phase, an arm N(m, 1/2) lies below e
+    with probability erfc(m - e)/2, and the arms are independent.
     """
     edges = np.asarray(edges, dtype=float)
     n_bins = len(edges) - 1
@@ -160,13 +159,17 @@ def histogram_binning(edges) -> Binning:
         k -= x == edges[-1]
         return k
 
-    arm = np.diff([0.0, *(math.erfc(-e) / 2.0 for e in edges), 1.0])
+    def masses(m_a, m_b):
+        # arm[j, i]: P(x in cell i) at node j, from the CDF at the edges.
+        arm_a, arm_b = (np.diff(upper_tail(m[:, None] - edges), prepend=0.0, append=1.0) for m in (m_a, m_b))
+        return (arm_a.T @ arm_b).ravel() / len(m_a)
+
     return Binning(
         edges,
         side * side,
         lambda x_a, x_b: index(x_a) * side + index(x_b),
         lambda cells: cells.reshape(side, side)[1:-1, 1:-1].copy(),
-        np.outer(arm, arm).ravel(),
+        masses,
     )
 
 

@@ -224,6 +224,25 @@ class TestStartup:
         assert proc.returncode == 0
         assert (tmp_path / "o" / "tomography_summary.txt").exists()
 
+    def test_default_binnings_leave_numpy_ma_and_scipy_unloaded(self):
+        """Building the default binnings and a coherent table's masses loads
+        neither numpy.ma (np.unique imports it, ~10 ms) nor any scipy
+        module (scipy.special for erfc would take ~0.2 s)."""
+        import pathent
+
+        src = os.path.dirname(os.path.dirname(os.path.abspath(pathent.__file__)))
+        code = (
+            "import sys\n"
+            "from pathent import chsh, homodyne, tomography\n"
+            "from pathent.config import ExperimentConfig\n"
+            "c = ExperimentConfig()\n"
+            "for b in (chsh.threshold_binning(c.t_grid()), tomography.histogram_binning(c.bin_edges())):\n"
+            "    homodyne.coherent_masses(b, 1.0, chsh.CHSH_SETTINGS[(1, 1)], c.noise)\n"
+            "sys.exit(any(m == 'numpy.ma' or m.split('.')[0] == 'scipy' for m in sys.modules))"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src))
+        assert proc.returncode == 0
+
     def test_config_import_leaves_tomography_unloaded(self):
         """The config checks its own tomography values; it needs no numerics."""
         import pathent

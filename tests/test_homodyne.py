@@ -11,6 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy.special import ndtr
 from scipy.stats import chi2, kstest, ks_2samp, norm
 
 import pathent.homodyne as hm
@@ -247,9 +248,9 @@ class TestBinnedSampling:
         )
         stored = sample_batch(**kwargs)
         for binning in self.BINNINGS.values():
-            if mu == 0 and pipeline != "ideal-fock":
-                # A binned vacuum batch is one multinomial draw over the exact
-                # cell masses, not the binning of the stored records
+            if pipeline != "ideal-fock":
+                # A binned coherent batch is one multinomial draw over the
+                # exact cell masses, not the binning of the stored records
                 # (TestVacuumTables): it must still hold `count` records and
                 # be the same table on every call and at every worker count.
                 assert sample_batch(**kwargs, binning=raw_cells(binning)).counts.sum() == count
@@ -272,10 +273,12 @@ class TestBinnedSampling:
 
         monkeypatch.setattr(hm, "ThreadPoolExecutor", Recording)
         monkeypatch.setattr(hm.os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        # Only ideal-fock draws binned records; a coherent table starts no thread.
         kwargs = dict(
             mu=0.5,
             settings=MeasurementSettings(0.1, 0.2),
             count=(chunks - 1) * CHUNK_SIZE + 7,
+            pipeline="ideal-fock",
             seed=3,
             binning=self.BINNINGS.get(binning),
         )
@@ -297,15 +300,35 @@ class TestBinnedSampling:
             sample_batch(mu, MeasurementSettings(0.0, 0.0), 10, binning=self.BINNINGS.get(binning))
 
 
-def normal_mass(lo, hi):
-    """P(lo < x < hi) for x ~ N(0, 1/2), by adaptive quadrature of its density."""
-    mass, _ = integrate.quad(lambda x: np.exp(-x * x) / np.sqrt(np.pi), lo, hi, epsabs=1e-14, epsrel=1e-13)
-    return mass
+def normal_mass(lo, hi, mean):
+    """P(lo < x < hi) for x ~ N(mean, 1/2), elementwise, from scipy's normal
+    distribution: differences of upper tails above the mean, of lower tails
+    below it, so that neither loses a small tail to cancellation."""
+    lo, hi = (np.sqrt(2.0) * (np.asarray(v, dtype=float) - mean) for v in (lo, hi))
+    return np.where(lo >= 0.0, ndtr(-lo) - ndtr(-hi), ndtr(hi) - ndtr(lo))
+
+
+def node_masses(binning, mu, settings, noise, nodes):
+    """`binning.masses` over `nodes` equally weighted state phases."""
+    theta = 2.0 * np.pi * np.arange(nodes) / nodes
+    m_a, m_b = (np.sqrt(mu * noise.eta_tot) * np.cos(theta - phi) for phi in (settings.phi_a, settings.phi_b))
+    return binning.masses(m_a, m_b)
 
 
 class TestVacuumTables:
-    """A binned vacuum batch is a multinomial draw over `Binning.vacuum`."""
+    """A binned coherent batch, the vacuum (mu = 0) among them, is a
+    multinomial draw over `hm.coherent_masses`. Each case is an intensity
+    (the vacuum and two decoy levels) at the CHSH phases or at a tomography
+    pair (dtheta/2, -dtheta/2), one on the default dtheta grid and one off
+    the phase nodes."""
 
+    NOISE = NoiseModel(0.617, 2.0 / 3.0)
+    SETTINGS = [
+        *CHSH_SETTINGS.values(),
+        MeasurementSettings(3 * np.pi / 8, -3 * np.pi / 8),
+        MeasurementSettings(0.3, -0.3),
+    ]
+    CASES = list(itertools.product((0.0, 0.0872, 0.984), SETTINGS))
     T_GRIDS = {
         "default": ExperimentConfig().t_grid(),
         "repeated-unsorted": [1.5, 0.3, 2.0, 0.3, 0.0, 4.0, 1.5, 0.82],
@@ -315,33 +338,74 @@ class TestVacuumTables:
         "coarse": np.linspace(-3.0, 3.0, 7),
     }
 
+    def check_against_phase_quadrature(self, binning, masses_at):
+        """`coherent_masses` against an adaptive quadrature over the state
+        phase of `masses_at(m_a, m_b)`, the masses given the arms' means."""
+        for mu, settings in self.CASES:
+            amplitude = np.sqrt(mu * self.NOISE.eta_tot)
+            phases = (settings.phi_a, settings.phi_b)
+            expected, _ = integrate.quad_vec(
+                lambda th: masses_at(*(amplitude * np.cos(th - phi) for phi in phases)),
+                0.0, 2.0 * np.pi, epsabs=1e-14, epsrel=0.0, norm="max",
+            )
+            got = hm.coherent_masses(binning, mu, settings, self.NOISE)
+            np.testing.assert_allclose(
+                got, expected / (2.0 * np.pi), rtol=0.0, atol=1e-12, err_msg=f"mu {mu}, {settings}"
+            )
+
     @pytest.mark.parametrize("grid", T_GRIDS.values(), ids=T_GRIDS.keys())
     def test_threshold_masses_match_quadrature(self, grid):
         """Quadrant (s_a, s_b) at depth (a, b], min(|x_a|, |x_b|) in (a, b],
-        holds P(s_a x_a > a) P(s_b x_b > a) - P(s_a x_a > b) P(s_b x_b > b).
-        Each cell is found by the binning's own key at a point inside it."""
+        holds P(s_a x_a > a) P(s_b x_b > a) - P(s_a x_a > b) P(s_b x_b > b)
+        given the phase. Each cell is found by the binning's own key at a
+        point inside it."""
         binning = threshold_binning(grid)
         depths = np.concatenate(([0.0], binning.grid, [binning.grid[-1] + 1.0, np.inf]))
-        expected = np.zeros(binning.size)
-        for lo, hi in zip(depths[:-1], depths[1:]):
-            if lo == hi:  # a threshold at 0 leaves depth 0 empty
-                continue
-            mass = normal_mass(lo, np.inf) ** 2 - normal_mass(hi, np.inf) ** 2
-            inside = lo + 0.5 if hi == np.inf else (lo + hi) / 2.0
-            for s_a, s_b in itertools.product((-1.0, 1.0), repeat=2):
-                expected[binning.key(np.array([s_a * inside]), np.array([s_b * inside]))[0]] += mass
-        np.testing.assert_allclose(binning.vacuum, expected, rtol=0.0, atol=1e-12)
+        lo, hi = depths[:-1], depths[1:]
+        lo, hi = lo[lo < hi], hi[lo < hi]  # a threshold at 0 leaves depth 0 empty
+        inside = np.where(hi == np.inf, lo + 0.5, (lo + hi) / 2.0)
+        signs = list(itertools.product((-1.0, 1.0), repeat=2))
+        cells = [binning.key(s_a * inside, s_b * inside) for s_a, s_b in signs]
+
+        def masses_at(m_a, m_b):
+            out = np.zeros(binning.size)
+            for (s_a, s_b), cell in zip(signs, cells):
+                # P(s x > t) for x ~ N(m, 1/2) is P(y > t) for y ~ N(s m, 1/2).
+                a, b = (
+                    normal_mass(t, np.inf, s_a * m_a) * normal_mass(t, np.inf, s_b * m_b) for t in (lo, hi)
+                )
+                np.add.at(out, cell, a - b)
+            return out
+
+        self.check_against_phase_quadrature(binning, masses_at)
 
     @pytest.mark.parametrize("edges", EDGES.values(), ids=EDGES.keys())
     def test_histogram_masses_match_quadrature(self, edges):
         binning = histogram_binning(edges)
         bounds = np.concatenate(([-np.inf], edges, [np.inf]))
-        arm = [normal_mass(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
         inside = np.concatenate(([edges[0] - 1.0], (edges[:-1] + edges[1:]) / 2.0, [edges[-1] + 1.0]))
         x_a, x_b = (v.ravel() for v in np.meshgrid(inside, inside, indexing="ij"))
-        expected = np.zeros(binning.size)
-        expected[binning.key(x_a, x_b)] = np.outer(arm, arm).ravel()
-        np.testing.assert_allclose(binning.vacuum, expected, rtol=0.0, atol=1e-12)
+        cells = binning.key(x_a, x_b)
+
+        def masses_at(m_a, m_b):
+            arm_a, arm_b = (normal_mass(bounds[:-1], bounds[1:], m) for m in (m_a, m_b))
+            out = np.zeros(binning.size)
+            out[cells] = np.outer(arm_a, arm_b).ravel()
+            return out
+
+        self.check_against_phase_quadrature(binning, masses_at)
+
+    @pytest.mark.parametrize("kind", ["threshold", "histogram"])
+    def test_masses_are_a_converged_distribution(self, kind):
+        """Non-negative masses summing to 1, which doubling the phase nodes
+        does not move."""
+        binning = TestBinnedSampling.BINNINGS[kind]
+        for mu, settings in self.CASES:
+            masses = hm.coherent_masses(binning, mu, settings, self.NOISE)
+            assert masses.shape == (binning.size,) and np.all(masses >= 0.0)
+            assert abs(masses.sum() - 1.0) <= 1e-14
+            finer = node_masses(binning, mu, settings, self.NOISE, 2 * hm.PHASE_NODES)
+            np.testing.assert_allclose(masses, finer, rtol=0.0, atol=1e-15, err_msg=f"mu {mu}, {settings}")
 
     @pytest.mark.parametrize("v_e", [0.0, 2.0 / 3.0])
     @pytest.mark.parametrize("pipeline", ["equivalent", "physical"])
@@ -353,22 +417,18 @@ class TestVacuumTables:
         fewer than 5 records are pooled into one cell."""
         count = 1_000_000
         binning = raw_cells(TestBinnedSampling.BINNINGS[kind])
-        kwargs = dict(
-            mu=0.0,
-            settings=CHSH_SETTINGS[(1, 0)],
-            count=count,
-            noise=NoiseModel(0.617, v_e),
-            pipeline=pipeline,
-            seed=47,
-            workers=2,
-        )
-        drawn = sample_batch(**kwargs, binning=binning).counts
-        binned = stored_table(sample_batch(**kwargs), binning).counts
-        keep = count * binning.vacuum >= 5.0
-        a = np.append(drawn[keep], drawn[~keep].sum())
-        b = np.append(binned[keep], binned[~keep].sum())
-        stat = float(np.sum((a - b) ** 2 / (a + b)))
-        assert chi2.sf(stat, keep.sum()) > 1e-3, f"chi2 {stat:.0f} on {keep.sum()} dof"
+        settings = CHSH_SETTINGS[(1, 0)] if kind == "threshold" else self.SETTINGS[-2]
+        noise = NoiseModel(0.617, v_e)
+        for mu in (0.0, 0.0872, 0.984):
+            kwargs = dict(mu=mu, settings=settings, count=count, noise=noise, pipeline=pipeline)
+            kwargs.update(seed=47, workers=2)
+            drawn = sample_batch(**kwargs, binning=binning).counts
+            binned = stored_table(sample_batch(**kwargs), binning).counts
+            keep = count * hm.coherent_masses(binning, mu, settings, noise) >= 5.0
+            a = np.append(drawn[keep], drawn[~keep].sum())
+            b = np.append(binned[keep], binned[~keep].sum())
+            stat = float(np.sum((a - b) ** 2 / (a + b)))
+            assert chi2.sf(stat, keep.sum()) > 1e-3, f"mu {mu}: chi2 {stat:.0f} on {keep.sum()} dof"
 
 
 class TestJointPdf:
