@@ -11,7 +11,6 @@ from .decoy import (
 )
 from .fock import (
     build_postselection_operators,
-    psd_operator_sqrt,
     wavefunction_value,
     window_overlap,
 )
@@ -44,7 +43,6 @@ __all__ = [
     "estimate_single_photon_statistic",
     "joint_pdf_fock",
     "load_config",
-    "psd_operator_sqrt",
     "sample_batch",
     "splitter_output",
     "wavefunction_value",

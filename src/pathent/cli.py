@@ -22,7 +22,7 @@ from . import tomography as tomo_mod
 from .config import ConfigError, ExperimentConfig, load_config, with_overrides
 from .homodyne import MeasurementSettings, sample_batch
 from .states import IDEAL_NOISE, bell_state, compensated_intensity
-from .fairsampling import verification_report
+from .fairsampling import THRESHOLDS, verification_report
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -33,8 +33,9 @@ EXIT_NUMERICAL = 4
 # pipeline samples one single-photon state for every label, vacuum included.
 DECOY_COMMANDS = ("chsh-scan", "decoy-estimate", "correlation-scan")
 
-# fair-sampling-check at cutoff 100 takes ~4 s and ~50 MB; its cost grows
-# as the cube of the cutoff.
+# The overlap tests hold every window entry to 1e-13 only up to cutoff 100.
+# There fair-sampling-check takes ~0.3 s and ~37 MB (2-core host), little
+# more than at cutoff 1.
 MAX_FAIR_SAMPLING_CUTOFF = 100
 
 
@@ -187,7 +188,7 @@ def cmd_tomography(config: ExperimentConfig, args) -> tuple[int, list]:
     rows = map(_csv_line, result.rho.view(float).tolist())
     _write_lines(args.out, "density_matrix.txt", [str(result.rho.shape[0]), *rows])
     summary = [
-        f"fidelity = {fid:.17g}",
+        f"fidelity = {fid:.6f}",
         f"multiphoton_mass = {mass:.17g}",
         f"iterations = {result.iterations}",
         f"converged = {result.converged}",
@@ -206,13 +207,13 @@ def cmd_tomography(config: ExperimentConfig, args) -> tuple[int, list]:
 
 def cmd_fair_sampling_check(config: ExperimentConfig, args) -> tuple[int, list]:
     cutoff = args.cutoff
-    # Any integer seeds the report, as it does the sampling subcommands.
-    report = verification_report(seed=config.seed % (1 << 63), cutoff=cutoff)
+    thresholds = sorted({*THRESHOLDS, config.t_fixed})
+    report = verification_report(thresholds=thresholds, cutoff=cutoff)
     verdict = "PASS" if report["passed"] else "FAIL"
     if cutoff > 1:
         verdict = "REPORT-ONLY (cutoff > 1: factorization scoped to the qubit subspace)"
     lines = [
-        *(f"state {i} T {T:.17g} residual {res:.3e}" for i, T, res in report["rows"]),
+        *(f"T {T:.17g} q0 {q0:.17g} q1 {q1:.17g}" for T, q0, q1 in report["rows"]),
         f"max_residual {report['max_residual']:.3e}",
         f"theta_independence_residual {report['theta_independence_residual']:.3e}",
         verdict,

@@ -1,102 +1,49 @@
-"""Numerical verification that threshold post-selection factorizes into an
+"""Closed-form check that threshold post-selection factorizes into an
 independent classical (setting) filter and quantum (state) filter.
 
-On the setting (x) state space the measurement filter acts on the block of
-setting a as sqrt(Q(theta_a)) . sqrt(Q(theta_a)), and the setting filter
-always passes (discarding never depends on the setting). Both sides of
-F(|a><a| (x) rho) = AND[F_C(|a><a|) (x) F_Q(rho)] are then |a><a| (x) a
-state-space block, and every other block is zero on both. So the
-factorization residual is exactly the largest deviation of the pass and
-discard blocks of F_Q(rho; theta_a) from those of F_Q(rho; 0), and the check
-compares these setting by setting. On the {|0>, |1>} subspace the
-discard/pass operators are phase-independent, which is what makes the
-factorization hold.
+Setting a filters a state by sqrt(Q(theta_a)) at its LO phase theta_a, and
+the setting filter always passes, so a state factorizes exactly when its
+filtered blocks do not depend on theta_a. Q(theta) = U* Q(0) U with
+U = diag(e^(i n theta)), so entry (m, n) of Q_discard, and of
+Q_pass = I - Q_discard, drifts by |Q(0)_mn| |e^(i(n-m)theta) - 1| over the
+phase grid: `max_residual` is the largest drift in columns 0 and 1,
+`theta_independence_residual` the largest anywhere.
+
+If max_residual is 0 on a grid with a phase where e^(i(n-m)theta) != 1 for
+0 < |n - m| <= cutoff (8 phases have one up to cutoff 7), the Hermitian Q(0)
+is block diagonal over span{|0>, |1>} and its complement, and diagonal on
+the former. So is sqrt(Q(0)), and the diagonal U leaves that block as it is:
+sqrt(Q(theta)) equals sqrt(Q(0)) on the subspace at every setting, and
+every state there factorizes. Parity gives Q(0)_01 = 0, which is all at
+cutoff 1; above it Q(0)_20 != 0. On the subspace Q_pass = diag(q0, q1),
+q0 = erfc T and q1 = erfc T + 2T e^(-T^2)/sqrt(pi).
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
-from .fock import build_postselection_operators, psd_operator_sqrt
+from .fock import build_postselection_operators
 
-
-@lru_cache(maxsize=512)
-def _sqrt_pair(T: float, cutoff: int, theta: float):
-    q_disc, q_pass = build_postselection_operators(T, cutoff, theta)
-    return psd_operator_sqrt(q_pass), psd_operator_sqrt(q_disc)
-
-
-def quantum_filter(
-    rho: np.ndarray, T: float, cutoff: int, theta: float = 0.0
-) -> tuple[np.ndarray, np.ndarray]:
-    """State-side filter: the (pass, discard) blocks, sqrt(Q_pass) rho
-    sqrt(Q_pass) and the discard analogue. Their traces add to that of rho,
-    and both are PSD."""
-    return tuple(s @ rho @ s for s in _sqrt_pair(T, cutoff, theta))
-
-
-def random_qubit_subspace_state(rng: np.random.Generator, cutoff: int = 1) -> np.ndarray:
-    """Random PSD unit-trace state supported on {|0>, |1>}, embedded in the
-    (cutoff+1)-dimensional space."""
-    g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    rho2 = g @ g.conj().T
-    rho2 /= np.trace(rho2).real
-    rho = np.zeros((cutoff + 1, cutoff + 1), dtype=complex)
-    rho[:2, :2] = rho2
-    return rho
-
-
-def theta_independence_residual(T: float, theta_grid, cutoff: int = 1) -> float:
-    """Max entrywise deviation of Q_discard built at each theta from the
-    theta = 0 operator."""
-    ref, _ = build_postselection_operators(T, cutoff, 0.0)
-    worst = 0.0
-    for theta in theta_grid:
-        q, _ = build_postselection_operators(T, cutoff, float(theta))
-        worst = max(worst, float(np.max(np.abs(q - ref))))
-    return worst
-
-
-def verify_factorization(
-    rho: np.ndarray, T: float, theta_grid, cutoff: int = 1
-) -> float:
-    """Max residual of F(|a><a| (x) rho) = AND[F_C(|a><a|) (x) F_Q(rho)]
-    over all settings in theta_grid: the largest entrywise deviation of the
-    pass and discard blocks of F_Q(rho) at each setting's theta from those at
-    theta = 0 (see the module docstring)."""
-    ref = quantum_filter(rho, T, cutoff, theta=0.0)
-    worst = 0.0
-    for theta in theta_grid:
-        for block, ref_block in zip(quantum_filter(rho, T, cutoff, theta=float(theta)), ref):
-            worst = max(worst, float(np.max(np.abs(block - ref_block))))
-    return worst
+THRESHOLDS = (0.2, 0.82, 1.0, 2.0)
 
 
 def verification_report(
-    n_states: int = 100,
-    thresholds=(0.2, 0.82, 1.0, 2.0),
-    n_thetas: int = 8,
-    cutoff: int = 1,
-    seed: int = 0,
-    tolerance: float = 1e-10,
+    thresholds=THRESHOLDS, n_thetas: int = 8, cutoff: int = 1, tolerance: float = 1e-10
 ) -> dict:
-    """Residual sweep over random qubit-subspace states, thresholds and a
-    uniform theta grid; also checks theta-independence of Q_discard."""
-    rng = np.random.default_rng(seed)
-    theta_grid = np.linspace(0.0, 2.0 * np.pi, n_thetas, endpoint=False)
-    rows = []
-    max_residual = 0.0
-    for i in range(n_states):
-        rho = random_qubit_subspace_state(rng, cutoff)
-        for T in thresholds:
-            res = verify_factorization(rho, T, theta_grid, cutoff)
-            rows.append((i, float(T), res))
-            max_residual = max(max_residual, res)
-    theta_res = max(
-        theta_independence_residual(T, theta_grid, cutoff) for T in thresholds
-    )
+    """One row (T, q0, q1) per threshold, and the largest drifts over a
+    uniform grid of n_thetas LO phases. Q(0) comes from one PSD-checked
+    `build_postselection_operators` call per threshold."""
+    theta = np.linspace(0.0, 2.0 * np.pi, n_thetas, endpoint=False)
+    k = np.arange(cutoff + 1)
+    swing = np.max(np.abs(np.exp(1j * (k - k[:, None])[:, :, None] * theta) - 1.0), axis=2)
+    rows, max_residual, theta_res = [], 0.0, 0.0
+    for T in thresholds:
+        q, q_pass = build_postselection_operators(T, cutoff)
+        drift = np.abs(q) * swing
+        rows.append((float(T), float(q_pass[0, 0].real), float(q_pass[1, 1].real)))
+        max_residual = max(max_residual, float(np.max(drift[:, :2])))
+        theta_res = max(theta_res, float(np.max(drift)))
     return {
         "rows": rows,
         "max_residual": max_residual,

@@ -120,18 +120,3 @@ def build_postselection_operators(
             raise ArithmeticError(f"{name} not PSD (min eigenvalue {low:.3e})")
     return q, q_pass
 
-
-def psd_operator_sqrt(a: np.ndarray) -> np.ndarray:
-    """Hermitian PSD square root of the square array `a` via
-    eigendecomposition.
-
-    Rejects inputs with an eigenvalue below -1e-8; small negative eigenvalues
-    above that are clipped to zero.
-    """
-    if np.max(np.abs(a - a.conj().T)) > 1e-10:
-        raise ValueError("operator is not Hermitian within tolerance")
-    w, v = np.linalg.eigh(a)
-    if w[0] < -PSD_EIG_TOL:
-        raise ValueError(f"operator is not PSD (min eigenvalue {w[0]:.3e})")
-    root = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
-    return 0.5 * (root + root.conj().T)

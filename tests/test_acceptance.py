@@ -64,9 +64,7 @@ def correlation(counts) -> float:
 
 def test_criterion_1_fair_sampling_factorization():
     t0 = time.perf_counter()
-    rep = verification_report(
-        n_states=100, thresholds=(0.2, 0.82, 1.0, 2.0), n_thetas=8, cutoff=1, seed=2718
-    )
+    rep = verification_report(thresholds=(0.2, 0.82, 1.0, 2.0), n_thetas=8, cutoff=1)
     elapsed = time.perf_counter() - t0
     ok = (
         rep["max_residual"] <= 1e-10

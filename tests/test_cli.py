@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -403,7 +404,7 @@ class TestExitCodes:
     def test_fair_sampling_cutoff_below_one_rejected(self, tmp_path, monkeypatch, capsys, cutoff):
         import pathent.cli as cli_mod
 
-        def no_report(seed, cutoff):
+        def no_report(thresholds, cutoff):
             raise AssertionError("ran the check before validating --cutoff")
 
         monkeypatch.setattr(cli_mod, "verification_report", no_report)
@@ -414,7 +415,7 @@ class TestExitCodes:
         assert not out.exists()
 
     def test_fair_sampling_negative_seed(self, tmp_path):
-        """A negative seed is reduced modulo 2**63, as the batch seeds are."""
+        """The check reads no seed: a negative seed gives the same report."""
         reports = []
         for seed in ("-1", str(2**63 - 1)):
             out = tmp_path / seed
@@ -426,7 +427,7 @@ class TestExitCodes:
     def test_fair_sampling_injected_fault_breach(self, tmp_path, monkeypatch):
         import pathent.cli as cli_mod
 
-        def failing_report(seed, cutoff):
+        def failing_report(thresholds, cutoff):
             return {
                 "rows": [(0, 0.82, 1e-3)],
                 "max_residual": 1e-3,
@@ -712,6 +713,15 @@ class TestTomographyCommand:
         assert float(fields["multiphoton_mass"]) >= 0.0
         assert fields["converged"] == "True"
         assert os.path.getsize(out / "density_matrix.txt") > 0
+
+    def test_fidelity_printed_to_six_decimals(self, tmp_path):
+        """The converged fit pins the fidelity to about 1e-7, so the summary
+        prints no more digits than that."""
+        cfg = write_config(tmp_path, TOMO_CONFIG)
+        out = tmp_path / "tomo"
+        assert main(["tomography", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        first = (out / "tomography_summary.txt").read_text().splitlines()[0]
+        assert re.fullmatch(r"fidelity = [01]\.\d{6}", first), first
 
 
 class TestMemory:

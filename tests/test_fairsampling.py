@@ -1,17 +1,70 @@
+import math
+import sys
+from functools import lru_cache
+
 import numpy as np
 import pytest
-from scipy.special import erf
+from scipy import integrate
+from scipy.special import erf, erfc
 
-import pathent.fairsampling as fs
-from pathent.fairsampling import (
-    quantum_filter,
-    random_qubit_subspace_state,
-    theta_independence_residual,
-    verification_report,
-    verify_factorization,
-)
+from pathent.cli import EXIT_OK, main
+from pathent.fairsampling import THRESHOLDS, verification_report
+from pathent.fock import build_postselection_operators, hermite_functions
+
+from helpers import psd_operator_sqrt
 
 THETAS = np.linspace(0.0, 2 * np.pi, 8, endpoint=False)
+
+# The oracle the closed form in `pathent.fairsampling` must match: the filter
+# blocks of explicit states, with operator square roots by eigendecomposition.
+
+
+@lru_cache(maxsize=512)
+def _sqrt_pair(T: float, cutoff: int, theta: float):
+    q_disc, q_pass = build_postselection_operators(T, cutoff, theta)
+    return psd_operator_sqrt(q_pass), psd_operator_sqrt(q_disc)
+
+
+def quantum_filter(rho, T, cutoff, theta=0.0):
+    """State-side filter: the (pass, discard) blocks, sqrt(Q_pass) rho
+    sqrt(Q_pass) and the discard analogue. Their traces add to that of rho,
+    and both are PSD."""
+    return tuple(s @ rho @ s for s in _sqrt_pair(T, cutoff, theta))
+
+
+def random_qubit_subspace_state(rng, cutoff=1):
+    """Random PSD unit-trace state supported on {|0>, |1>}, embedded in the
+    (cutoff+1)-dimensional space."""
+    g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    rho2 = g @ g.conj().T
+    rho2 /= np.trace(rho2).real
+    rho = np.zeros((cutoff + 1, cutoff + 1), dtype=complex)
+    rho[:2, :2] = rho2
+    return rho
+
+
+def theta_independence_residual(T, theta_grid, cutoff=1, columns=slice(None)):
+    """Max entrywise deviation, in `columns`, of Q_discard built at each theta
+    from the theta = 0 operator."""
+    ref, _ = build_postselection_operators(T, cutoff, 0.0)
+    worst = 0.0
+    for theta in theta_grid:
+        q, _ = build_postselection_operators(T, cutoff, float(theta))
+        worst = max(worst, float(np.max(np.abs(q - ref)[:, columns])))
+    return worst
+
+
+def verify_factorization(rho, T, theta_grid, cutoff=1):
+    """Max residual of F(|a><a| (x) rho) = AND[F_C(|a><a|) (x) F_Q(rho)]
+    over all settings in theta_grid: the largest entrywise deviation of the
+    pass and discard blocks of F_Q(rho) at each setting's theta from those at
+    theta = 0."""
+    ref = quantum_filter(rho, T, cutoff, theta=0.0)
+    worst = 0.0
+    for theta in theta_grid:
+        for block, ref_block in zip(quantum_filter(rho, T, cutoff, theta=float(theta)), ref):
+            worst = max(worst, float(np.max(np.abs(block - ref_block))))
+    return worst
 
 
 def pass_mass(state) -> float:
@@ -40,7 +93,7 @@ def kronecker_residual(rho, T, theta_grid, cutoff):
         lhs_pass = np.zeros((n * d, n * d), dtype=complex)
         lhs_disc = np.zeros_like(lhs_pass)
         for ap, theta in enumerate(theta_grid):
-            s_pass, s_disc = fs._sqrt_pair(T, cutoff, float(theta))
+            s_pass, s_disc = _sqrt_pair(T, cutoff, float(theta))
             blk = slice(ap * d, (ap + 1) * d)
             lhs_pass[blk, blk] = s_pass @ xi[blk, blk] @ s_pass
             lhs_disc[blk, blk] = s_disc @ xi[blk, blk] @ s_disc
@@ -95,18 +148,19 @@ class TestFactorization:
             assert theta_independence_residual(T, THETAS, cutoff=1) <= 1e-12
 
     def test_residual_small_for_random_states(self):
+        # At cutoff 1 the filter blocks are the same to the bit at every setting.
         rng = np.random.default_rng(8)
         for _ in range(20):
             rho = random_qubit_subspace_state(rng, 1)
-            for T in (0.2, 0.82, 2.0):
-                assert verify_factorization(rho, T, THETAS, cutoff=1) <= 1e-10
+            for T in THRESHOLDS:
+                assert verify_factorization(rho, T, THETAS, cutoff=1) == 0.0
 
     def test_report_passes(self):
-        report = verification_report(n_states=10, seed=123)
+        report = verification_report()
         assert report["passed"]
-        assert report["max_residual"] <= 1e-10
-        assert report["theta_independence_residual"] <= 1e-12
-        assert len(report["rows"]) == 10 * 4
+        assert report["max_residual"] == 0.0
+        assert report["theta_independence_residual"] == 0.0
+        assert len(report["rows"]) == 4
 
     def test_multiphoton_support_breaks_factorization(self):
         # A state with |2> population sees theta-dependent discard operators,
@@ -131,7 +185,7 @@ class TestFactorization:
     def test_injected_fault_detected(self, monkeypatch):
         # Corrupt the theta != 0 operators: the factorization check must
         # notice a filter that secretly depends on the setting.
-        true_pair = fs._sqrt_pair.__wrapped__
+        true_pair = _sqrt_pair.__wrapped__
 
         def corrupted(T, cutoff, theta):
             s_pass, s_disc = true_pair(T, cutoff, theta)
@@ -141,7 +195,53 @@ class TestFactorization:
                 s_pass = s_pass + bump
             return s_pass, s_disc
 
-        monkeypatch.setattr(fs, "_sqrt_pair", corrupted)
+        monkeypatch.setattr(sys.modules[__name__], "_sqrt_pair", corrupted)
         rng = np.random.default_rng(9)
         rho = random_qubit_subspace_state(rng, 1)
         assert verify_factorization(rho, 0.82, THETAS, cutoff=1) > 1e-10
+
+
+def phi_sq_tail(n, T):
+    """Integral of phi_n(x)^2 over [T, inf), by adaptive quadrature."""
+    value, _ = integrate.quad(lambda x: hermite_functions(n, np.array(x))[n] ** 2, T, np.inf)
+    return value
+
+
+class TestClosedForm:
+    @pytest.mark.parametrize("cutoff", [1, 2, 10])
+    def test_residuals_match_oracle(self, cutoff):
+        report = verification_report(cutoff=cutoff)
+        assert report["theta_independence_residual"] == max(
+            theta_independence_residual(T, THETAS, cutoff) for T in THRESHOLDS
+        )
+        assert report["max_residual"] == max(
+            theta_independence_residual(T, THETAS, cutoff, columns=slice(2)) for T in THRESHOLDS
+        )
+        assert report["passed"] == (cutoff == 1)
+
+    @pytest.mark.parametrize("cutoff", [1, 10])
+    def test_pass_diagonal(self, cutoff):
+        thresholds = (0.0, 0.2, 0.5, 0.82, 1.0, 2.0, 5.0)
+        rows = verification_report(thresholds, cutoff=cutoff)["rows"]
+        assert [T for T, _, _ in rows] == list(thresholds)
+        for T, q0, q1 in rows:
+            assert q0 == pytest.approx(erfc(T), abs=1e-15)
+            q1_exact = erfc(T) + 2 * T * math.exp(-T * T) / math.sqrt(math.pi)
+            assert q1 == pytest.approx(q1_exact, abs=1e-15)
+
+    @pytest.mark.parametrize("T", THRESHOLDS)
+    def test_pass_product_matches_quadrature(self, T):
+        ((_, q0, q1),) = verification_report((T,))["rows"]
+        assert q0 * q1 == pytest.approx(4 * phi_sq_tail(0, T) * phi_sq_tail(1, T), rel=1e-12)
+
+    def test_config_t_fixed_adds_a_row(self, tmp_path):
+        thresholds = {}
+        for t_fixed in ("1.0", "0.5"):
+            cfg = tmp_path / f"t{t_fixed}.ini"
+            cfg.write_text(f"[chsh]\nt_fixed = {t_fixed}\n")
+            out = tmp_path / t_fixed
+            assert main(["fair-sampling-check", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+            lines = (out / "fair_sampling_report.txt").read_text().splitlines()
+            thresholds[t_fixed] = [float(line.split()[1]) for line in lines if line.startswith("T ")]
+        assert thresholds["1.0"] == [0.2, 0.82, 1.0, 2.0]
+        assert thresholds["0.5"] == [0.2, 0.5, 0.82, 1.0, 2.0]

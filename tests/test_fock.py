@@ -7,10 +7,11 @@ from pathent.fock import (
     build_postselection_operators,
     hermite_functions,
     overlap_matrices,
-    psd_operator_sqrt,
     wavefunction_value,
     window_overlap,
 )
+
+from helpers import psd_operator_sqrt
 
 
 def is_hermitian(op, tol=1e-12):
