@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decoy import DecoyIntensitySet, bound_statistic, estimate_single_photon_statistic
-from .homodyne import Binning, CountTable, MeasurementSettings, grid_index, upper_tail
+from .homodyne import Binning, CountTable, MeasurementSettings, cached_rows, grid_index, upper_tail
 
 OUTCOME_PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
@@ -97,11 +97,12 @@ def threshold_binning(t_grid) -> Binning:
         return np.cumsum(cells.reshape(4, width)[:, ::-1], axis=1)[:, -2::-1].T
 
     depths = np.append(0.0, levels)
+    upper_tails = cached_rows(lambda m: upper_tail(depths - m))
 
     def masses(m_a, m_b):
         # tails[s, j, k] = P(x < -t_k) for s = 0 and P(x > t_k) for s = 1 at
         # node j, the lower tail from node j + n/2, whose mean is -m[j].
-        tails_a, tails_b = (upper_tail(depths - m[:, None]) for m in (m_a, m_b))
+        tails_a, tails_b = map(upper_tails, (m_a, m_b))
         tails_a, tails_b = (np.stack([np.roll(u, len(u) // 2, axis=0), u]) for u in (tails_a, tails_b))
         survival = tails_a[:, None] * tails_b[None, :]
         return -np.diff(survival, append=0.0).mean(axis=2).ravel()

@@ -276,6 +276,8 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     try:
         code, files = COMMANDS[args.command](config, args)
+        if args.command == "fair-sampling-check":  # reads no seed; hash the default one
+            config = with_overrides(config, seed=ExperimentConfig.seed)
         _write_manifest(args.out, config, files)
         return code
     except (ArithmeticError, RuntimeError) as exc:

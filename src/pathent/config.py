@@ -27,8 +27,8 @@ MAX_THRESHOLDS = 100_000
 # Each tomography count table holds (bins per axis + 2)^2 int64 cells, and the
 # POVM one overlap matrix per bin; the default grid has 50 bins per axis.
 MAX_BINS = 1000
-# Each MLE evaluation phases one (cutoff + 1)^4 matrix per setting, so it
-# touches n_phases * (cutoff + 1)^4 cells; the default point has 117,128.
+# The POVM's phase table holds 4 doubles per setting and pair of unordered Fock
+# pairs, ~n_phases * (cutoff + 1)^4: ~1.1 MB at the default point, ~80 MB at the cap.
 MAX_POVM_CELLS = 10_000_000
 # Tomography counts n_phases * (bins per axis)^2 cells per intensity label, and
 # the MLE's temporaries are as large; the default has 20,000, 8 phases fit at MAX_BINS.

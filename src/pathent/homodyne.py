@@ -391,6 +391,14 @@ def upper_tail(x: np.ndarray) -> np.ndarray:
     return np.fromiter(map(math.erfc, x.ravel().tolist()), float, x.size).reshape(x.shape) / 2.0
 
 
+def cached_rows(row: Callable[[float], np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:
+    """The rows `row(m[j])` over an arm's node means m, stacked, each distinct
+    mean's row computed once per binning. -0.0 shares 0.0's, which is safe
+    since a row reads its mean only through its difference with the grid."""
+    cached = functools.cache(row)
+    return lambda m: np.array([cached(x) for x in m.tolist()])
+
+
 def coherent_masses(
     binning: Binning, mu: float, settings: MeasurementSettings, noise: NoiseModel
 ) -> np.ndarray:

@@ -12,12 +12,13 @@ summing to 1; only `histogram_density` divides by the bin area.
 POVM elements factorize per mode: the element for 2-D bin (B_a, B_b) at LO
 phases (phi_a, phi_b) is E(B_a, phi_a) (x) E(B_b, phi_b) with single-mode
 entries e^(i(n-m)phi) * integral of phi_m phi_n over the bin. The integrals
-are real, exact (`fock.overlap_matrices`, one call over all the edges) and
-the same for every setting, and on the realigned density
+are real, exact (`fock.overlap_matrices`, one call over all the edges), the
+same for every setting and symmetric in (m, n), and on the realigned density
 matrix R~[(m_a,n_a),(m_b,n_b)] = rho[(m_a,m_b),(n_a,n_b)] a setting's phases
-are only an elementwise factor. So the bin probabilities, and the likelihood
-operator R = sum f/p E, are a handful of real matrix products per setting
-with one phase-free bin operator.
+are only an elementwise factor. So `PovmSet` folds each mode onto its
+d(d+1)/2 unordered Fock pairs m <= n and evaluates the bin probabilities,
+and the likelihood operator R = sum f/p E, of every setting in one real
+einsum and one stacked matmul.
 
 The fit is L-BFGS ascent on a factor A of rho = A A^H / tr(A A^H), so every
 iterate is a density matrix (see `mle_reconstruct`).
@@ -32,7 +33,7 @@ import numpy as np
 
 from .decoy import DecoyIntensitySet, estimate_single_photon_statistic
 from .fock import overlap_matrices
-from .homodyne import Binning, CountTable, grid_index, upper_tail
+from .homodyne import Binning, CountTable, cached_rows, grid_index, upper_tail
 from .states import TwoModeFockState
 
 @dataclass
@@ -60,23 +61,22 @@ class TomographyResult:
     likelihood_gap: float
 
 
-def _realign(op: np.ndarray, d: int) -> np.ndarray:
-    """R~[(m_a, n_a), (m_b, n_b)] = op[(m_a, m_b), (n_a, n_b)]; its own inverse."""
-    return op.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
-
-
 class PovmSet:
-    """Binned POVM for every setting, built from one phase-free operator.
+    """Binned POVM for every setting, folded onto unordered Fock pairs.
 
     `bins[i]` is the real single-mode overlap matrix of bin i (integrals of
     phi_m phi_n over the bin, in closed form by `fock.overlap_matrices` over
     all the edges at once) flattened to length d^2, the same for both modes
-    and every setting. phases[s] = outer(f_a[s], f_b[s]) with
-    f[(m, n)] = e^(i(m-n)phi) is all that setting s adds: the probability of
-    2-D bin (i, j) is (bins @ Re(R~ o phases[s]) @ bins.T)[i, j] on the
-    realigned density matrix R~. Only the per-mode factors f_a and f_b are
-    stored; each evaluation applies them one setting at a time, so nothing
-    of size (settings, d^2, d^2) is ever built.
+    and every setting. Bin (i, j) of setting s has probability
+    bins[i] Re(R~ o f_a (x) f_b) bins[j], f[(m, n)] = e^(i(m-n)phi). Both
+    factors keep their real part when both pairs swap, so the sum runs over
+    the U = d(d+1)/2 pairs u = (m <= n) per mode, a diagonal pair weighted
+    1/2: with u' the swap of u, it is 2 Re(R1 o F1 + R2 o F2) for
+    R1 = R~[u_a, u_b], R2 = R~[u_a, u'_b], F1 = e^(-i theta1) = g_a (x) g_b,
+    F2 = e^(-i theta2) = g_a (x) conj(g_b), g = f on the pairs. The table
+    [cos theta1, cos theta2, sin theta1, sin theta2], (settings, 4, U^2),
+    makes that one einsum for all settings, and index maps built once, the
+    realign composed in, gather R1, R2 from rho and spread R back.
     """
 
     def __init__(self, phase_pairs, edges, cutoff):
@@ -87,11 +87,37 @@ class PovmSet:
         self.cutoff = int(cutoff)
         d = self.cutoff + 1
         self.bins = overlap_matrices(self.edges, self.cutoff).reshape(-1, d * d)
-        self._bins_t = np.ascontiguousarray(self.bins.T)  # matmuls want it contiguous
-        m, n = np.divmod(np.arange(d * d), d)
-        phi = np.array(self.phase_pairs, dtype=float).reshape(-1, 2)
-        self._f_a = np.exp(1j * (m - n)[None, :] * phi[:, :1])  # (settings, d^2)
-        self._f_b = np.exp(1j * (m - n)[None, :] * phi[:, 1:])
+        m, n = np.triu_indices(d)
+        u, pair, swap = len(m), m * d + n, n * d + m
+        folded = self.bins[:, pair]
+        half = folded * np.where(m == n, 0.5, 1.0)
+        # The column gather is Fortran-ordered; the stacked matmuls want C order.
+        self._bins_u, self._bins_ut = np.ascontiguousarray(folded), np.ascontiguousarray(folded.T)
+        self._half2, self._half_t = np.ascontiguousarray(2.0 * half), np.ascontiguousarray(half.T)
+        # R~[i, j] = op.ravel()[flat[i, j]]; Re R1, Re R2, Im R1, Im R2 in rho's float view.
+        flat = np.arange(d**4).reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
+        blocks = 2 * np.stack([flat[pair[:, None], pair], flat[pair[:, None], swap]]).reshape(2, -1)
+        self._pair_index = np.concatenate([blocks, blocks + 1])
+        # R's float view from [Re z1, Re z2, Im z1, Im z2, -Im z1, -Im z2]: an entry
+        # reads z2 if its column pair is swapped, and the conjugate of its Hermitian
+        # partner (both pairs swapped) if its row pair is, or is diagonal with the
+        # column swapped. Both read one value, so R is exactly Hermitian.
+        a, b = np.divmod(np.arange(d * d), d)  # (m, n) of a realigned row or column
+        pair_of = np.empty((d, d), dtype=np.intp)
+        pair_of[m, n] = pair_of[n, m] = np.arange(u)
+        conj = (a > b)[:, None] | ((a == b)[:, None] & (a > b))
+        z2 = np.where(conj, a < b, a > b)
+        entry = pair_of.ravel()[:, None] * u + pair_of.ravel()
+        index = np.stack([z2 * u * u + entry, (2 + 2 * conj + z2) * u * u + entry], axis=-1)
+        self._op_index = index.reshape(-1, 2)[flat].reshape(d * d, 2 * d * d)
+        phi = np.array(self.phase_pairs, dtype=float).reshape(-1, 2, 1, 1)
+        k = (n - m).astype(float)
+        term_a, term_b, table = k[:, None] * phi[:, 0], k * phi[:, 1], np.empty((len(phi), 4, u, u))
+        np.add(term_a, term_b, out=table[:, 0])
+        np.subtract(term_a, term_b, out=table[:, 1])
+        np.sin(table[:, :2], out=table[:, 2:])
+        np.cos(table[:, :2], out=table[:, :2])
+        self._phases = table.reshape(len(phi), 4, u * u)
 
     @property
     def n_settings(self) -> int:
@@ -103,28 +129,22 @@ class PovmSet:
 
     def probabilities(self, rho: np.ndarray) -> np.ndarray:
         """Tr(rho * kron(Ea_i, Eb_j)) for every in-range bin (i, j) of every
-        setting, stacked as (settings, bins, bins)."""
-        r = _realign(np.asarray(rho, dtype=complex), self.cutoff + 1)
-        out = np.empty((self.n_settings, self.n_bins, self.n_bins))
-        phased, real = np.empty_like(r), np.empty(r.shape)
-        for s, (f_a, f_b) in enumerate(zip(self._f_a, self._f_b)):
-            np.multiply(r, f_a[:, None], out=phased)
-            phased *= f_b
-            np.copyto(real, phased.real)
-            out[s] = self.bins @ real @ self._bins_t
-        return out
+        setting, stacked as (settings, bins, bins); `rho` must be Hermitian."""
+        r = np.asarray(rho, dtype=complex).reshape(-1).view(float)[self._pair_index]
+        u = self._half_t.shape[0]
+        return self._half2 @ np.einsum("ku,sku->su", r, self._phases).reshape(-1, u, u) @ self._half_t
 
     def likelihood_operator(self, weights: np.ndarray) -> np.ndarray:
         """sum over settings s and bins (i, j) of weights[s, i, j] *
-        kron(Ea_i, Eb_j), as a d^2 x d^2 matrix: the realigned sum over s
-        of (bins.T @ weights[s] @ bins) o conj(phases[s])."""
-        total = np.zeros((self.bins.shape[1],) * 2, dtype=complex)
-        term = np.empty_like(total)
-        for w, f_a, f_b in zip(weights, self._f_a.conj(), self._f_b.conj()):
-            np.multiply(self._bins_t @ w @ self.bins, f_a[:, None], out=term)
-            term *= f_b
-            total += term
-        return _realign(total, self.cutoff + 1)
+        kron(Ea_i, Eb_j), as a d^2 x d^2 matrix: realigned, its (u_a, u_b)
+        block is z1 = sum over s of Y_s o conj(F1_s), its (u_a, u'_b) block
+        z2 likewise with F2, and the swapped rows conj(z1), conj(z2), where
+        Y_s is the folded bins.T @ weights[s] @ bins."""
+        y = (self._bins_ut @ weights @ self._bins_u).reshape(len(weights), -1)
+        z = np.empty((6, y.shape[1]))
+        np.einsum("su,sku->ku", y, self._phases, out=z[:4])
+        np.negative(z[2:4], out=z[4:])
+        return z.reshape(-1)[self._op_index].view(complex)
 
 
 def build_povm_elements(phase_pairs, edges, cutoff: int) -> PovmSet:
@@ -159,10 +179,11 @@ def histogram_binning(edges) -> Binning:
         k -= x == edges[-1]
         return k
 
+    # arm[j, i]: P(x in cell i) at node j, from the CDF at the edges.
+    arm = cached_rows(lambda m: np.diff(upper_tail(m - edges), prepend=0.0, append=1.0))
+
     def masses(m_a, m_b):
-        # arm[j, i]: P(x in cell i) at node j, from the CDF at the edges.
-        arm_a, arm_b = (np.diff(upper_tail(m[:, None] - edges), prepend=0.0, append=1.0) for m in (m_a, m_b))
-        return (arm_a.T @ arm_b).ravel() / len(m_a)
+        return (arm(m_a).T @ arm(m_b)).ravel() / len(m_a)
 
     return Binning(
         edges,

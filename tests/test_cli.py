@@ -424,6 +424,15 @@ class TestExitCodes:
         assert reports[0] == reports[1]
         assert reports[0].strip().endswith("PASS")
 
+    def test_fair_sampling_manifest_ignores_seed(self, tmp_path):
+        """The check reads no seed, so neither does its manifest's hash."""
+        manifests = []
+        for seed in ("1", "2"):
+            out = tmp_path / seed
+            assert main(["fair-sampling-check", "--out", str(out), "--seed", seed]) == EXIT_OK
+            manifests.append(read_bytes(str(out / "manifest.json")))
+        assert manifests[0] == manifests[1]
+
     def test_fair_sampling_injected_fault_breach(self, tmp_path, monkeypatch):
         import pathent.cli as cli_mod
 
@@ -658,21 +667,22 @@ class TestDeterminism:
 
     def test_tomography_byte_identical_across_blas_threads(self, tmp_path):
         """At cutoff 10 the fit's reductions run over 121^2 complex entries,
-        which a threaded BLAS splits across threads: the output must not
-        depend on how many it has."""
+        and its POVM makes stacked matmuls over every setting, which a
+        threaded BLAS splits across threads: the output must not depend on
+        how many it has."""
         import pathent
 
         src = os.path.dirname(os.path.dirname(os.path.abspath(pathent.__file__)))
         cfg = write_config(tmp_path, TOMO_CONFIG.replace("cutoff = 2", "cutoff = 10"))
         outputs = []
-        for threads in ("1", "2"):
+        for threads in ("1", "2", "4"):
             out = tmp_path / f"blas-{threads}"
             argv = ["tomography", "--config", cfg, "--out", str(out)]
             blas = {k: threads for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
             env = dict(os.environ, PYTHONPATH=src, **blas)
             assert subprocess.run([sys.executable, "-m", "pathent.cli", *argv], env=env).returncode == EXIT_OK
             outputs.append([read_bytes(str(out / f)) for f in ("density_matrix.txt", "tomography_summary.txt")])
-        assert outputs[0] == outputs[1]
+        assert outputs[0] == outputs[1] == outputs[2]
 
     def test_simulate_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path, SCAN_CONFIG)

@@ -407,6 +407,35 @@ class TestVacuumTables:
             finer = node_masses(binning, mu, settings, self.NOISE, 2 * hm.PHASE_NODES)
             np.testing.assert_allclose(masses, finer, rtol=0.0, atol=1e-15, err_msg=f"mu {mu}, {settings}")
 
+    @pytest.mark.parametrize("kind", ["threshold", "histogram"])
+    def test_cached_rows_give_the_uncached_masses_bit_for_bit(self, kind):
+        """Each binning computes a distinct node mean's row once; every case,
+        twice over so the second pass reads only cached rows, must equal the
+        masses from every node's row computed afresh."""
+        if kind == "threshold":
+            binning = threshold_binning(ExperimentConfig().t_grid())
+            depths = np.append(0.0, binning.grid)
+
+            def uncached(m_a, m_b):
+                tails = [hm.upper_tail(depths - m[:, None]) for m in (m_a, m_b)]
+                tails_a, tails_b = (np.stack([np.roll(u, len(u) // 2, axis=0), u]) for u in tails)
+                survival = tails_a[:, None] * tails_b[None, :]
+                return -np.diff(survival, append=0.0).mean(axis=2).ravel()
+        else:
+            edges = ExperimentConfig().bin_edges()
+            binning = histogram_binning(edges)
+
+            def uncached(m_a, m_b):
+                arms = [np.diff(hm.upper_tail(m[:, None] - edges), prepend=0.0, append=1.0) for m in (m_a, m_b)]
+                return (arms[0].T @ arms[1]).ravel() / len(m_a)
+
+        theta = np.arange(hm.PHASE_NODES) * (2.0 * np.pi / hm.PHASE_NODES)
+        for mu, settings in self.CASES * 2:
+            amplitude = np.sqrt(mu * self.NOISE.eta_tot)
+            m_a, m_b = (amplitude * np.cos(theta - phi) for phi in (settings.phi_a, settings.phi_b))
+            got = hm.coherent_masses(binning, mu, settings, self.NOISE)
+            assert np.array_equal(got, uncached(m_a, m_b)), f"mu {mu}, {settings}"
+
     @pytest.mark.parametrize("v_e", [0.0, 2.0 / 3.0])
     @pytest.mark.parametrize("pipeline", ["equivalent", "physical"])
     @pytest.mark.parametrize("kind", ["threshold", "histogram"])

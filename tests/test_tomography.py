@@ -101,6 +101,39 @@ def complement(povm, s):
     return np.eye((povm.cutoff + 1) ** 2, dtype=complex) - total
 
 
+def realign(op, d):
+    """R~[(m_a, n_a), (m_b, n_b)] = op[(m_a, m_b), (n_a, n_b)]; its own inverse."""
+    return op.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
+
+
+def phase_factors(povm):
+    """Per-setting factors f[(m, n)] = e^(i(m-n)phi) of arm a and arm b,
+    (settings, d^2) each."""
+    d = povm.cutoff + 1
+    m, n = np.divmod(np.arange(d * d), d)
+    phi = np.array(povm.phase_pairs, dtype=float).reshape(-1, 2)
+    return np.exp(1j * (m - n)[None, :] * phi[:, :1]), np.exp(1j * (m - n)[None, :] * phi[:, 1:])
+
+
+def reference_probabilities(povm, rho):
+    """`PovmSet.probabilities` one setting at a time over all d^4 realigned
+    entries: bins @ Re(R~ o f_a (x) f_b) @ bins.T, Hermitian or not."""
+    r = realign(np.asarray(rho, dtype=complex), povm.cutoff + 1)
+    return np.stack(
+        [povm.bins @ (r * f_a[:, None] * f_b).real @ povm.bins.T for f_a, f_b in zip(*phase_factors(povm))]
+    )
+
+
+def reference_likelihood_operator(povm, weights):
+    """`PovmSet.likelihood_operator` one setting at a time: the realigned
+    sum over s of (bins.T @ weights[s] @ bins) o conj(f_a (x) f_b)."""
+    total = sum(
+        (povm.bins.T @ w @ povm.bins) * f_a.conj()[:, None] * f_b.conj()
+        for w, f_a, f_b in zip(weights, *phase_factors(povm))
+    )
+    return realign(total, povm.cutoff + 1)
+
+
 def reference_likelihood(hist, povm, rho):
     """Log-likelihood of `rho` and its likelihood operator R, with one
     einsum per setting and direction on the explicit phased single-mode
@@ -214,6 +247,39 @@ class TestPovm:
             for j in range(4)
         )
         assert np.max(np.abs(povm.likelihood_operator(weights) - expect)) < 1e-14
+
+    FOLD_PHASES = {
+        "untied": [(0.9, 0.0), (0.3, -1.1)],
+        "tied-grid": [(dt / 2.0, -dt / 2.0) for dt in ExperimentConfig().dtheta_grid()],
+    }
+
+    @pytest.mark.parametrize("phases", FOLD_PHASES)
+    @pytest.mark.parametrize("cutoff", [3, 10])
+    def test_folded_probabilities_match_per_setting_loop(self, cutoff, phases):
+        povm = build_povm_elements(self.FOLD_PHASES[phases], np.linspace(-4.0, 4.0, 41), cutoff)
+        rng = np.random.default_rng(cutoff)
+        d2 = (cutoff + 1) ** 2
+        for _ in range(3):
+            g = rng.normal(size=(d2, d2)) + 1j * rng.normal(size=(d2, d2))
+            rho = g @ g.conj().T
+            rho += rho.conj().T
+            rho /= np.trace(rho).real
+            expect = reference_probabilities(povm, rho)
+            got = povm.probabilities(rho)
+            assert got.shape == (povm.n_settings, povm.n_bins, povm.n_bins)
+            assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))
+
+    @pytest.mark.parametrize("phases", FOLD_PHASES)
+    @pytest.mark.parametrize("cutoff", [3, 10])
+    def test_folded_likelihood_operator_matches_per_setting_loop(self, cutoff, phases):
+        povm = build_povm_elements(self.FOLD_PHASES[phases], np.linspace(-4.0, 4.0, 41), cutoff)
+        rng = np.random.default_rng(100 + cutoff)
+        for _ in range(3):
+            weights = 10.0 ** rng.uniform(-3.0, 3.0, (povm.n_settings, povm.n_bins, povm.n_bins))
+            expect = reference_likelihood_operator(povm, weights)
+            got = povm.likelihood_operator(weights)
+            assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))
+            assert np.array_equal(got, got.conj().T)
 
     @pytest.mark.parametrize("cutoff", [20, 32])
     def test_wide_bins_match_fine_quadrature(self, cutoff):
