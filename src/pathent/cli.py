@@ -4,9 +4,10 @@
 tomography, decoy-estimate, fair-sampling-check) to its `cmd_*(config, args)`;
 the parser and `main` both read it. Every file but the `simulate` batches and
 their sidecars goes through `_write_lines`. Every run is deterministic given
-the config and seed; repeated invocations (with any --workers value) produce
-byte-identical output files. Exit codes: 0 success, 2 config error,
-3 acceptance breach, 4 numerical failure.
+the config and seed; repeated invocations produce byte-identical output
+files. Every batch is drawn on the main thread: no run starts a thread, and
+--workers (like `[run] workers`) is accepted but has no effect. Exit codes:
+0 success, 2 config error, 3 acceptance breach, 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -246,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None, help="master RNG seed")
         p.add_argument("--out", type=str, default=".", help="output directory")
         p.add_argument("--scale", type=int, default=None, help="sample-count divisor")
-        p.add_argument("--workers", type=int, default=None, help="parallelism cap")
+        p.add_argument("--workers", type=int, default=None, help="accepted; has no effect")
         if name == "fair-sampling-check":
             p.add_argument(
                 "--cutoff", type=int, default=1, help="Fock cutoff (>1 is report-only)"
@@ -276,8 +277,8 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     try:
         code, files = COMMANDS[args.command](config, args)
-        if args.command == "fair-sampling-check":  # reads no seed; hash the default one
-            config = with_overrides(config, seed=ExperimentConfig.seed)
+        if args.command == "fair-sampling-check":  # reads only t_fixed; hash nothing else
+            config = ExperimentConfig(t_fixed=config.t_fixed)
         _write_manifest(args.out, config, files)
         return code
     except (ArithmeticError, RuntimeError) as exc:

@@ -21,8 +21,9 @@ from .homodyne import PIPELINES
 from .states import NoiseModel
 
 DEFAULT_INTENSITIES = (0.0872, 0.2314, 0.9840)
-# The CHSH scan holds a count table per threshold and batch; the default grid
-# has 101 thresholds.
+# The CHSH scan holds one count table of 4 * (thresholds + 1) int64 cells per
+# batch and runs the decoy chain once per threshold and setting; the default
+# grid has 101 thresholds.
 MAX_THRESHOLDS = 100_000
 # Each tomography count table holds (bins per axis + 2)^2 int64 cells, and the
 # POVM one overlap matrix per bin; the default grid has 50 bins per axis.

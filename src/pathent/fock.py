@@ -24,7 +24,10 @@ def hermite_functions(n_max: int, x: np.ndarray) -> np.ndarray:
 
     Returns array of shape (n_max + 1,) + x.shape.
     """
-    x = np.asarray(x, dtype=float)
+    # Past |x| ~ 39 every phi_n(x) is 0, exp having underflowed. Clipping |x|
+    # to 1e150 keeps that and keeps x * x and sqrt(2) x finite for any
+    # double, where they would overflow and 0 * inf would give NaN.
+    x = np.clip(np.asarray(x, dtype=float), -1e150, 1e150)
     out = np.empty((n_max + 1,) + x.shape, dtype=float)
     out[0] = np.pi ** -0.25 * np.exp(-0.5 * x * x)
     if n_max >= 1:

@@ -12,12 +12,13 @@ Three pipelines produce (x_a, x_b) pairs:
 All sampling goes through one chunk loop, `SampleBatch.chunks`: 2^16 records
 per chunk, each drawn by `SampleBatch._draw` in place into one reused pair
 from an independent RNG stream per (seed, chunk index), so output is
-reproducible, independent of worker scheduling, and no array grows with the
-batch. Every coherent chunk draws its state phases first, the vacuum's
-too. Without a `Binning`, `sample_batch` returns the undrawn batch, which
-`save` writes a chunk at a time; given one, it counts each `ideal-fock`
-chunk as soon as it is drawn, by an exact lattice lookup (`grid_index`),
-and keeps only the count table.
+reproducible and no array grows with the batch. Every coherent chunk draws
+its state phases first, the vacuum's too. Without a `Binning`,
+`sample_batch` returns the undrawn batch, which `save` writes a chunk at a
+time; given one, it counts each `ideal-fock` chunk as soon as it is drawn,
+by an exact lattice lookup (`grid_index`), and keeps only the count table.
+Everything is drawn on the calling thread: no run starts a thread, and the
+`workers` argument is accepted but changes nothing.
 
 A binned batch of either coherent pipeline draws no records: given the
 state phase its arms are independent Gaussians of variance 1/2 (`physical`
@@ -40,7 +41,6 @@ import json
 import math
 import os
 from collections.abc import Callable, Iterator
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -101,15 +101,15 @@ class SampleBatch:
     def __len__(self) -> int:
         return self.count
 
-    def chunks(self, first: int = 0, step: int = 1) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """Yield `(x_a, x_b)` for chunks first, first + step, ... in turn,
+    def chunks(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """Yield `(x_a, x_b)` for each chunk in order, on the calling thread,
         record i of the chunk being (x_a[i], x_b[i]). Each chunk is drawn by
         `_draw` from its own stream into one reused (2, CHUNK_SIZE) scratch
         pair, and the views yielded are overwritten by the next chunk: copy
         what you keep.
         """
         pair = np.empty((2, CHUNK_SIZE))
-        for i in range(first, -(-self.count // CHUNK_SIZE), step):
+        for i in range(-(-self.count // CHUNK_SIZE)):
             x_a, x_b = pair[:, : min(CHUNK_SIZE, self.count - i * CHUNK_SIZE)]
             self._draw(i, x_a, x_b)
             yield x_a, x_b
@@ -497,13 +497,13 @@ def sample_batch(
 
     A binned batch of a coherent pipeline, vacuum included, is drawn as a
     count table, not as records: one multinomial draw of `count` over
-    `coherent_masses`, on the calling thread, from the stream of chunk index
-    2^32, which no chunk reaches. It follows the binned distribution of the
-    records but is not their binning. A binned `ideal-fock` batch is drawn
-    as records: up to `workers` threads, no more than there are chunks or
-    usable CPUs, draw every n-th chunk each and count it at once, and the
-    table is the exact sum of the threads' counts. Either way the result is
-    the same for any worker count.
+    `coherent_masses`, from the stream of chunk index 2^32, which no chunk
+    reaches. It follows the binned distribution of the records but is not
+    their binning. A binned `ideal-fock` batch is drawn as records, chunk
+    by chunk in order, each counted as soon as it is drawn, and the table
+    is the exact int64 sum of the chunks' counts. Either way the batch is
+    drawn on the calling thread; `workers` is accepted for its callers but
+    changes nothing.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
@@ -517,15 +517,5 @@ def sample_batch(
     if pipeline != "ideal-fock":
         masses = coherent_masses(binning, mu, settings, noise)
         return binning.table(_chunk_rng(seed, TABLE_STREAM).multinomial(count, masses), count)
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    n_workers = max(1, min(workers, -(-count // CHUNK_SIZE), cpus or 1))
-
-    def run(first: int) -> np.ndarray:
-        """Exact int64 cell counts of chunks first, first + n_workers, ..."""
-        counts = (binning.count(x_a, x_b) for x_a, x_b in batch.chunks(first, n_workers))
-        return sum(counts, np.zeros(binning.size, dtype=np.int64))
-
-    if n_workers == 1:
-        return binning.table(run(0), count)
-    with ThreadPoolExecutor(max_workers=n_workers) as pool:
-        return binning.table(sum(pool.map(run, range(n_workers))), count)
+    counts = (binning.count(x_a, x_b) for x_a, x_b in batch.chunks())
+    return binning.table(sum(counts, np.zeros(binning.size, dtype=np.int64)), count)

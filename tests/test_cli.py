@@ -433,6 +433,38 @@ class TestExitCodes:
             manifests.append(read_bytes(str(out / "manifest.json")))
         assert manifests[0] == manifests[1]
 
+    def test_fair_sampling_manifest_hashes_only_t_fixed(self, tmp_path):
+        """The check reads only t_fixed of the config, so its manifest's hash
+        moves with t_fixed and with no other field."""
+
+        def manifest(tag, *argv, config=None):
+            out = tmp_path / tag
+            if config is not None:
+                argv += ("--config", write_config(tmp_path, config, f"{tag}.ini"))
+            assert main(["fair-sampling-check", "--out", str(out), *argv]) == EXIT_OK
+            return read_bytes(str(out / "manifest.json"))
+
+        default = manifest("default")
+        assert json.loads(default)["config_hash"] == "81536b0570ba37ba"
+        assert manifest("scale", "--scale", "2") == default
+        assert manifest("seed", "--seed", "5") == default
+        assert manifest("intensities", config="[source]\nintensities = 0.1, 0.3, 0.9\n") == default
+        moved = manifest("t_fixed", config="[chsh]\nt_fixed = 0.5\n")
+        assert json.loads(moved)["config_hash"] == "5896f95dc1b597d6"
+
+    @pytest.mark.parametrize("t_fixed", [1e300, 1.7e308])
+    def test_fair_sampling_huge_t_fixed_is_quiet(self, tmp_path, capsys, t_fixed):
+        """A window this wide once overflowed x * x (and, near the largest
+        double, sqrt(2) x, giving q1 = NaN) in the Hermite functions: the
+        check must exit 0 with nothing on stderr, the window passing every
+        photon."""
+        cfg = write_config(tmp_path, f"[chsh]\nt_fixed = {t_fixed!r}\n")
+        out = tmp_path / "fs"
+        assert main(["fair-sampling-check", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+        rows = (out / "fair_sampling_report.txt").read_text().splitlines()
+        assert f"T {t_fixed:.17g} q0 0 q1 0" in rows
+
     def test_fair_sampling_injected_fault_breach(self, tmp_path, monkeypatch):
         import pathent.cli as cli_mod
 

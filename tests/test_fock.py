@@ -81,6 +81,14 @@ class TestWavefunction:
         with pytest.raises(ValueError):
             wavefunction_value(-1, 0.0, 0.0)
 
+    def test_zero_without_warning_far_out(self):
+        """Where x * x and sqrt(2) x would overflow, every phi_n is 0, not
+        NaN, and no RuntimeWarning is raised (pytest makes one an error)."""
+        x = np.array([40.0, -1e154, 2e154, -1e300, np.finfo(float).max, -np.inf])
+        assert np.all(hermite_functions(12, x) == 0.0)
+        q, q_pass = build_postselection_operators(1e300, 1)
+        assert np.array_equal(q, np.eye(2)) and np.array_equal(q_pass, np.zeros((2, 2)))
+
 
 class TestWindowOverlap:
     @pytest.mark.parametrize("T", [0.1, 0.5, 1.0, 2.0])

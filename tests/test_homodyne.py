@@ -4,8 +4,8 @@ import itertools
 import json
 import math
 import os
+import threading
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -260,38 +260,31 @@ class TestBinnedSampling:
             for workers in (1, 2, 3):
                 assert_same_table(sample_batch(**kwargs, workers=workers, binning=binning), expect)
 
-    @pytest.mark.parametrize("binning", [None, "threshold"])
-    @pytest.mark.parametrize("chunks, threads", [(2, 2), (6, 3)])
-    def test_threads_capped_by_chunks_and_cpus(self, monkeypatch, binning, chunks, threads):
-        started = []
+    def test_no_call_starts_a_thread(self, monkeypatch):
+        """Every pipeline, unbinned or under either binning, is drawn on the
+        calling thread whatever `workers` asks for."""
 
-        class Recording(ThreadPoolExecutor):
-            def __init__(self, max_workers=None, **kwargs):
-                started.append(max_workers)
-                assert max_workers <= 3, "thread cap ignored"
-                super().__init__(max_workers, **kwargs)
+        def refuse(thread):
+            raise AssertionError("sample_batch started a thread")
 
-        monkeypatch.setattr(hm, "ThreadPoolExecutor", Recording)
-        monkeypatch.setattr(hm.os, "sched_getaffinity", lambda pid: {0, 1, 2})
-        # Only ideal-fock draws binned records; a coherent table starts no thread.
-        kwargs = dict(
-            mu=0.5,
-            settings=MeasurementSettings(0.1, 0.2),
-            count=(chunks - 1) * CHUNK_SIZE + 7,
-            pipeline="ideal-fock",
-            seed=3,
-            binning=self.BINNINGS.get(binning),
-        )
-        one = sample_batch(workers=1, **kwargs)
-        assert started == []
-        many = sample_batch(workers=64, **kwargs)
-        if binning is None:  # its reader draws it, on the reader's thread
-            assert started == []
-            one, many = records(one), records(many)
-            assert np.array_equal(one[0], many[0]) and np.array_equal(one[1], many[1])
-        else:
-            assert started == [threads]
-            assert_same_table(many, one)
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        for pipeline, binning in itertools.product(hm.PIPELINES, (None, *self.BINNINGS.values())):
+            kwargs = dict(
+                mu=0.5,
+                settings=MeasurementSettings(0.1, 0.2),
+                count=2 * CHUNK_SIZE + 7,  # three chunks
+                noise=NoiseModel(0.617, 2.0 / 3.0),
+                pipeline=pipeline,
+                seed=3,
+                binning=binning,
+            )
+            one = sample_batch(workers=1, **kwargs)
+            many = sample_batch(workers=64, **kwargs)
+            if binning is None:  # its reader draws it
+                one, many = records(one), records(many)
+                assert np.array_equal(one[0], many[0]) and np.array_equal(one[1], many[1])
+            else:
+                assert_same_table(many, one)
 
     @pytest.mark.parametrize("mu", [np.nan, np.inf, -1.0])
     @pytest.mark.parametrize("binning", [None, "threshold"])
