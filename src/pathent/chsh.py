@@ -10,12 +10,10 @@ Binning rule: outcome 0 when x < -T, outcome 1 when x > T, discard
 otherwise, independently per arm; a record survives only if both arms do.
 
 Analysis takes count tables only, one per batch over every threshold of
-the scan grid (`threshold_binning`): a coherent batch's table is drawn
-whole from its exact cell masses, and an ideal-fock batch is counted chunk
-by chunk as it is drawn. The decoy bounds, correlations and CHSH scan read
-those tables, one per intensity label (0 = vacuum, then the decoy levels)
-for each setting. A record's place in the grid comes from an exact lattice
-lookup (`homodyne.grid_index`), not a binary search per record.
+the scan grid (`threshold_binning`), each drawn whole from its exact cell
+masses, coherent and ideal-fock alike. The decoy bounds, correlations and
+CHSH scan read those tables, one per intensity label (0 = vacuum, then the
+decoy levels) for each setting.
 
 The tables are read as float gains counts / total, and from there on the
 chain passes plain (estimate, lower, upper) triples of floats or of arrays
@@ -29,7 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decoy import DecoyIntensitySet, bound_statistic, estimate_single_photon_statistic
-from .homodyne import Binning, CountTable, MeasurementSettings, cached_rows, grid_index, upper_tail
+from .fock import hermite_functions
+from .homodyne import Binning, CountTable, MeasurementSettings, cached_rows, upper_tail
 
 OUTCOME_PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
@@ -62,23 +61,27 @@ class ChshResult:
 
 
 def threshold_binning(t_grid) -> Binning:
-    """Binning of a batch at every threshold of `t_grid` in one pass: its
-    table's grid holds the distinct thresholds in increasing order, and its
+    """Binning of a batch at every threshold of `t_grid` in one table: its
+    grid holds the distinct thresholds in increasing order, and its
     `counts[k]` the outcome counts (n00, n01, n10, n11) at `grid[k]`.
 
     A record survives T exactly when min(|x_a|, |x_b|) > T, and the signs of
-    x_a and x_b then pick the outcome pair. So each record is counted once,
-    under its sign quadrant and the number of thresholds below its min(|x|)
-    (an exact lattice lookup, `homodyne.grid_index`; a NaN in either arm
-    survives none), and a reverse cumulative sum turns those counts into
+    x_a and x_b then pick the outcome pair. So each record falls in one
+    cell, its sign quadrant and the number of thresholds below its
+    min(|x|), and a reverse cumulative sum turns the cell counts into
     survivors per threshold. Integer sums keep it exact.
 
-    Given the state phase, the arms are independent, so quadrant (s_a, s_b)
-    survives t with probability P(s_a x_a > t) P(s_b x_b > t): the upper
-    tail erfc(t - m)/2 of an arm N(m, 1/2) for s = +, the lower tail
-    erfc(t + m)/2 for s = -, at t in [0, *levels]. A cell's mass is the
-    phase average of the survival's drop from its depth to the next, so it
-    is non-negative and carries only the rounding of its own depth.
+    Quadrant (s_a, s_b) survives t with probability P(s_a x_a > t, s_b x_b
+    > t), at t in [0, *levels], and a cell's mass is that survival's drop
+    from its depth to the next. Given the state phase, a coherent batch's
+    arms are independent, so the survival is P(s_a x_a > t) P(s_b x_b > t):
+    the upper tail erfc(t - m)/2 of an arm N(m, 1/2) for s = +, the lower
+    tail erfc(t + m)/2 for s = -, and each cell's mass is the phase average
+    of the drop, so it is non-negative and carries only the rounding of its
+    own depth. For |1> the survival is A0 A1 + cos(dtheta) s_a s_b B^2, with
+    A0, A1 and B the tails of phi_0^2, phi_1^2 and phi_0 phi_1 over x > t
+    (`ideal_single_photon_correlation`): both arms' lower tails are the
+    same, except that of phi_0 phi_1, which is odd and flips sign.
     """
     grid = np.asarray(t_grid, dtype=float).ravel()
     if not np.all(grid >= 0):
@@ -86,12 +89,6 @@ def threshold_binning(t_grid) -> Binning:
     levels = np.sort(grid)
     levels = levels[np.diff(levels, prepend=-1.0) > 0]  # distinct; np.unique imports numpy.ma
     width = len(levels) + 1
-    depth_index = grid_index(levels)
-
-    def key(x_a, x_b):
-        k = depth_index(np.minimum(np.abs(x_a), np.abs(x_b)))
-        k += width * (2 * (x_a > 0) + (x_b > 0))
-        return k
 
     def survivors(cells):
         return np.cumsum(cells.reshape(4, width)[:, ::-1], axis=1)[:, -2::-1].T
@@ -107,7 +104,20 @@ def threshold_binning(t_grid) -> Binning:
         survival = tails_a[:, None] * tails_b[None, :]
         return -np.diff(survival, append=0.0).mean(axis=2).ravel()
 
-    return Binning(levels, 4 * width, key, survivors, masses)
+    phi_0, phi_1 = hermite_functions(1, depths)
+    a0 = upper_tail(depths)
+    sign = np.array([-1.0, 1.0])  # s for s = 0 (x < -t), 1 (x > t)
+    a0_a1 = a0 * (a0 + phi_0 * phi_1 / np.sqrt(2.0))  # A1 - A0 = t e^(-t^2) / sqrt(pi)
+    cross = np.outer(sign, sign)[:, :, None] * phi_0**4 / 2.0  # s_a s_b B^2, B = e^(-t^2) / sqrt(2 pi)
+
+    def fock(dtheta):
+        survival = a0_a1 + np.cos(dtheta) * cross
+        # A1 adds a rising term to a falling one, so the rounded survival
+        # need not fall: where levels lie within ~1e-15 of each other a drop
+        # can round a few ulps below 0, which `multinomial` refuses.
+        return np.maximum(-np.diff(survival, append=0.0), 0.0).ravel()
+
+    return Binning(levels, survivors, masses, fock)
 
 
 def bin_coincidences(table: CountTable, T: float) -> np.ndarray:

@@ -104,12 +104,14 @@ def _write_lines(out_dir: str, name: str, lines) -> str:
     return name
 
 
-def _write_manifest(out_dir: str, config: ExperimentConfig, files: list) -> None:
+def _write_manifest(out_dir: str, config: ExperimentConfig, files: list, **inputs) -> None:
+    """List `files` with the config's hash and any other `inputs` the run
+    read, such as fair-sampling-check's --cutoff."""
     for f in files:
         path = os.path.join(out_dir, f)
         if not (os.path.exists(path) and os.path.getsize(path) > 0):
             raise RuntimeError(f"manifest references missing or empty file {f}")
-    manifest = {"config_hash": config.content_hash(), "files": sorted(files)}
+    manifest = {"config_hash": config.content_hash(), "files": sorted(files), **inputs}
     _write_lines(out_dir, "manifest.json", [json.dumps(manifest, indent=2, sort_keys=True)])
 
 
@@ -277,9 +279,10 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     try:
         code, files = COMMANDS[args.command](config, args)
-        if args.command == "fair-sampling-check":  # reads only t_fixed; hash nothing else
-            config = ExperimentConfig(t_fixed=config.t_fixed)
-        _write_manifest(args.out, config, files)
+        inputs = {}
+        if args.command == "fair-sampling-check":  # reads only t_fixed and --cutoff
+            config, inputs = ExperimentConfig(t_fixed=config.t_fixed), {"cutoff": args.cutoff}
+        _write_manifest(args.out, config, files, **inputs)
         return code
     except (ArithmeticError, RuntimeError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -9,23 +9,23 @@ Three pipelines produce (x_a, x_b) pairs:
 - ``ideal-fock``: the single-photon Fock state |1> through the 50:50
   splitter, drawn exactly as the two-component mixture its density is.
 
-All sampling goes through one chunk loop, `SampleBatch.chunks`: 2^16 records
+Records are drawn by one chunk loop, `SampleBatch.chunks`: 2^16 records
 per chunk, each drawn by `SampleBatch._draw` in place into one reused pair
 from an independent RNG stream per (seed, chunk index), so output is
 reproducible and no array grows with the batch. Every coherent chunk draws
 its state phases first, the vacuum's too. Without a `Binning`,
 `sample_batch` returns the undrawn batch, which `save` writes a chunk at a
-time; given one, it counts each `ideal-fock` chunk as soon as it is drawn,
-by an exact lattice lookup (`grid_index`), and keeps only the count table.
-Everything is drawn on the calling thread: no run starts a thread, and the
-`workers` argument is accepted but changes nothing.
+time. Everything is drawn on the calling thread: no run starts a thread,
+and the `workers` argument is accepted but changes nothing.
 
-A binned batch of either coherent pipeline draws no records: given the
-state phase its arms are independent Gaussians of variance 1/2 (`physical`
-rescales its electronic noise away, since eta_ele (1 + v_e) = 1), so its
-table is one multinomial draw of `count` records over the binning's exact
-cell masses, averaged over PHASE_NODES phases (`coherent_masses`). Only
-`simulate`, which takes no binning, draws coherent records.
+A binned batch of any pipeline draws no records: its table is one
+multinomial draw of `count` records over the binning's exact cell masses.
+Given the state phase, a coherent batch's arms are independent Gaussians of
+variance 1/2 (`physical` rescales its electronic noise away, since
+eta_ele (1 + v_e) = 1), so its masses are averaged over PHASE_NODES phases
+(`coherent_masses`); an `ideal-fock` batch's masses (`Binning.fock`)
+integrate the |1> density over each cell in closed form. Only `simulate`,
+which takes no binning, draws records.
 
 `SampleBatch.save` writes %.17g text with numpy array arithmetic: for a
 double in fixed notation (decimal exponent -4 to 16) the 17 digits are an
@@ -55,7 +55,7 @@ CHUNK_SIZE = 1 << 16
 # Xeon, 2048-row blocks took 7-15% less CPU time in `simulate --scale 120`
 # but raised its peak RSS 0.9 MB more, to 4.9% above the %-format writer's.
 SAVE_BLOCK = 1024
-# The stream index of a binned coherent batch's table (`sample_batch`):
+# The stream index of a binned batch's table (`sample_batch`):
 # beyond every chunk index, since no batch has 2^48 records.
 TABLE_STREAM = 1 << 32
 # Equally weighted state phases 2 pi j / PHASE_NODES that a coherent table's
@@ -205,66 +205,26 @@ class CountTable:
 
 @dataclass(frozen=True, eq=False)
 class Binning:
-    """How `sample_batch` reduces each chunk to counts over `grid`:
-    `key(x_a, x_b)` maps a chunk of each arm to one cell in [0, size) per
-    record, and `finish` turns the int64 cell counts of the whole batch
-    into the table's counts. `masses(m_a, m_b)[c]` is the probability of
-    cell c when the arms are independent N(m_a[j], 1/2) and N(m_b[j], 1/2)
-    at each of n equally likely, evenly spaced state phases, n even, so that
-    the means at node j + n/2 are -m_a[j] and -m_b[j] (`coherent_masses`).
+    """The cells of a batch's count table over `grid`, and their exact
+    masses, over which `sample_batch` draws the table.
+
+    `finish` turns the int64 cell counts of the whole batch into the
+    table's counts. `masses(m_a, m_b)[c]` is the probability of cell c when
+    the arms are independent N(m_a[j], 1/2) and N(m_b[j], 1/2) at each of n
+    equally likely, evenly spaced state phases, n even, so that the means
+    at node j + n/2 are -m_a[j] and -m_b[j] (`coherent_masses`).
+    `fock(dtheta)[c]` is its probability for |1> split 50:50 at phase gap
+    dtheta, whose density (`joint_pdf_fock`) is (phi_1^2 (x) phi_0^2
+    + phi_0^2 (x) phi_1^2) / 2 + cos(dtheta) (phi_0 phi_1) (x) (phi_0 phi_1).
     """
 
     grid: np.ndarray
-    size: int
-    key: Callable[[np.ndarray, np.ndarray], np.ndarray]
     finish: Callable[[np.ndarray], np.ndarray]
     masses: Callable[[np.ndarray, np.ndarray], np.ndarray]
-
-    def count(self, x_a: np.ndarray, x_b: np.ndarray) -> np.ndarray:
-        """Cell counts of the records (x_a[i], x_b[i])."""
-        return np.bincount(self.key(x_a, x_b), minlength=self.size)
+    fock: Callable[[float], np.ndarray]
 
     def table(self, cells: np.ndarray, total: int) -> CountTable:
         return CountTable(self.grid, self.finish(cells), total)
-
-
-def grid_index(levels, side: str = "left"):
-    """Exact np.searchsorted(levels, x, side) for a chunk x, with NaN mapped
-    to 0, by a lattice lookup built once per grid; `levels` must be finite
-    and sorted. x goes to cell c(x) of 4 * len(levels) equal cells over the
-    levels, computed alike for x and for the levels, so c is monotone:
-    lut[c], the number of levels in cells below c, is at most the answer and
-    short of it by at most the levels that share cell c. That many passes of
-    `k += padded[k] < x` (`<=` for "right"; the NaN pad compares false) close
-    the gap, one pass for an evenly spaced grid.
-    """
-    levels = np.asarray(levels, dtype=float)
-    if not (np.all(np.isfinite(levels)) and np.all(np.diff(levels) >= 0)):
-        raise ValueError("grid levels must be finite and sorted")
-    below = {"left": np.less, "right": np.less_equal}[side]
-    n_cells, lo = 4 * levels.size, levels[0] if levels.size else 0.0
-    with np.errstate(all="ignore"):  # inf for one level, 0 for a span past 1e308
-        scale = n_cells / (levels[-1] - lo) if levels.size else 0.0
-
-    def cell(x: np.ndarray) -> np.ndarray:
-        with np.errstate(all="ignore"):  # overflow, and 0 * inf = NaN at x = lo
-            u = x - lo
-            u *= scale
-        np.fmax(u, 0.0, out=u)  # NaN becomes 0
-        return np.fmin(u, n_cells, out=u).astype(np.intp)
-
-    cells = cell(levels)
-    lut = np.searchsorted(cells, np.arange(n_cells + 1))
-    passes = np.bincount(cells).max() if levels.size else 0
-    padded = np.append(levels, np.nan)
-
-    def index(x: np.ndarray) -> np.ndarray:
-        k = lut[cell(x)]
-        for _ in range(passes):
-            k += below(padded[k], x)
-        return k
-
-    return index
 
 
 # %.17g prints a double x with 17 significant digits, in fixed notation when
@@ -495,15 +455,13 @@ def sample_batch(
     index). Without a `binning` the batch is returned undrawn, for its
     reader to draw through `SampleBatch.chunks`.
 
-    A binned batch of a coherent pipeline, vacuum included, is drawn as a
-    count table, not as records: one multinomial draw of `count` over
-    `coherent_masses`, from the stream of chunk index 2^32, which no chunk
-    reaches. It follows the binned distribution of the records but is not
-    their binning. A binned `ideal-fock` batch is drawn as records, chunk
-    by chunk in order, each counted as soon as it is drawn, and the table
-    is the exact int64 sum of the chunks' counts. Either way the batch is
-    drawn on the calling thread; `workers` is accepted for its callers but
-    changes nothing.
+    A binned batch of any pipeline is drawn as a count table, not as
+    records: one multinomial draw of `count` over the binning's exact cell
+    masses, `coherent_masses` for a coherent pipeline, vacuum included, and
+    `binning.fock(dtheta)` for `ideal-fock`, from the stream of chunk index
+    2^32, which no chunk reaches. It follows the binned distribution of the
+    records but is not their binning. The batch is drawn on the calling
+    thread; `workers` is accepted for its callers but changes nothing.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
@@ -511,11 +469,10 @@ def sample_batch(
         raise ValueError("intensity must be non-negative and finite")
     if pipeline not in PIPELINES:
         raise ValueError(f"unknown pipeline {pipeline!r}")
-    batch = SampleBatch(settings, intensity_label, seed, pipeline, count, mu, noise)
     if binning is None:
-        return batch
-    if pipeline != "ideal-fock":
+        return SampleBatch(settings, intensity_label, seed, pipeline, count, mu, noise)
+    if pipeline == "ideal-fock":
+        masses = binning.fock(settings.dtheta)
+    else:
         masses = coherent_masses(binning, mu, settings, noise)
-        return binning.table(_chunk_rng(seed, TABLE_STREAM).multinomial(count, masses), count)
-    counts = (binning.count(x_a, x_b) for x_a, x_b in batch.chunks())
-    return binning.table(sum(counts, np.zeros(binning.size, dtype=np.int64)), count)
+    return binning.table(_chunk_rng(seed, TABLE_STREAM).multinomial(count, masses), count)

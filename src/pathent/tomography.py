@@ -2,12 +2,12 @@
 reconstruction of the two-mode density matrix.
 
 Analysis takes count tables only, one per batch over the 2-D bin grid
-(`histogram_binning`): a coherent batch's table is drawn whole from its
-exact cell masses, and an ideal-fock batch is counted chunk by chunk as it
-is drawn. The decoy correction takes one table per intensity label (0 =
-vacuum, then the decoy levels) for each setting, the uncorrected histogram
-one per setting. Both hand the MLE each setting's bin probabilities,
-summing to 1; only `histogram_density` divides by the bin area.
+(`histogram_binning`), each drawn whole from its exact cell masses,
+coherent and ideal-fock alike. The decoy correction takes one table per
+intensity label (0 = vacuum, then the decoy levels) for each setting, the
+uncorrected histogram one per setting. Both hand the MLE each setting's
+bin probabilities, summing to 1; only `histogram_density` divides by the
+bin area.
 
 POVM elements factorize per mode: the element for 2-D bin (B_a, B_b) at LO
 phases (phi_a, phi_b) is E(B_a, phi_a) (x) E(B_b, phi_b) with single-mode
@@ -33,7 +33,7 @@ import numpy as np
 
 from .decoy import DecoyIntensitySet, estimate_single_photon_statistic
 from .fock import overlap_matrices
-from .homodyne import Binning, CountTable, cached_rows, grid_index, upper_tail
+from .homodyne import Binning, CountTable, cached_rows, upper_tail
 from .states import TwoModeFockState
 
 @dataclass
@@ -153,31 +153,24 @@ def build_povm_elements(phase_pairs, edges, cutoff: int) -> PovmSet:
 
 
 def histogram_binning(edges) -> Binning:
-    """Binning of a batch over the grid `edges` x `edges` in one pass: its
-    table's `counts[i, j]` is the number of records with x_a in bin i and
-    x_b in bin j, and its grid is `edges`.
+    """Binning of a batch over the grid `edges` x `edges`: its table's
+    `counts[i, j]` is the number of records with x_a in bin i and x_b in
+    bin j, and its grid is `edges`.
 
-    Bin i holds edges[i] <= x < edges[i + 1], and the last edge falls in the
-    last bin; NaN and +-inf fall outside, as in `np.histogram2d`. Per arm,
-    the number of edges at or below x comes from the exact lattice lookup
-    `homodyne.grid_index(edges, "right")`, less one on the last edge. Index
-    0 (below the grid, and NaN) and n_bins + 1 (above it) collect what falls
-    outside. The edges must be evenly spaced, since the densities assume
-    equal bin widths. Given the state phase, an arm N(m, 1/2) lies below e
-    with probability erfc(m - e)/2, and the arms are independent.
+    Each arm has a cell per bin and one below and one above the grid,
+    cells i of [-inf, *edges, inf]. The edges must be evenly spaced, since
+    the densities assume equal bin widths. Given the state phase, a
+    coherent arm N(m, 1/2) lies below e with probability erfc(m - e)/2, and
+    the arms are independent. For |1> a cell's mass is a sum of outer
+    products of per-arm integrals of phi_0^2, phi_1^2 and phi_0 phi_1 over
+    the cells (`fock.overlap_matrices`).
     """
     edges = np.asarray(edges, dtype=float)
     n_bins = len(edges) - 1
     width = (edges[-1] - edges[0]) / n_bins if n_bins > 0 else 0.0
     if not (width > 0 and np.allclose(np.diff(edges), width, rtol=1e-6, atol=0.0)):
         raise ValueError("bin edges must be evenly spaced and increasing")
-    edge_index = grid_index(edges, "right")
     side = n_bins + 2
-
-    def index(x: np.ndarray) -> np.ndarray:
-        k = edge_index(x)
-        k -= x == edges[-1]
-        return k
 
     # arm[j, i]: P(x in cell i) at node j, from the CDF at the edges.
     arm = cached_rows(lambda m: np.diff(upper_tail(m - edges), prepend=0.0, append=1.0))
@@ -185,13 +178,17 @@ def histogram_binning(edges) -> Binning:
     def masses(m_a, m_b):
         return (arm(m_a).T @ arm(m_b)).ravel() / len(m_a)
 
-    return Binning(
-        edges,
-        side * side,
-        lambda x_a, x_b: index(x_a) * side + index(x_b),
-        lambda cells: cells.reshape(side, side)[1:-1, 1:-1].copy(),
-        masses,
-    )
+    overlaps = overlap_matrices(np.concatenate(([-np.inf], edges, [np.inf])), 1)
+    p00, p01, p11 = overlaps[:, 0, 0], overlaps[:, 0, 1], overlaps[:, 1, 1]
+
+    def fock(dtheta):
+        out = (np.outer(p11, p00) + np.outer(p00, p11)) / 2.0 + np.cos(dtheta) * np.outer(p01, p01)
+        # Past |x| ~ 5, p00 is a difference of erf values near +-1 and keeps
+        # little relative precision, so the cross term can leave a far
+        # cell's mass a little below 0, which `multinomial` refuses.
+        return np.maximum(out, 0.0).ravel()
+
+    return Binning(edges, lambda cells: cells.reshape(side, side)[1:-1, 1:-1].copy(), masses, fock)
 
 
 def histogram_density(table: CountTable, edges: np.ndarray) -> np.ndarray:

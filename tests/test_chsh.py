@@ -20,13 +20,12 @@ from pathent.config import ExperimentConfig
 from pathent.homodyne import (
     CHUNK_SIZE,
     MeasurementSettings,
-    grid_index,
     joint_pdf_fock,
     sample_batch,
 )
 from scipy.special import erf
 
-from helpers import records
+from helpers import records, reference_cells
 
 
 class EmptySurvivorError(RuntimeError):
@@ -35,11 +34,9 @@ class EmptySurvivorError(RuntimeError):
 
 def threshold_counts(x_a, x_b, t_grid):
     """Count table of the records (x_a[i], x_b[i]) under
-    `threshold_binning(t_grid)`, in one pass over all of them (the sampler
-    sums it chunk by chunk)."""
-    x_a, x_b = np.asarray(x_a, dtype=float), np.asarray(x_b, dtype=float)
+    `threshold_binning(t_grid)`, binned by the reference binning."""
     binning = threshold_binning(t_grid)
-    return binning.table(binning.count(x_a, x_b), x_a.size)
+    return binning.table(reference_cells("threshold", binning.grid, x_a, x_b), len(x_a))
 
 
 def counts_at(table, T):
@@ -124,6 +121,9 @@ def adversarial_values(grid):
 
 
 class TestThresholdCounts:
+    """The reference binning of `threshold_counts`, which the record
+    sampler's tests read, against the binning rule applied directly."""
+
     def check_against_reference(self, x_a, x_b, grid):
         table = threshold_counts(x_a, x_b, grid)
         assert len(table) == len(x_a)
@@ -174,42 +174,6 @@ class TestThresholdCounts:
             bin_coincidences(table, np.nan)
         with pytest.raises(ZeroDivisionError):  # no records, so no gains
             bin_coincidences(threshold_counts([], [], [0.5]), 0.5)
-
-
-GRIDS = {
-    "default_thresholds": ExperimentConfig().t_grid(),
-    "adversarial": sorted(ADVERSARIAL_GRID),
-    "default_bin_edges": ExperimentConfig().bin_edges(),
-    "single_level": [0.5],
-    "empty": [],
-    "tiny_gaps": [0.0, 1e-12, 2e-12, 1.0],
-    "far_from_zero": 1e6 + 0.02 * np.arange(101),
-    "cluster_then_sparse": np.concatenate([np.linspace(0.0, 1e-3, 40), np.linspace(1.0, 50.0, 10)]),
-    "span_past_1e308": [-1e308, 0.0, 1e308],
-}
-
-
-class TestGridIndex:
-    @pytest.mark.parametrize("side", ["left", "right"])
-    @pytest.mark.parametrize("name", GRIDS)
-    def test_equals_searchsorted(self, name, side):
-        levels = np.asarray(GRIDS[name], dtype=float)
-        specials = [0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 1e308, -1e308]
-        rng = np.random.default_rng(5)
-        x = [levels, np.nextafter(levels, np.inf), np.nextafter(levels, -np.inf), specials]
-        x.append(rng.normal(size=5000) + (levels[0] if levels.size else 0.0))
-        if levels.size > 1:  # uniform over the grid and a tenth beyond it, and midpoints
-            u = rng.uniform(-0.1, 1.1, 20_000)
-            x += [levels[0] * (1 - u) + levels[-1] * u, levels[:-1] / 2 + levels[1:] / 2]
-        x = np.concatenate(x)
-        index = grid_index(levels, side)
-        np.testing.assert_array_equal(index(x), np.searchsorted(levels, x, side))
-        assert index(np.array([np.nan, np.nan])).tolist() == [0, 0]
-
-    def test_rejects_unsorted_or_non_finite_levels(self):
-        for levels in ([1.0, 0.0], [0.0, np.nan], [0.0, np.inf]):
-            with pytest.raises(ValueError):
-                grid_index(levels)
 
 
 class TestCorrelation:

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from pathent.cli import (
+    COMMANDS,
     EXIT_BREACH,
     EXIT_CONFIG,
     EXIT_NUMERICAL,
@@ -452,6 +453,29 @@ class TestExitCodes:
         moved = manifest("t_fixed", config="[chsh]\nt_fixed = 0.5\n")
         assert json.loads(moved)["config_hash"] == "5896f95dc1b597d6"
 
+    def test_fair_sampling_manifest_records_cutoff(self, tmp_path):
+        """--cutoff 1 and 2 give different reports (PASS against
+        REPORT-ONLY) from one config, so the manifest records the cutoff."""
+        manifests = {}
+        for cutoff in ("1", "2"):
+            out = tmp_path / cutoff
+            assert main(["fair-sampling-check", "--out", str(out), "--cutoff", cutoff]) == EXIT_OK
+            manifests[cutoff] = read_bytes(str(out / "manifest.json"))
+        assert manifests["1"] != manifests["2"]
+        assert [json.loads(m)["cutoff"] for m in manifests.values()] == [1, 2]
+
+    @pytest.mark.parametrize("command", [c for c in COMMANDS if c != "fair-sampling-check"])
+    def test_other_manifests_hold_only_hash_and_files(self, tmp_path, command):
+        """Every other subcommand reads no option but its config: its
+        manifest is the config's hash and the files it wrote, nothing more."""
+        cfg = write_config(tmp_path, TOMO_CONFIG if command == "tomography" else SCAN_CONFIG)
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_OK
+        files = sorted(set(os.listdir(out)) - {"manifest.json"})
+        manifest = {"config_hash": load_config(cfg).content_hash(), "files": files}
+        expected = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+        assert read_bytes(str(out / "manifest.json")) == expected.encode()
+
     @pytest.mark.parametrize("t_fixed", [1e300, 1.7e308])
     def test_fair_sampling_huge_t_fixed_is_quiet(self, tmp_path, capsys, t_fixed):
         """A window this wide once overflowed x * x (and, near the largest
@@ -569,6 +593,7 @@ class TestCommandTable:
         manifest = {
             "files": ["fair_sampling_report.txt"],
             "config_hash": ExperimentConfig().content_hash(),
+            "cutoff": 1,
         }
         expected = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
         assert read_bytes(str(out / "manifest.json")) == expected.encode()

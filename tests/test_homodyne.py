@@ -15,7 +15,7 @@ from scipy.special import ndtr
 from scipy.stats import chi2, kstest, ks_2samp, norm
 
 import pathent.homodyne as hm
-from pathent.chsh import CHSH_SETTINGS, threshold_binning
+from pathent.chsh import CHSH_SETTINGS, ideal_single_photon_correlation, threshold_binning
 from pathent.config import ExperimentConfig
 from pathent.homodyne import (
     CHUNK_SIZE,
@@ -27,7 +27,7 @@ from pathent.homodyne import (
 from pathent.states import IDEAL_NOISE, NoiseModel
 from pathent.tomography import histogram_binning
 
-from helpers import records
+from helpers import records, reference_cells
 
 
 def reference_chunk(mu, settings, noise, pipeline, seed, chunk, size):
@@ -49,10 +49,11 @@ def reference_chunk(mu, settings, noise, pipeline, seed, chunk, size):
     return arms
 
 
-def stored_table(batch, binning):
-    """Count table of a batch's records under `binning`, in one pass over
-    all of them (the sampler sums it chunk by chunk)."""
-    return binning.table(binning.count(*records(batch)), len(batch))
+def cell_count(kind, grid):
+    """The number of cells of `kind`'s binning over `grid`: four sign
+    quadrants by depth for thresholds, and the cells of [-inf, *edges, inf]
+    per arm for a histogram."""
+    return 4 * (len(grid) + 1) if kind == "threshold" else (len(grid) + 1) ** 2
 
 
 def raw_cells(binning):
@@ -238,6 +239,10 @@ class TestBinnedSampling:
     )
     @pytest.mark.parametrize("count", [1, CHUNK_SIZE, CHUNK_SIZE + 1, 3 * CHUNK_SIZE + 5])
     def test_binned_equals_stored(self, pipeline, mu, v_e, count):
+        """A binned batch is one multinomial draw over the exact cell masses,
+        not the binning of the stored records (TestVacuumTables,
+        TestFockTables): it must still hold `count` records and be the same
+        table on every call and at every worker count."""
         kwargs = dict(
             mu=mu,
             settings=CHSH_SETTINGS[(0, 1)],
@@ -246,19 +251,24 @@ class TestBinnedSampling:
             pipeline=pipeline,
             seed=31,
         )
-        stored = sample_batch(**kwargs)
         for binning in self.BINNINGS.values():
-            if pipeline != "ideal-fock":
-                # A binned coherent batch is one multinomial draw over the
-                # exact cell masses, not the binning of the stored records
-                # (TestVacuumTables): it must still hold `count` records and
-                # be the same table on every call and at every worker count.
-                assert sample_batch(**kwargs, binning=raw_cells(binning)).counts.sum() == count
-                expect = sample_batch(**kwargs, binning=binning)
-            else:
-                expect = stored_table(stored, binning)
+            assert sample_batch(**kwargs, binning=raw_cells(binning)).counts.sum() == count
+            expect = sample_batch(**kwargs, binning=binning)
             for workers in (1, 2, 3):
                 assert_same_table(sample_batch(**kwargs, workers=workers, binning=binning), expect)
+
+    def test_binned_call_draws_no_record(self, monkeypatch):
+        """Every pipeline's binned batch is drawn as a table, never through
+        the chunk loop that draws records."""
+
+        def refuse(batch):
+            raise AssertionError("a binned batch drew records")
+
+        monkeypatch.setattr(SampleBatch, "chunks", refuse)
+        count = 2 * CHUNK_SIZE + 7  # three chunks
+        settings, noise = MeasurementSettings(0.1, 0.2), NoiseModel(0.617, 2.0 / 3.0)
+        for pipeline, binning in itertools.product(hm.PIPELINES, self.BINNINGS.values()):
+            assert sample_batch(0.5, settings, count, noise, pipeline, 3, binning=binning).total == count
 
     def test_no_call_starts_a_thread(self, monkeypatch):
         """Every pipeline, unbinned or under either binning, is drawn on the
@@ -348,43 +358,32 @@ class TestVacuumTables:
 
     @pytest.mark.parametrize("grid", T_GRIDS.values(), ids=T_GRIDS.keys())
     def test_threshold_masses_match_quadrature(self, grid):
-        """Quadrant (s_a, s_b) at depth (a, b], min(|x_a|, |x_b|) in (a, b],
-        holds P(s_a x_a > a) P(s_b x_b > a) - P(s_a x_a > b) P(s_b x_b > b)
-        given the phase. Each cell is found by the binning's own key at a
-        point inside it."""
+        """Quadrant (s_a, s_b), cell 2 (s_a > 0) + (s_b > 0), at depth (a, b],
+        min(|x_a|, |x_b|) in (a, b], holds P(s_a x_a > a) P(s_b x_b > a)
+        - P(s_a x_a > b) P(s_b x_b > b) given the phase."""
         binning = threshold_binning(grid)
-        depths = np.concatenate(([0.0], binning.grid, [binning.grid[-1] + 1.0, np.inf]))
-        lo, hi = depths[:-1], depths[1:]
-        lo, hi = lo[lo < hi], hi[lo < hi]  # a threshold at 0 leaves depth 0 empty
-        inside = np.where(hi == np.inf, lo + 0.5, (lo + hi) / 2.0)
-        signs = list(itertools.product((-1.0, 1.0), repeat=2))
-        cells = [binning.key(s_a * inside, s_b * inside) for s_a, s_b in signs]
+        depths = np.concatenate(([0.0], binning.grid, [np.inf]))
 
         def masses_at(m_a, m_b):
-            out = np.zeros(binning.size)
-            for (s_a, s_b), cell in zip(signs, cells):
+            out = []
+            for s_a, s_b in itertools.product((-1.0, 1.0), repeat=2):
                 # P(s x > t) for x ~ N(m, 1/2) is P(y > t) for y ~ N(s m, 1/2).
-                a, b = (
-                    normal_mass(t, np.inf, s_a * m_a) * normal_mass(t, np.inf, s_b * m_b) for t in (lo, hi)
-                )
-                np.add.at(out, cell, a - b)
-            return out
+                survival = normal_mass(depths, np.inf, s_a * m_a) * normal_mass(depths, np.inf, s_b * m_b)
+                out.append(survival[:-1] - survival[1:])
+            return np.concatenate(out)
 
         self.check_against_phase_quadrature(binning, masses_at)
 
     @pytest.mark.parametrize("edges", EDGES.values(), ids=EDGES.keys())
     def test_histogram_masses_match_quadrature(self, edges):
+        """Cell (i, j) holds arm a in cell i and arm b in cell j of
+        [-inf, *edges, inf], the arms independent given the phase."""
         binning = histogram_binning(edges)
         bounds = np.concatenate(([-np.inf], edges, [np.inf]))
-        inside = np.concatenate(([edges[0] - 1.0], (edges[:-1] + edges[1:]) / 2.0, [edges[-1] + 1.0]))
-        x_a, x_b = (v.ravel() for v in np.meshgrid(inside, inside, indexing="ij"))
-        cells = binning.key(x_a, x_b)
 
         def masses_at(m_a, m_b):
             arm_a, arm_b = (normal_mass(bounds[:-1], bounds[1:], m) for m in (m_a, m_b))
-            out = np.zeros(binning.size)
-            out[cells] = np.outer(arm_a, arm_b).ravel()
-            return out
+            return np.outer(arm_a, arm_b).ravel()
 
         self.check_against_phase_quadrature(binning, masses_at)
 
@@ -395,7 +394,7 @@ class TestVacuumTables:
         binning = TestBinnedSampling.BINNINGS[kind]
         for mu, settings in self.CASES:
             masses = hm.coherent_masses(binning, mu, settings, self.NOISE)
-            assert masses.shape == (binning.size,) and np.all(masses >= 0.0)
+            assert masses.shape == (cell_count(kind, binning.grid),) and np.all(masses >= 0.0)
             assert abs(masses.sum() - 1.0) <= 1e-14
             finer = node_masses(binning, mu, settings, self.NOISE, 2 * hm.PHASE_NODES)
             np.testing.assert_allclose(masses, finer, rtol=0.0, atol=1e-15, err_msg=f"mu {mu}, {settings}")
@@ -429,24 +428,31 @@ class TestVacuumTables:
             got = hm.coherent_masses(binning, mu, settings, self.NOISE)
             assert np.array_equal(got, uncached(m_a, m_b)), f"mu {mu}, {settings}"
 
-    @pytest.mark.parametrize("v_e", [0.0, 2.0 / 3.0])
-    @pytest.mark.parametrize("pipeline", ["equivalent", "physical"])
+    # ideal-fock samples |1> and reads neither mu nor v_e.
+    @pytest.mark.parametrize(
+        "pipeline, v_e",
+        [*itertools.product(("equivalent", "physical"), (0.0, 2.0 / 3.0)), ("ideal-fock", 0.0)],
+    )
     @pytest.mark.parametrize("kind", ["threshold", "histogram"])
     def test_table_matches_binned_records(self, kind, pipeline, v_e):
-        """Pearson chi^2 test that a drawn table and the binned records of
-        the same batch come from one distribution: sum (a - b)^2 / (a + b)
-        over the cells, two samples of equal size. Cells expected to hold
-        fewer than 5 records are pooled into one cell."""
+        """Pearson chi^2 test that a drawn table and the reference binning of
+        the same batch's records come from one distribution: sum (a - b)^2 /
+        (a + b) over the cells, two samples of equal size. Cells expected to
+        hold fewer than 5 records are pooled into one cell."""
         count = 1_000_000
         binning = raw_cells(TestBinnedSampling.BINNINGS[kind])
         settings = CHSH_SETTINGS[(1, 0)] if kind == "threshold" else self.SETTINGS[-2]
         noise = NoiseModel(0.617, v_e)
-        for mu in (0.0, 0.0872, 0.984):
+        for mu in (0.0,) if pipeline == "ideal-fock" else (0.0, 0.0872, 0.984):
             kwargs = dict(mu=mu, settings=settings, count=count, noise=noise, pipeline=pipeline)
             kwargs.update(seed=47, workers=2)
             drawn = sample_batch(**kwargs, binning=binning).counts
-            binned = stored_table(sample_batch(**kwargs), binning).counts
-            keep = count * hm.coherent_masses(binning, mu, settings, noise) >= 5.0
+            binned = reference_cells(kind, binning.grid, *records(sample_batch(**kwargs)))
+            if pipeline == "ideal-fock":
+                masses = binning.fock(settings.dtheta)
+            else:
+                masses = hm.coherent_masses(binning, mu, settings, noise)
+            keep = count * masses >= 5.0
             a = np.append(drawn[keep], drawn[~keep].sum())
             b = np.append(binned[keep], binned[~keep].sum())
             stat = float(np.sum((a - b) ** 2 / (a + b)))
@@ -490,6 +496,9 @@ class TestJointPdf:
         assert np.allclose(marg, expect, atol=1e-8)
 
 
+FOCK_DTHETAS = [0.0, 0.7, np.pi / 2, np.pi, -2.3]
+
+
 def fock_cell_masses(edges, dtheta, nodes=8):
     """Mass of joint_pdf_fock(1, ., ., dtheta) in each cell of the grid
     `edges` x `edges`, by `nodes`-point Gauss-Legendre along each axis of
@@ -526,28 +535,107 @@ class TestFockSampling:
         exy = float(np.sum(w[:, None] * w[None, :] * x[:, None] * x[None, :] * pdf))
         assert np.mean(x_a * x_b) == pytest.approx(exy, abs=0.006)
 
-    @pytest.mark.parametrize("dtheta", [0.0, 0.7, np.pi / 2, np.pi, -2.3])
+    @pytest.mark.parametrize("dtheta", FOCK_DTHETAS)
     def test_draw_matches_density(self, dtheta):
-        """Pearson chi^2 of the binned draw against the cell masses of the
-        exact density. Cells expected to hold fewer than 5 records are pooled
-        with everything outside the grid into one cell."""
+        """Pearson chi^2 of the binned records against the cell masses of
+        the exact density. Cells expected to hold fewer than 5 records are
+        pooled with everything outside the grid into one cell."""
         count = 1_000_000
         edges = np.linspace(-3.0, 3.0, 25)
-        table = sample_batch(
-            0.0,
-            MeasurementSettings(dtheta, 0.0),
-            count,
-            pipeline="ideal-fock",
-            seed=17,
-            workers=2,
-            binning=histogram_binning(edges),
-        )
+        x_a, x_b = records(single_photon_batch(dtheta, count, seed=17))
+        counts = np.histogram2d(x_a, x_b, (edges, edges))[0]
         expected = count * fock_cell_masses(edges, dtheta)
         keep = expected >= 5.0
-        observed = np.append(table.counts[keep], count - table.counts[keep].sum())
+        observed = np.append(counts[keep], count - counts[keep].sum())
         expected = np.append(expected[keep], count - expected[keep].sum())
         stat = float(np.sum((observed - expected) ** 2 / expected))
         assert chi2.sf(stat, keep.sum()) > 1e-3, f"chi2 {stat:.0f} on {keep.sum()} dof"
+
+
+def fock_survival(dtheta, t, nodes=80, span=12.0):
+    """P(s_a x_a > t, s_b x_b > t) under joint_pdf_fock(1, ., ., dtheta) for
+    each sign quadrant (s_a, s_b) in cell order (-, -), (-, +), (+, -),
+    (+, +), by `nodes`-point Gauss-Legendre over [t, t + span] per axis."""
+    g, w = np.polynomial.legendre.leggauss(nodes)
+    x, wx = t + span * (g + 1.0) / 2.0, span * w / 2.0
+    return np.array(
+        [
+            wx @ joint_pdf_fock(1, s_a * x[:, None], s_b * x[None, :], dtheta) @ wx
+            for s_a, s_b in itertools.product((-1.0, 1.0), repeat=2)
+        ]
+    )
+
+
+class TestFockTables:
+    """A binned ideal-fock batch is a multinomial draw over
+    `binning.fock(dtheta)`, the cell masses of |1> split 50:50."""
+
+    T_GRIDS = TestVacuumTables.T_GRIDS
+    EDGES = TestVacuumTables.EDGES
+
+    @pytest.mark.parametrize("grid", T_GRIDS.values(), ids=T_GRIDS.keys())
+    def test_threshold_masses_match_quadrature(self, grid):
+        """Quadrant q at depth (a, b] holds S_q(a) - S_q(b), S_q the
+        quadrant's survival, 0 past the last level."""
+        binning = threshold_binning(grid)
+        depths = np.append(0.0, binning.grid)
+        for dtheta in FOCK_DTHETAS:
+            survival = np.array([fock_survival(dtheta, t) for t in depths]).T
+            expected = -np.diff(survival, append=0.0).ravel()
+            got = binning.fock(dtheta)
+            np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-12, err_msg=f"dtheta {dtheta}")
+
+    @pytest.mark.parametrize("edges", EDGES.values(), ids=EDGES.keys())
+    def test_histogram_masses_match_quadrature(self, edges):
+        """Cell (i, j) of [-inf, *edges, inf] per arm, the infinite cells cut
+        6 past the outer edges, where the density is below e^-80."""
+        binning = histogram_binning(edges)
+        bounds = np.concatenate(([edges[0] - 6.0], edges, [edges[-1] + 6.0]))
+        for dtheta in FOCK_DTHETAS:
+            expected = fock_cell_masses(bounds, dtheta, nodes=40).ravel()
+            got = binning.fock(dtheta)
+            np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-12, err_msg=f"dtheta {dtheta}")
+
+    @pytest.mark.parametrize(
+        "binning",
+        [*map(threshold_binning, T_GRIDS.values()), *map(histogram_binning, EDGES.values())],
+        ids=[*(f"threshold-{k}" for k in T_GRIDS), *(f"histogram-{k}" for k in EDGES)],
+    )
+    def test_masses_are_a_distribution(self, binning):
+        for dtheta in FOCK_DTHETAS:
+            masses = binning.fock(dtheta)
+            assert np.all(masses >= 0.0)
+            assert abs(masses.sum() - 1.0) <= 1e-14, f"dtheta {dtheta}"
+
+    @pytest.mark.parametrize("grid", T_GRIDS.values(), ids=T_GRIDS.keys())
+    def test_threshold_table_gives_the_closed_form(self, grid):
+        """At every threshold T, the table's correlation is
+        `ideal_single_photon_correlation`, and its survivors are
+        erfc(T) (erfc(T) + 2 T e^(-T^2) / sqrt(pi))."""
+        binning = threshold_binning(grid)
+        t = binning.grid
+        erfc = np.array([math.erfc(T) for T in t])
+        p_surv = erfc * (erfc + 2.0 * t * np.exp(-t * t) / np.sqrt(np.pi))
+        for dtheta in FOCK_DTHETAS:
+            n00, n01, n10, n11 = binning.finish(binning.fock(dtheta)).T
+            survivors = n00 + n01 + n10 + n11
+            e = [ideal_single_photon_correlation(dtheta, T) for T in t]
+            np.testing.assert_allclose((n00 + n11 - n01 - n10) / survivors, e, rtol=0.0, atol=1e-13)
+            np.testing.assert_allclose(survivors, p_surv, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize(
+        "binning",
+        [threshold_binning(1.0 + 1e-16 * np.arange(3000)), histogram_binning(np.linspace(-12.0, 12.0, 49))],
+        ids=["threshold-ulp-gaps", "histogram-wide"],
+    )
+    def test_rounding_leaves_no_negative_mass(self, binning):
+        """Levels an ulp or so apart, and far cells whose phi_0^2 integral has
+        lost its relative precision, both round some masses below 0 before
+        they are clipped, and `multinomial` refuses a negative mass."""
+        for dtheta in FOCK_DTHETAS:
+            assert np.all(binning.fock(dtheta) >= 0.0)
+            settings = MeasurementSettings(dtheta, 0.0)
+            assert sample_batch(0.0, settings, 1000, pipeline="ideal-fock", binning=binning).total == 1000
 
 
 def load_batch(path):

