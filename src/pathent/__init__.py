@@ -9,24 +9,9 @@ from .decoy import (
     bound_statistic,
     estimate_single_photon_statistic,
 )
-from .fock import (
-    build_postselection_operators,
-    wavefunction_value,
-    window_overlap,
-)
-from .homodyne import (
-    MeasurementSettings,
-    SampleBatch,
-    joint_pdf_fock,
-    sample_batch,
-)
-from .states import (
-    NoiseModel,
-    TwoModeFockState,
-    bell_state,
-    compensated_intensity,
-    splitter_output,
-)
+from .fock import build_postselection_operators
+from .homodyne import MeasurementSettings, SampleBatch, sample_batch
+from .states import NoiseModel, TwoModeFockState, bell_state, compensated_intensity
 
 __all__ = [
     "DecoyIntensitySet",
@@ -41,12 +26,8 @@ __all__ = [
     "build_postselection_operators",
     "compensated_intensity",
     "estimate_single_photon_statistic",
-    "joint_pdf_fock",
     "load_config",
     "sample_batch",
-    "splitter_output",
-    "wavefunction_value",
-    "window_overlap",
 ]
 
 __version__ = "0.1.0"

@@ -22,6 +22,7 @@ in OUTCOME_PAIRS order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -179,13 +180,25 @@ def ideal_single_photon_correlation(dtheta: float, T: float) -> float:
     split 50:50 (Morin et al., PRL 110, 130401 (2013)), exact for every
     finite T >= 0. Over x > T, psi_0^2, psi_1^2 and psi_0 psi_1 integrate to
     A0 = erfc(T)/2, A1 = A0 + T e^(-T^2)/sqrt(pi) and B = e^(-T^2)/sqrt(2 pi),
-    and kappa = B^2 / (A0 A1), written with erfcx so nothing underflows."""
+    and kappa = B^2 / (A0 A1) = 2 / (pi g (g + 2T/sqrt(pi))) with
+    g = erfcx(T) = e^(T^2) erfc(T), so nothing underflows.
+
+    Below T = 26, g = erfc(T) e^(T^2), both factors normal doubles. From 26
+    up, g = s / (T sqrt(pi)) with s the asymptotic series
+    sum_k (-1)^k (2k-1)!! h^k, h = 1/(2T^2), whose eighth term is below
+    1e-18 there; kappa = 1 / (s (1 + h s)) then never forms T^2, so it
+    holds up to the largest double. Both agree with scipy.special.erfcx
+    to ~6e-14 relative, the rounding of T^2 in e^(T^2).
+    """
     if not 0 <= T < np.inf:
         raise ValueError("threshold must be non-negative and finite")
-    from scipy.special import erfcx
-
-    g = erfcx(T)
-    kappa = 2.0 / (np.pi * g * (g + 2.0 * T / np.sqrt(np.pi)))
+    if T < 26.0:
+        g = math.erfc(T) * math.exp(T * T)
+        kappa = 2.0 / (math.pi * g * (g + 2.0 * T / math.sqrt(math.pi)))
+    else:
+        h = 0.5 / T / T
+        s = 1.0 - h * (1.0 - 3.0 * h * (1.0 - 5.0 * h * (1.0 - 7.0 * h * (1.0 - 9.0 * h * (1.0 - 11.0 * h)))))
+        kappa = 1.0 / (s * (1.0 + h * s))
     return float(kappa * np.cos(dtheta))
 
 

@@ -128,6 +128,9 @@ def cmd_simulate(config: ExperimentConfig, args) -> tuple[int, list]:
 
 
 def cmd_correlation_scan(config: ExperimentConfig, args) -> tuple[int, list]:
+    """Decoy-bounded correlation at t_fixed per phase difference. A phase
+    whose bound has a zero denominator is written `invalid`, as
+    `scan_threshold` marks a threshold."""
     settings = {
         float(dtheta): MeasurementSettings(phi_a=float(dtheta), phi_b=0.0)
         for dtheta in config.dtheta_grid()
@@ -136,7 +139,10 @@ def cmd_correlation_scan(config: ExperimentConfig, args) -> tuple[int, list]:
     iset = config.intensity_set
     rows = []
     for dtheta, tables in _sweep(config, settings, 10_000, binning).items():
-        rows.append((dtheta, *chsh_mod.decoy_correlation(tables, iset, config.t_fixed)))
+        try:
+            rows.append((dtheta, *chsh_mod.decoy_correlation(tables, iset, config.t_fixed)))
+        except ZeroDivisionError:
+            rows.append((dtheta, "invalid", "invalid", "invalid"))
     lines = ["dtheta,e_est,e_lower,e_upper", *map(_csv_line, rows)]
     return EXIT_OK, [_write_lines(args.out, "correlation_scan.csv", lines)]
 
@@ -241,6 +247,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pathent",
         description="Single-photon path entanglement simulation and certification",
+        epilog=(
+            "pipeline = physical changes only simulate's records: every analysis output is "
+            "byte-identical to pipeline = equivalent's but for the manifest's config hash."
+        ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name in COMMANDS:

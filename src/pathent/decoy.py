@@ -108,15 +108,3 @@ def bound_statistic(estimate, intensity_set: DecoyIntensitySet) -> tuple:
     else:
         lower, upper = estimate, estimate + delta
     return estimate, np.clip(lower, 0.0, 1.0), np.clip(upper, 0.0, 1.0)
-
-
-def exact_gains(yields: np.ndarray, mu: float, n_max: int | None = None):
-    """Oracle helper: gain Q_mu = sum_n Y_n mu^n e^-mu / n! from a truncated
-    yield sequence (series summed over the full provided range)."""
-    from scipy.stats import poisson
-
-    yields = np.asarray(yields, dtype=float)
-    top = yields.shape[0] - 1 if n_max is None else min(n_max, yields.shape[0] - 1)
-    n = np.arange(top + 1)
-    w = poisson.pmf(n, mu)
-    return np.tensordot(w, yields[: top + 1], axes=(0, 0))

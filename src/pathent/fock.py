@@ -37,20 +37,6 @@ def hermite_functions(n_max: int, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def wavefunction_value(n: int, x: float, theta: float = 0.0) -> complex:
-    """Quadrature wavefunction psi_n(x, theta) = phi_n(x) e^(i n theta).
-
-    The local-oscillator phase enters only as the n-dependent phase factor,
-    so |psi_n| is theta-independent.
-    """
-    if n < 0:
-        raise ValueError("photon number must be non-negative")
-    if not np.isfinite(x):
-        raise ValueError("quadrature value must be finite")
-    amp = hermite_functions(n, np.asarray(x, dtype=float))[n]
-    return complex(amp * np.exp(1j * n * theta))
-
-
 def overlap_matrices(cuts, cutoff: int) -> np.ndarray:
     """Integrals of phi_m(x) phi_n(x), m, n = 0..cutoff, over each interval
     [cuts[k], cuts[k + 1]] between the sorted cut points, in closed form, as
@@ -86,28 +72,16 @@ def overlap_matrices(cuts, cutoff: int) -> np.ndarray:
     return out[:, : cutoff + 1, : cutoff + 1]
 
 
-def window_overlap(m: int, n: int, T: float) -> float:
-    """Integral of phi_m(x) phi_n(x) over [-T, T] (theta = 0 convention).
-
-    Exactly zero for odd m + n by parity; the caller applies any
-    e^(i(n-m)theta) phase factor.
-    """
-    if T < 0:
-        raise ValueError("threshold must be non-negative")
-    if m < 0 or n < 0:
-        raise ValueError("photon numbers must be non-negative")
-    return float(overlap_matrices((-T, T), max(m, n))[0, m, n])
-
-
 def build_postselection_operators(
     T: float, cutoff: int, theta: float = 0.0
 ) -> tuple[np.ndarray, np.ndarray]:
     """Discard/pass operator pair (Q_discard, Q_pass) at threshold T, as
     (cutoff + 1)-square complex arrays.
 
-    Q_discard[m, n] = e^(i(n-m)theta) * window_overlap(m, n, T) and
-    Q_pass = I - Q_discard. Both are PSD on the truncated space; restricted to
-    the {|0>, |1>} subspace they are diagonal, hence theta-independent.
+    Q_discard[m, n] = e^(i(n-m)theta) times the integral of phi_m phi_n over
+    [-T, T] (`overlap_matrices`), and Q_pass = I - Q_discard. Both are PSD
+    on the truncated space; restricted to the {|0>, |1>} subspace they are
+    diagonal, hence theta-independent.
     """
     if T < 0:
         raise ValueError("threshold must be non-negative")

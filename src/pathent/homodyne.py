@@ -1,4 +1,5 @@
-"""Monte Carlo joint quadrature sampling and analytic Fock-input densities.
+"""Monte Carlo joint quadrature sampling, and count tables drawn from exact
+cell masses.
 
 Three pipelines produce (x_a, x_b) pairs:
 
@@ -7,7 +8,10 @@ Three pipelines produce (x_a, x_b) pairs:
 - ``physical``: per-arm photodiode loss, additive electronic noise, then the
   sqrt(eta_ele) rescale. Distribution-identical to ``equivalent``.
 - ``ideal-fock``: the single-photon Fock state |1> through the 50:50
-  splitter, drawn exactly as the two-component mixture its density is.
+  splitter, drawn exactly as the two-component mixture its density (given
+  in `Binning`) is. The tests hold both its records and its cell masses to
+  that density, evaluated from the splitter amplitudes by
+  `tests/helpers.py::joint_pdf_fock`.
 
 Records are drawn by one chunk loop, `SampleBatch.chunks`: 2^16 records
 per chunk, each drawn by `SampleBatch._draw` in place into one reused pair
@@ -46,7 +50,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fock import hermite_functions
-from .states import IDEAL_NOISE, NoiseModel, splitter_output
+from .states import IDEAL_NOISE, NoiseModel
 
 CHUNK_SIZE = 1 << 16
 # Rows per block in SampleBatch.save. A block's 2 * SAVE_BLOCK doubles are
@@ -214,8 +218,8 @@ class Binning:
     equally likely, evenly spaced state phases, n even, so that the means
     at node j + n/2 are -m_a[j] and -m_b[j] (`coherent_masses`).
     `fock(dtheta)[c]` is its probability for |1> split 50:50 at phase gap
-    dtheta, whose density (`joint_pdf_fock`) is (phi_1^2 (x) phi_0^2
-    + phi_0^2 (x) phi_1^2) / 2 + cos(dtheta) (phi_0 phi_1) (x) (phi_0 phi_1).
+    dtheta, whose density is (phi_1^2 (x) phi_0^2 + phi_0^2 (x) phi_1^2) / 2
+    + cos(dtheta) (phi_0 phi_1) (x) (phi_0 phi_1).
     """
 
     grid: np.ndarray
@@ -346,8 +350,7 @@ def _chunk_rng(seed: int, chunk: int) -> np.random.Generator:
 
 
 def upper_tail(x: np.ndarray) -> np.ndarray:
-    """P(y > x) = erfc(x) / 2 for y ~ N(0, 1/2), elementwise, without
-    importing scipy.special, which would cost more than the tables it serves."""
+    """P(y > x) = erfc(x) / 2 for y ~ N(0, 1/2), elementwise, by math.erfc."""
     return np.fromiter(map(math.erfc, x.ravel().tolist()), float, x.size).reshape(x.shape) / 2.0
 
 
@@ -396,31 +399,12 @@ def _coherent_arm(
         out *= np.sqrt(noise.eta_ele)
 
 
-def joint_pdf_fock(n, x_a, x_b, dtheta: float):
-    """Exact joint density of (x_a, x_b) for Fock input |n> at phase gap dtheta.
-
-    The amplitude is sum_k c_k psi_k(x_a, phi_a) psi_{n-k}(x_b, phi_b) with
-    splitter coefficients c_k; the density depends on the phases only through
-    dtheta = phi_a - phi_b. Broadcasts over array x_a, x_b.
-    """
-    x_a = np.asarray(x_a, dtype=float)
-    x_b = np.asarray(x_b, dtype=float)
-    coeffs = splitter_output(n, n).amplitudes
-    phi_a_vals = hermite_functions(n, x_a)
-    phi_b_vals = hermite_functions(n, x_b)
-    amp = np.zeros(np.broadcast_shapes(x_a.shape, x_b.shape), dtype=complex)
-    for k in range(n + 1):
-        c = coeffs[k, n - k].real
-        amp = amp + c * np.exp(1j * k * dtheta) * phi_a_vals[k] * phi_b_vals[n - k]
-    return np.abs(amp) ** 2
-
-
 def _single_photon_arms(
     out_a: np.ndarray, out_b: np.ndarray, dtheta: float, rng: np.random.Generator
 ) -> None:
     """Draw |1> split 50:50 at phase gap dtheta exactly into `out_a`, `out_b`.
 
-    In u, v = (x_a +- x_b)/sqrt(2), joint_pdf_fock(1, ., ., dtheta) is
+    In u, v = (x_a +- x_b)/sqrt(2), the density of `Binning` is
     e^(-u^2 - v^2) ((1 + c) u^2 + (1 - c) v^2) / pi with c = cos(dtheta):
     with probability (1 + c)/2, u^2 ~ Gamma(3/2) with a random sign and
     v ~ N(0, 1/2), else u and v swap roles (Lvovsky & Raymer, RMP 81, 299

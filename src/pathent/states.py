@@ -1,7 +1,7 @@
 """Source and channel models.
 
-The balanced-homodyne noise model, two-mode Fock states and the 50:50
-splitter action on Fock inputs, and the source intensity that compensates
+The balanced-homodyne noise model, two-mode Fock states and the
+single-photon Bell target, and the source intensity that compensates
 the loss-equivalent reduction, which folds photodiode inefficiency and
 electronic noise into a single fictitious transmittance in front of the
 splitter.
@@ -10,7 +10,6 @@ splitter.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
 
 import numpy as np
 
@@ -71,23 +70,6 @@ def bell_state(cutoff: int = 1) -> TwoModeFockState:
     """The single-photon path-entangled target (|01> + |10>) / sqrt(2)."""
     amps = np.zeros((cutoff + 1, cutoff + 1), dtype=complex)
     amps[0, 1] = amps[1, 0] = 1.0 / np.sqrt(2.0)
-    return TwoModeFockState(cutoff, amps)
-
-
-def splitter_output(n: int, cutoff: int) -> TwoModeFockState:
-    """n-photon Fock state through a symmetric 50:50 splitter.
-
-    Output is sum_k sqrt(C(n, k) / 2^n) |k, n-k> in the real-amplitude
-    convention a_dag -> (a_dag + b_dag) / sqrt(2). For n = 1 this is the Bell
-    state (|01> + |10>) / sqrt(2).
-    """
-    if n < 0:
-        raise ValueError("photon number must be non-negative")
-    if n > cutoff:
-        raise ValueError(f"photon number {n} exceeds cutoff {cutoff}")
-    amps = np.zeros((cutoff + 1, cutoff + 1), dtype=complex)
-    for k in range(n + 1):
-        amps[k, n - k] = np.sqrt(comb(n, k) / 2.0**n)
     return TwoModeFockState(cutoff, amps)
 
 

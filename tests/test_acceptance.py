@@ -25,10 +25,8 @@ from pathent.decoy import (
     DecoyIntensitySet,
     bound_interval,
     estimate_single_photon_statistic,
-    exact_gains,
 )
 from pathent.fairsampling import verification_report
-from pathent.fock import window_overlap
 from pathent.homodyne import MeasurementSettings, sample_batch
 from pathent.states import (
     NoiseModel,
@@ -44,7 +42,7 @@ from pathent.tomography import (
     multiphoton_mass,
 )
 
-from helpers import records
+from helpers import exact_gains, records, window_overlap
 
 NOMINAL_INTENSITIES = (0.0872, 0.2314, 0.9840)
 OPERATING_NOISE = NoiseModel(eta_pd=0.617, v_e=2.0 / 3.0)

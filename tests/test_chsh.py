@@ -20,12 +20,11 @@ from pathent.config import ExperimentConfig
 from pathent.homodyne import (
     CHUNK_SIZE,
     MeasurementSettings,
-    joint_pdf_fock,
     sample_batch,
 )
 from scipy.special import erf
 
-from helpers import records, reference_cells
+from helpers import joint_pdf_fock, records, reference_cells
 
 
 class EmptySurvivorError(RuntimeError):
@@ -329,6 +328,26 @@ class TestClosedForm:
         assert all(b > a for a, b in zip(vals, vals[1:]))
         assert vals[-1] < 2.0 * np.sqrt(2.0)
         assert ideal_single_photon_chsh(1e4) == pytest.approx(2.0 * np.sqrt(2.0), abs=1e-14)
+
+    def test_kappa_matches_scipy_erfcx(self):
+        """kappa(T) without scipy against 2 / (pi g (g + 2T/sqrt(pi))) with
+        g = scipy.special.erfcx(T), to 1e-13 relative: densely over [0, 30],
+        within a few ulps of the switch to the asymptotic series at T = 26
+        on both sides, and on a log grid up to 1e300."""
+        from scipy.special import erfcx
+
+        switch = [np.nextafter(26.0, 0.0), 26.0, np.nextafter(26.0, 30.0), 26.0 - 1e-9, 26.0 + 1e-9]
+        grid = np.concatenate([np.linspace(0.0, 30.0, 60_001), switch, np.logspace(0.0, 300.0, 2000)])
+        kappa = np.array([ideal_single_photon_correlation(0.0, T) for T in grid])
+        g = erfcx(grid)
+        expected = 2.0 / (np.pi * g * (g + 2.0 * grid / np.sqrt(np.pi)))
+        assert np.max(np.abs(kappa / expected - 1.0)) < 1e-13
+
+    def test_kappa_finite_up_to_the_largest_double(self):
+        """kappa rises to 1 and never forms T^2 past the switch, so it stays
+        1 where 2T / sqrt(pi) would overflow."""
+        for T in (1e154, 1e300, 9e307, np.finfo(float).max):
+            assert ideal_single_photon_correlation(0.0, T) == 1.0
 
     @pytest.mark.parametrize("T", [-1e-300, -1.0, np.nan, np.inf, -np.inf])
     def test_rejects_negative_or_non_finite_threshold(self, T):

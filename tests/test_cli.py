@@ -245,6 +245,53 @@ class TestStartup:
         proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src))
         assert proc.returncode == 0
 
+    def test_every_subcommand_runs_with_scipy_blocked(self, tmp_path):
+        """pathent needs numpy alone. A child with sys.modules["scipy"] set
+        to None, so that any scipy import raises, runs every subcommand and
+        computes the oracle S: each must exit as an unblocked run does and
+        write the same bytes. correlation-scan runs at --scale 400, where
+        one of its rows is invalid."""
+        import pathent
+
+        src = os.path.dirname(os.path.dirname(os.path.abspath(pathent.__file__)))
+        runs = {
+            command: ["--scale", "400" if command == "correlation-scan" else "10000"]
+            for command in COMMANDS
+        }
+        code = (
+            "import json, sys\n"
+            "sys.modules['scipy'] = None\n"
+            "import pathent.chsh, pathent.cli\n"
+            "try:\n"
+            "    import scipy.special\n"
+            "    blocked = False\n"
+            "except ImportError:\n"
+            "    blocked = True\n"
+            "out, runs = sys.argv[1], json.loads(sys.argv[2])\n"
+            "codes = {c: pathent.cli.main([c, *a, '--out', f'{out}/{c}']) for c, a in runs.items()}\n"
+            "s = pathent.chsh.ideal_single_photon_chsh(0.82)\n"
+            "print(json.dumps({'blocked': blocked, 'codes': codes, 's': s}))\n"
+        )
+        blocked_out = tmp_path / "blocked"
+        proc = subprocess.run(
+            [sys.executable, "-c", code, str(blocked_out), json.dumps(runs)],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        child = json.loads(proc.stdout.splitlines()[-1])
+        assert child["blocked"]
+        assert abs(child["s"] - 2.6526254183947344) < 1e-14
+
+        def outputs(root, command):
+            return {p.name: p.read_bytes() for p in sorted((root / command).iterdir())}
+
+        for command, argv in runs.items():
+            code = main([command, *argv, "--out", str(tmp_path / "free" / command)])
+            assert child["codes"][command] == code
+            assert outputs(blocked_out, command) == outputs(tmp_path / "free", command)
+
     def test_config_import_leaves_tomography_unloaded(self):
         """The config checks its own tomography values; it needs no numerics."""
         import pathent
@@ -530,6 +577,22 @@ class TestScans:
         lines = (out / "correlation_scan.csv").read_text().splitlines()
         assert lines[0] == "dtheta,e_est,e_lower,e_upper"
         assert len(lines) == 5  # header + 4 phases
+
+    def test_correlation_scan_marks_degenerate_phase_invalid(self, tmp_path):
+        """At --scale 400 the default config leaves one phase with a zero
+        denominator in its correlation bound: that row reads invalid, and
+        the scan still writes every row and its manifest and exits 0."""
+        out = tmp_path / "corr"
+        assert main(["correlation-scan", "--scale", "400", "--out", str(out)]) == EXIT_OK
+        lines = (out / "correlation_scan.csv").read_text().splitlines()
+        rows = [line.split(",") for line in lines[1:]]
+        assert len(rows) == 8
+        assert any(row[1:] == ["invalid"] * 3 for row in rows)
+        for row in rows:
+            if row[1] != "invalid":
+                _, e_est, e_lower, e_upper = map(float, row)
+                assert e_lower <= e_est <= e_upper
+        assert json.loads((out / "manifest.json").read_text())["files"] == ["correlation_scan.csv"]
 
     def test_decoy_estimate_output(self, tmp_path):
         cfg = write_config(tmp_path, SCAN_CONFIG)

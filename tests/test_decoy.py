@@ -8,8 +8,9 @@ from pathent.decoy import (
     bound_interval,
     bound_statistic,
     estimate_single_photon_statistic,
-    exact_gains,
 )
+
+from helpers import exact_gains
 
 NOMINAL_INTENSITIES = (0.0872, 0.2314, 0.9840)
 

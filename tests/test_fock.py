@@ -7,11 +7,9 @@ from pathent.fock import (
     build_postselection_operators,
     hermite_functions,
     overlap_matrices,
-    wavefunction_value,
-    window_overlap,
 )
 
-from helpers import psd_operator_sqrt
+from helpers import psd_operator_sqrt, wavefunction_value, window_overlap
 
 
 def is_hermitian(op, tol=1e-12):

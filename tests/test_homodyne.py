@@ -21,13 +21,12 @@ from pathent.homodyne import (
     CHUNK_SIZE,
     MeasurementSettings,
     SampleBatch,
-    joint_pdf_fock,
     sample_batch,
 )
 from pathent.states import IDEAL_NOISE, NoiseModel
 from pathent.tomography import histogram_binning
 
-from helpers import records, reference_cells
+from helpers import joint_pdf_fock, records, reference_cells, splitter_output
 
 
 def reference_chunk(mu, settings, noise, pipeline, seed, chunk, size):
@@ -480,7 +479,6 @@ class TestJointPdf:
     def test_marginal_is_fock_mixture(self):
         # Marginal over x_b: sum_k |c_k|^2 |psi_k(x_a)|^2 for the splitter amps.
         from pathent.fock import hermite_functions
-        from pathent.states import splitter_output
 
         n = 2
         xa = np.array([0.3, 1.1, -0.7])

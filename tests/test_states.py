@@ -11,10 +11,9 @@ from pathent.states import (
     TwoModeFockState,
     bell_state,
     compensated_intensity,
-    splitter_output,
 )
 
-from helpers import records
+from helpers import records, splitter_output
 
 
 def poisson_weights(mu: float, cutoff: int) -> tuple[np.ndarray, float]:

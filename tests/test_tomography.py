@@ -21,7 +21,7 @@ from pathent.tomography import (
     multiphoton_mass,
 )
 
-from helpers import records, reference_cells
+from helpers import joint_pdf_fock, records, reference_cells
 
 def histogram_counts(x_a, x_b, edges):
     """Count table of the records (x_a[i], x_b[i]) under
@@ -312,8 +312,6 @@ class TestHistograms:
         assert dens.sum() * area == pytest.approx(1.0, abs=1e-3)
 
     def test_corrected_histogram_approximates_single_photon(self):
-        from pathent.homodyne import joint_pdf_fock
-
         iset = DecoyIntensitySet((0.0872, 0.2314, 0.9840))
         edges = np.linspace(-5.0, 5.0, 26)
         pair = (np.pi / 8, -np.pi / 8)
