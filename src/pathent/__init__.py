@@ -5,13 +5,12 @@ decoy-state method, measured with noisy balanced homodyne detectors."""
 from .config import ExperimentConfig, load_config
 from .decoy import (
     DecoyIntensitySet,
-    bound_interval,
     bound_statistic,
     estimate_single_photon_statistic,
 )
 from .fock import build_postselection_operators
 from .homodyne import MeasurementSettings, SampleBatch, sample_batch
-from .states import NoiseModel, TwoModeFockState, bell_state, compensated_intensity
+from .states import NoiseModel, bell_state, compensated_intensity
 
 __all__ = [
     "DecoyIntensitySet",
@@ -19,9 +18,7 @@ __all__ = [
     "MeasurementSettings",
     "NoiseModel",
     "SampleBatch",
-    "TwoModeFockState",
     "bell_state",
-    "bound_interval",
     "bound_statistic",
     "build_postselection_operators",
     "compensated_intensity",

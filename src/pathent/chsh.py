@@ -149,7 +149,6 @@ def correlation_bounds(estimate, lower, upper) -> tuple:
     if den_est == 0:
         raise ZeroDivisionError("all coincidence probability estimates are zero")
     e_est = (p00 + p11 - p01 - p10) / den_est
-    e_est = min(max(e_est, -1.0), 1.0)
 
     a_lo, a_hi = lower[0] + lower[3], upper[0] + upper[3]
     b_lo, b_hi = lower[1] + lower[2], upper[1] + upper[2]
@@ -158,7 +157,7 @@ def correlation_bounds(estimate, lower, upper) -> tuple:
     e_upper = (a_hi - b_lo) / (a_hi + b_lo)
     e_lower = (a_lo - b_hi) / (a_lo + b_hi)
     # A raw estimate built from out-of-box (clamped) probabilities can stray
-    # outside the rigorous interval; snap it back in.
+    # outside the rigorous interval, and [-1, 1]; snap it back in.
     e_est = min(max(e_est, e_lower), e_upper)
     return e_est, e_lower, e_upper
 

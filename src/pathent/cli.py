@@ -82,7 +82,6 @@ def _sweep(config: ExperimentConfig, settings: dict, first_index: int, binning=N
                 pipeline=config.pipeline,
                 seed=_batch_seed(config.seed, next(index)),
                 intensity_label=label or 0,
-                workers=config.workers,
                 binning=binning,
             )
             for label in labels
@@ -164,9 +163,10 @@ def cmd_decoy_estimate(config: ExperimentConfig, args) -> tuple[int, list]:
     """Decoy-bounded single-photon coincidence probabilities at t_fixed for
     each CHSH setting pair."""
     binning = chsh_mod.threshold_binning([config.t_fixed])
+    iset = config.intensity_set
     rows = []
     for combo, tables in _sweep(config, chsh_mod.CHSH_SETTINGS, 0, binning).items():
-        bounds = chsh_mod.decoy_coincidence_bounds(tables, config.intensity_set, config.t_fixed)
+        bounds = chsh_mod.decoy_coincidence_bounds(tables, iset, config.t_fixed)
         for pair, bound in zip(chsh_mod.OUTCOME_PAIRS, zip(*bounds)):
             rows.append((*combo, *pair, *bound))
     lines = ["setting_a,setting_b,outcome_a,outcome_b,estimate,lower,upper", *map(_csv_line, rows)]

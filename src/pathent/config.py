@@ -18,7 +18,7 @@ import numpy as np
 
 from .decoy import DecoyIntensitySet
 from .homodyne import PIPELINES
-from .states import NoiseModel
+from .states import NoiseModel, compensated_intensity
 
 DEFAULT_INTENSITIES = (0.0872, 0.2314, 0.9840)
 # The CHSH scan holds one count table of 4 * (thresholds + 1) int64 cells per
@@ -76,8 +76,8 @@ class ExperimentConfig:
             raise ConfigError("threshold grid is empty")
         if not (self.t_min >= 0 and self.t_fixed >= 0):
             raise ConfigError("thresholds t_min and t_fixed must be non-negative")
-        steps = (self.t_max - self.t_min) / self.t_step  # inf when t_step is tiny
-        if not (np.isfinite(steps) and round(steps) < MAX_THRESHOLDS):
+        steps = self._threshold_steps()
+        if not (np.isfinite(steps) and steps < MAX_THRESHOLDS):
             raise ConfigError(f"t_min, t_max and t_step give over {MAX_THRESHOLDS} thresholds")
         if self.n_phases < 1:
             raise ConfigError("phase grid is empty")
@@ -87,6 +87,9 @@ class ExperimentConfig:
             raise ConfigError("tomography max_iterations must be at least 1")
         try:  # each object checks its own rules as it is built
             self.intensity_set, self.noise
+            if self.pipeline != "ideal-fock":  # ideal-fock's |1> source is noiseless
+                if not np.isfinite(compensated_intensity(max(self.intensities), self.noise)):
+                    raise ValueError("eta_pd and v_e overflow the compensated source intensity")
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         if self.cutoff < 1:
@@ -114,9 +117,13 @@ class ExperimentConfig:
     def noise(self) -> NoiseModel:
         return NoiseModel(self.eta_pd, self.v_e)
 
+    def _threshold_steps(self) -> float:
+        """The largest n with t_min + n t_step <= t_max, to a relative 1e-9
+        (0.3 / 0.1 = 2.9999999999999996 gives 3); inf when t_step is tiny."""
+        return float(np.floor((self.t_max - self.t_min) / self.t_step * (1.0 + 1e-9)))
+
     def t_grid(self) -> np.ndarray:
-        n = int(round((self.t_max - self.t_min) / self.t_step))
-        return self.t_min + self.t_step * np.arange(n + 1)
+        return self.t_min + self.t_step * np.arange(int(self._threshold_steps()) + 1)
 
     def bin_edges(self) -> np.ndarray:
         n_bins = int(round(2.0 * self.x_range / self.bin_width))

@@ -56,8 +56,15 @@ class DecoyIntensitySet:
         return w, w0
 
     @cached_property
-    def _delta(self) -> float:
-        """Delta_L of `bound_interval`, computed once per set."""
+    def delta(self) -> float:
+        """Worst-case gap Delta_L between the estimate and the true Y_1.
+
+        Delta_L = (-1)^(L+1) * (mu_1...mu_L * sum_j mu_j^-2 (e^{mu_j} - 1)
+        / prod_{i!=j}(mu_i - mu_j)  -  1), i.e. the estimator applied to the
+        all-ones yield sequence minus its exact single-photon answer,
+        saturated by Y_n = 1 for all n >= 2. Always non-negative for a valid
+        set; computed once per set.
+        """
         w, w0 = self.estimator_coefficients
         # Gains for Y_n = 1 (all n): Q_mu = 1 for every intensity including vacuum.
         all_ones = float(np.sum(w) + w0)
@@ -85,24 +92,12 @@ def estimate_single_photon_statistic(gains, intensity_set: DecoyIntensitySet):
     return est if est.ndim else float(est)
 
 
-def bound_interval(intensity_set: DecoyIntensitySet) -> float:
-    """Worst-case gap Delta_L between the estimate and the true Y_1.
-
-    Delta_L = (-1)^(L+1) * (mu_1...mu_L * sum_j mu_j^-2 (e^{mu_j} - 1)
-    / prod_{i!=j}(mu_i - mu_j)  -  1), i.e. the estimator applied to the
-    all-ones yield sequence minus its exact single-photon answer, saturated
-    by Y_n = 1 for all n >= 2. Always non-negative for a valid set; computed
-    once per set.
-    """
-    return intensity_set._delta
-
-
 def bound_statistic(estimate, intensity_set: DecoyIntensitySet) -> tuple:
     """Parity rule: L odd -> [estimate - Delta_L, estimate]; L even ->
     [estimate, estimate + Delta_L], with the bounds (not the raw estimate)
     clamped to [0, 1]. Returns (estimate, lower, upper); broadcasts over
     array-valued estimates."""
-    delta = bound_interval(intensity_set)
+    delta = intensity_set.delta
     if intensity_set.num_levels % 2 == 1:
         lower, upper = estimate - delta, estimate
     else:

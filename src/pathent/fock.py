@@ -72,25 +72,21 @@ def overlap_matrices(cuts, cutoff: int) -> np.ndarray:
     return out[:, : cutoff + 1, : cutoff + 1]
 
 
-def build_postselection_operators(
-    T: float, cutoff: int, theta: float = 0.0
-) -> tuple[np.ndarray, np.ndarray]:
-    """Discard/pass operator pair (Q_discard, Q_pass) at threshold T, as
-    (cutoff + 1)-square complex arrays.
+def build_postselection_operators(T: float, cutoff: int) -> tuple[np.ndarray, np.ndarray]:
+    """Discard/pass operator pair (Q_discard, Q_pass) at threshold T and LO
+    phase 0, as (cutoff + 1)-square complex arrays.
 
-    Q_discard[m, n] = e^(i(n-m)theta) times the integral of phi_m phi_n over
-    [-T, T] (`overlap_matrices`), and Q_pass = I - Q_discard. Both are PSD
-    on the truncated space; restricted to the {|0>, |1>} subspace they are
-    diagonal, hence theta-independent.
-    """
+    Q_discard[m, n] is the integral of phi_m phi_n over [-T, T]
+    (`overlap_matrices`), and Q_pass = I - Q_discard, both PSD on the
+    truncated space. At LO phase theta entry (m, n) gains e^(i(n-m)theta),
+    so on the {|0>, |1>} subspace, where both are diagonal, they are not
+    theta-dependent."""
     if T < 0:
         raise ValueError("threshold must be non-negative")
     if cutoff < 1:
         raise ValueError("cutoff must be at least 1")
-    d = cutoff + 1
-    m, n = np.ogrid[:d, :d]
-    q = overlap_matrices((-T, T), cutoff)[0] * np.exp(1j * (n - m) * theta)
-    q_pass = np.eye(d, dtype=complex) - q
+    q = overlap_matrices((-T, T), cutoff)[0].astype(complex)
+    q_pass = np.eye(cutoff + 1, dtype=complex) - q
     for name, mat in (("Q_discard", q), ("Q_pass", q_pass)):
         low = float(np.linalg.eigvalsh(mat)[0])
         if low < -PSD_EIG_TOL:

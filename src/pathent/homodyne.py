@@ -14,13 +14,13 @@ Three pipelines produce (x_a, x_b) pairs:
   `tests/helpers.py::joint_pdf_fock`.
 
 Records are drawn by one chunk loop, `SampleBatch.chunks`: 2^16 records
-per chunk, each drawn by `SampleBatch._draw` in place into one reused pair
-from an independent RNG stream per (seed, chunk index), so output is
-reproducible and no array grows with the batch. Every coherent chunk draws
-its state phases first, the vacuum's too. Without a `Binning`,
-`sample_batch` returns the undrawn batch, which `save` writes a chunk at a
-time. Everything is drawn on the calling thread: no run starts a thread,
-and the `workers` argument is accepted but changes nothing.
+per chunk, each drawn in place into one reused pair from an independent
+RNG stream per (seed, chunk index), so output is reproducible and no array
+grows with the batch. Every coherent chunk draws its state phases first,
+the vacuum's too. Without a `Binning`, `sample_batch` returns the undrawn
+batch, which `save` writes a chunk at a time. Everything is drawn on the
+calling thread: no run starts a thread, and the `workers` argument is
+accepted but changes nothing.
 
 A binned batch of any pipeline draws no records: its table is one
 multinomial draw of `count` records over the binning's exact cell masses.
@@ -89,9 +89,9 @@ class SampleBatch:
     """One batch of `count` joint quadrature outcomes, with its provenance.
 
     The batch is described, not held: `chunks` draws its records chunk by
-    chunk, each by `_draw`, the same records for every call. The state phase
-    theta used to generate coherent samples is never exposed (it is
-    inaccessible to the measurement).
+    chunk, the same records for every call. The state phase theta used to
+    generate coherent samples is never exposed (it is inaccessible to the
+    measurement).
     """
 
     settings: MeasurementSettings
@@ -107,27 +107,22 @@ class SampleBatch:
 
     def chunks(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """Yield `(x_a, x_b)` for each chunk in order, on the calling thread,
-        record i of the chunk being (x_a[i], x_b[i]). Each chunk is drawn by
-        `_draw` from its own stream into one reused (2, CHUNK_SIZE) scratch
-        pair, and the views yielded are overwritten by the next chunk: copy
-        what you keep.
+        record i of the chunk being (x_a[i], x_b[i]). Each chunk is drawn
+        from its own stream into one reused (2, CHUNK_SIZE) scratch pair,
+        and the views yielded are overwritten by the next chunk: copy what
+        you keep.
         """
         pair = np.empty((2, CHUNK_SIZE))
         for i in range(-(-self.count // CHUNK_SIZE)):
             x_a, x_b = pair[:, : min(CHUNK_SIZE, self.count - i * CHUNK_SIZE)]
-            self._draw(i, x_a, x_b)
+            rng = _chunk_rng(self.seed, i)
+            if self.pipeline == "ideal-fock":
+                _single_photon_arms(x_a, x_b, self.settings.dtheta, rng)
+            else:
+                theta = rng.uniform(0.0, 2.0 * np.pi, x_a.size)
+                for out, phi in ((x_a, self.settings.phi_a), (x_b, self.settings.phi_b)):
+                    _coherent_arm(out, self.mu, theta, phi, self.noise, self.pipeline, rng)
             yield x_a, x_b
-
-    def _draw(self, chunk: int, out_a: np.ndarray, out_b: np.ndarray) -> None:
-        """Fill `out_a`, `out_b` with the records of chunk `chunk`, drawn
-        from its own stream."""
-        rng = _chunk_rng(self.seed, chunk)
-        if self.pipeline == "ideal-fock":
-            _single_photon_arms(out_a, out_b, self.settings.dtheta, rng)
-            return
-        theta = rng.uniform(0.0, 2.0 * np.pi, out_a.size)
-        _coherent_arm(out_a, self.mu, theta, self.settings.phi_a, self.noise, self.pipeline, rng)
-        _coherent_arm(out_b, self.mu, theta, self.settings.phi_b, self.noise, self.pipeline, rng)
 
     def save(self, path: str) -> tuple[str, str]:
         """Write the records as CSV, one row per record: x_a and x_b as %.17g
@@ -226,9 +221,6 @@ class Binning:
     finish: Callable[[np.ndarray], np.ndarray]
     masses: Callable[[np.ndarray, np.ndarray], np.ndarray]
     fock: Callable[[float], np.ndarray]
-
-    def table(self, cells: np.ndarray, total: int) -> CountTable:
-        return CountTable(self.grid, self.finish(cells), total)
 
 
 # %.17g prints a double x with 17 significant digits, in fixed notation when
@@ -459,4 +451,5 @@ def sample_batch(
         masses = binning.fock(settings.dtheta)
     else:
         masses = coherent_masses(binning, mu, settings, noise)
-    return binning.table(_chunk_rng(seed, TABLE_STREAM).multinomial(count, masses), count)
+    cells = _chunk_rng(seed, TABLE_STREAM).multinomial(count, masses)
+    return CountTable(binning.grid, binning.finish(cells), count)

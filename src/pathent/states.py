@@ -1,10 +1,9 @@
 """Source and channel models.
 
-The balanced-homodyne noise model, two-mode Fock states and the
-single-photon Bell target, and the source intensity that compensates
-the loss-equivalent reduction, which folds photodiode inefficiency and
-electronic noise into a single fictitious transmittance in front of the
-splitter.
+The balanced-homodyne noise model, the single-photon Bell target, and the
+source intensity that compensates the loss-equivalent reduction, which
+folds photodiode inefficiency and electronic noise into a single fictitious
+transmittance in front of the splitter.
 """
 
 from __future__ import annotations
@@ -44,33 +43,12 @@ class NoiseModel:
 IDEAL_NOISE = NoiseModel(eta_pd=1.0, v_e=0.0)
 
 
-@dataclass(frozen=True)
-class TwoModeFockState:
-    """Pure two-mode state with amplitudes over |j, k>, j, k <= cutoff."""
-
-    cutoff: int
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex)
-        d = self.cutoff + 1
-        if amps.shape != (d, d):
-            raise ValueError(f"expected {d}x{d} amplitude grid, got {amps.shape}")
-        norm = np.sum(np.abs(amps) ** 2)
-        if abs(norm - 1.0) > 1e-12:
-            raise ValueError(f"state norm {norm} deviates from 1")
-        object.__setattr__(self, "amplitudes", amps)
-
-    def vector(self) -> np.ndarray:
-        """Flattened amplitudes; index (j, k) -> j * (cutoff+1) + k."""
-        return self.amplitudes.reshape(-1)
-
-
-def bell_state(cutoff: int = 1) -> TwoModeFockState:
-    """The single-photon path-entangled target (|01> + |10>) / sqrt(2)."""
-    amps = np.zeros((cutoff + 1, cutoff + 1), dtype=complex)
-    amps[0, 1] = amps[1, 0] = 1.0 / np.sqrt(2.0)
-    return TwoModeFockState(cutoff, amps)
+def bell_state(cutoff: int = 1) -> np.ndarray:
+    """The single-photon path-entangled target (|01> + |10>) / sqrt(2), as
+    unit amplitudes over |j, k>, j, k <= cutoff, at index j (cutoff + 1) + k."""
+    vec = np.zeros((cutoff + 1) ** 2, dtype=complex)
+    vec[1] = vec[cutoff + 1] = 1.0 / np.sqrt(2.0)
+    return vec
 
 
 def compensated_intensity(mu_target: float, noise: NoiseModel) -> float:
@@ -80,7 +58,7 @@ def compensated_intensity(mu_target: float, noise: NoiseModel) -> float:
     compensated_intensity(mu, nm) * nm.eta_tot == mu.
     """
     if noise.eta_tot <= 0:
-        raise ValueError("total transmittance must be positive")
+        raise ValueError("total transmittance eta_pd * eta_ele must be positive")
     if mu_target < 0:
         raise ValueError("intensity must be non-negative")
     return mu_target / noise.eta_tot

@@ -34,7 +34,6 @@ import numpy as np
 from .decoy import DecoyIntensitySet, estimate_single_photon_statistic
 from .fock import overlap_matrices
 from .homodyne import Binning, CountTable, cached_rows, upper_tail
-from .states import TwoModeFockState
 
 @dataclass
 class BinnedHistogram:
@@ -375,12 +374,15 @@ def _two_loop(g: np.ndarray, history: list, scale: float) -> np.ndarray:
     return q
 
 
-def fidelity(rho: np.ndarray, target: TwoModeFockState) -> float:
-    """<Psi| rho |Psi> for a pure two-mode target."""
-    vec = target.vector()
-    if rho.shape != (vec.size, vec.size):
+def fidelity(rho: np.ndarray, target: np.ndarray) -> float:
+    """<Psi| rho |Psi> for a pure two-mode target given as its unit amplitude
+    vector over |j, k>, index j (cutoff + 1) + k (as `bell_state` gives)."""
+    target = np.asarray(target, dtype=complex)
+    if target.ndim != 1 or rho.shape != (target.size, target.size):
         raise ValueError("density matrix and target state dimensions differ")
-    val = float(np.real(vec.conj() @ rho @ vec))
+    if abs(np.vdot(target, target).real - 1.0) > 1e-12:
+        raise ValueError("target state norm deviates from 1")
+    val = float(np.real(target.conj() @ rho @ target))
     return min(max(val, 0.0), 1.0)
 
 

@@ -5,8 +5,12 @@ from math import comb
 
 import numpy as np
 
-from pathent.fock import PSD_EIG_TOL, hermite_functions, overlap_matrices
-from pathent.states import TwoModeFockState
+from pathent.fock import (
+    PSD_EIG_TOL,
+    build_postselection_operators,
+    hermite_functions,
+    overlap_matrices,
+)
 
 
 def records(batch):
@@ -54,6 +58,16 @@ def psd_operator_sqrt(a: np.ndarray) -> np.ndarray:
     return 0.5 * (root + root.conj().T)
 
 
+def postselection_at(T: float, cutoff: int, theta: float):
+    """(Q_discard, Q_pass) at threshold T and LO phase theta: the phase-0
+    pair of `build_postselection_operators` with entry (m, n) of each times
+    e^(i(n-m)theta), i.e. conjugated by U = diag(e^(i n theta))."""
+    q, _ = build_postselection_operators(T, cutoff)
+    k = np.arange(cutoff + 1)
+    q = q * np.exp(1j * (k - k[:, None]) * theta)
+    return q, np.eye(cutoff + 1) - q
+
+
 def exact_gains(yields: np.ndarray, mu: float, n_max: int | None = None):
     """Gain Q_mu = sum_n Y_n mu^n e^-mu / n! from a truncated yield sequence
     (series summed over the full provided range)."""
@@ -95,12 +109,13 @@ def window_overlap(m: int, n: int, T: float) -> float:
     return float(overlap_matrices((-T, T), max(m, n))[0, m, n])
 
 
-def splitter_output(n: int, cutoff: int) -> TwoModeFockState:
+def splitter_output(n: int, cutoff: int) -> np.ndarray:
     """n-photon Fock state through a symmetric 50:50 splitter.
 
     Output is sum_k sqrt(C(n, k) / 2^n) |k, n-k> in the real-amplitude
-    convention a_dag -> (a_dag + b_dag) / sqrt(2). For n = 1 this is the Bell
-    state (|01> + |10>) / sqrt(2).
+    convention a_dag -> (a_dag + b_dag) / sqrt(2), as the (cutoff + 1)-square
+    amplitude array over |j, k>. For n = 1 this is the Bell state
+    (|01> + |10>) / sqrt(2).
     """
     if n < 0:
         raise ValueError("photon number must be non-negative")
@@ -109,7 +124,7 @@ def splitter_output(n: int, cutoff: int) -> TwoModeFockState:
     amps = np.zeros((cutoff + 1, cutoff + 1), dtype=complex)
     for k in range(n + 1):
         amps[k, n - k] = np.sqrt(comb(n, k) / 2.0**n)
-    return TwoModeFockState(cutoff, amps)
+    return amps
 
 
 def joint_pdf_fock(n, x_a, x_b, dtheta: float):
@@ -121,7 +136,7 @@ def joint_pdf_fock(n, x_a, x_b, dtheta: float):
     """
     x_a = np.asarray(x_a, dtype=float)
     x_b = np.asarray(x_b, dtype=float)
-    coeffs = splitter_output(n, n).amplitudes
+    coeffs = splitter_output(n, n)
     phi_a_vals = hermite_functions(n, x_a)
     phi_b_vals = hermite_functions(n, x_b)
     amp = np.zeros(np.broadcast_shapes(x_a.shape, x_b.shape), dtype=complex)

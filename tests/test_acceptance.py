@@ -23,7 +23,6 @@ from pathent.cli import EXIT_OK, main
 from pathent.config import ExperimentConfig
 from pathent.decoy import (
     DecoyIntensitySet,
-    bound_interval,
     estimate_single_photon_statistic,
 )
 from pathent.fairsampling import verification_report
@@ -62,7 +61,7 @@ def correlation(counts) -> float:
 
 def test_criterion_1_fair_sampling_factorization():
     t0 = time.perf_counter()
-    rep = verification_report(thresholds=(0.2, 0.82, 1.0, 2.0), n_thetas=8, cutoff=1)
+    rep = verification_report(thresholds=(0.2, 0.82, 1.0, 2.0), cutoff=1)
     elapsed = time.perf_counter() - t0
     ok = (
         rep["max_residual"] <= 1e-10
@@ -94,7 +93,7 @@ def test_criterion_2_window_overlap_identities():
 def test_criterion_3_decoy_containment():
     t0 = time.perf_counter()
     iset = DecoyIntensitySet(NOMINAL_INTENSITIES)
-    delta = bound_interval(iset)
+    delta = iset.delta
     rng = np.random.default_rng(31415)
     yields = rng.uniform(0.0, 1.0, size=(41, 10_000))
     gains = [exact_gains(yields, mu) for mu in (0.0, *iset.intensities)]

@@ -15,10 +15,11 @@ from pathent.chsh import (
     scan_threshold,
     threshold_binning,
 )
-from pathent.decoy import DecoyIntensitySet, bound_interval, estimate_single_photon_statistic
+from pathent.decoy import DecoyIntensitySet, bound_statistic, estimate_single_photon_statistic
 from pathent.config import ExperimentConfig
 from pathent.homodyne import (
     CHUNK_SIZE,
+    CountTable,
     MeasurementSettings,
     sample_batch,
 )
@@ -35,7 +36,8 @@ def threshold_counts(x_a, x_b, t_grid):
     """Count table of the records (x_a[i], x_b[i]) under
     `threshold_binning(t_grid)`, binned by the reference binning."""
     binning = threshold_binning(t_grid)
-    return binning.table(reference_cells("threshold", binning.grid, x_a, x_b), len(x_a))
+    cells = reference_cells("threshold", binning.grid, x_a, x_b)
+    return CountTable(binning.grid, binning.finish(cells), len(x_a))
 
 
 def counts_at(table, T):
@@ -227,6 +229,21 @@ class TestCorrelationBounds:
     def test_all_zero_rejected(self):
         with pytest.raises(ZeroDivisionError):
             correlation_bounds(*self.b(np.zeros(4), 0))
+
+    def test_raw_estimate_outside_unit_range(self):
+        """A negative decoy estimate of one probability puts the raw E outside
+        [-1, 1]; the clamped bounds snap it back to their interval."""
+        iset = DecoyIntensitySet((0.0872, 0.2314, 0.9840))
+        rng = np.random.default_rng(12)
+        cases = [[0.3, -0.05, 0.0, 0.3], [-0.05, 0.3, 0.3, 0.0], *rng.uniform(-0.05, 0.4, (200, 4))]
+        for est in map(np.asarray, cases):
+            p00, p01, p10, p11 = est
+            raw = (p00 + p11 - p01 - p10) / (p00 + p11 + p01 + p10)
+            e_est, e_lower, e_upper = correlation_bounds(*bound_statistic(est, iset))
+            assert -1.0 <= e_lower <= e_est <= e_upper <= 1.0
+            assert e_est == min(max(raw, e_lower), e_upper)
+        assert correlation_bounds(*bound_statistic(np.asarray(cases[0]), iset))[0] == 1.0
+        assert correlation_bounds(*bound_statistic(np.asarray(cases[1]), iset))[0] == -1.0
 
 
 class TestChshAssembly:
@@ -452,7 +469,7 @@ def scalar_coincidence_bounds(tables, iset, T):
     counts to gains, one estimate per outcome, then the parity rule clamped
     by min/max. Per outcome in OUTCOME_PAIRS order, (estimate, lower, upper)."""
     gains = [[int(n) / table.total for n in counts_at(table, T)] for table in tables]
-    delta = bound_interval(iset)
+    delta = iset.delta
     out = []
     for i in range(4):
         est = estimate_single_photon_statistic([g[i] for g in gains], iset)

@@ -15,6 +15,7 @@ from pathent.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
     MAX_FAIR_SAMPLING_CUTOFF,
+    build_parser,
     main,
 )
 from pathent.config import (
@@ -28,6 +29,7 @@ from pathent.config import (
     load_config,
     with_overrides,
 )
+from pathent.decoy import DecoyIntensitySet
 
 SCAN_CONFIG = """\
 [noise]
@@ -182,6 +184,19 @@ class TestConfig:
             with pytest.raises(ConfigError, match="histogram cells"):
                 ExperimentConfig(n_phases=n_phases, cutoff=cutoff, bin_width=bin_width)
 
+    def test_threshold_grid_stops_at_t_max(self):
+        assert ExperimentConfig(t_max=1.0, t_step=0.6).t_grid().tolist() == [0.0, 0.6]
+        # 0.3 / 0.1 is 2.9999999999999996: t_max is a grid point all the same.
+        assert len(ExperimentConfig(t_max=0.3, t_step=0.1).t_grid()) == 4
+        assert ExperimentConfig().t_grid()[-1] == 2.0
+        rng = np.random.default_rng(5)
+        for t_min, span, t_step in rng.uniform((0.0, 0.0, 0.01), (3.0, 3.0, 1.0), (200, 3)):
+            grid = ExperimentConfig(t_min=t_min, t_max=t_min + span, t_step=t_step).t_grid()
+            assert grid[-1] <= (t_min + span) * (1.0 + 1e-9) < grid[-1] + t_step
+        # The size cap counts the same grid: 99999.5 / 1 gives 100000 thresholds.
+        top = float(MAX_THRESHOLDS - 1)
+        assert len(ExperimentConfig(t_max=top + 0.5, t_step=1.0, t_fixed=0.0).t_grid()) == MAX_THRESHOLDS
+
     def test_threshold_grid_size_capped(self):
         top = MAX_THRESHOLDS - 1
         assert len(ExperimentConfig(t_max=float(top), t_step=1.0, t_fixed=0.0).t_grid()) == top + 1
@@ -335,6 +350,9 @@ class TestExitCodes:
             # The histogram cap needs a second key, so the value opens its section.
             ("phases", "n_phases", "625000\n[tomography]\ncutoff = 1", "tomography"),
             ("phases", "n_phases", "11\n[tomography]\nbin_width = 0.01", "simulate"),
+            # eta_tot underflows to 0, or the brightest compensated intensity to inf.
+            ("noise", "eta_pd", "1e-300\nv_e = 1e300", "chsh-scan"),
+            ("noise", "eta_pd", "1e-300\nv_e = 3e8", "simulate"),
         ],
         ids=[
             "cutoff",
@@ -360,6 +378,8 @@ class TestExitCodes:
             "intensities_inf",
             "n_phases_histogram_too_large",
             "bins_histogram_too_large",
+            "eta_tot_underflow",
+            "source_intensity_overflow",
         ],
     )
     def test_invalid_value_exits_before_sampling(
@@ -601,6 +621,18 @@ class TestScans:
         lines = (out / "decoy_estimate.csv").read_text().splitlines()
         assert lines[0] == "setting_a,setting_b,outcome_a,outcome_b,estimate,lower,upper"
         assert len(lines) == 1 + 4 * 4
+
+    @pytest.mark.parametrize("command", ["correlation-scan", "chsh-scan", "decoy-estimate"])
+    def test_each_run_builds_one_intensity_set(self, tmp_path, monkeypatch, command):
+        """A run reads `config.intensity_set`, which builds a new set and its
+        weights, once, not once per setting."""
+        config = load_config(write_config(tmp_path, SCAN_CONFIG))
+        built = []
+        monkeypatch.setattr(ExperimentConfig, "intensity_set", property(lambda c: built.append(c) or iset))
+        iset = DecoyIntensitySet(config.intensities)
+        args = build_parser().parse_args([command, "--out", str(tmp_path)])
+        assert COMMANDS[command](config, args)[0] == EXIT_OK
+        assert len(built) == 1
 
     def test_simulate_writes_batches_and_manifest(self, tmp_path):
         cfg = write_config(tmp_path, SCAN_CONFIG)

@@ -5,7 +5,6 @@ import pytest
 
 from pathent.decoy import (
     DecoyIntensitySet,
-    bound_interval,
     bound_statistic,
     estimate_single_photon_statistic,
 )
@@ -88,18 +87,18 @@ class TestBoundInterval:
     def test_single_level_closed_form(self):
         mu = 0.1
         expected = (math.exp(mu) - 1.0) / mu - 1.0
-        assert bound_interval(DecoyIntensitySet((mu,))) == pytest.approx(expected, abs=1e-14)
+        assert DecoyIntensitySet((mu,)).delta == pytest.approx(expected, abs=1e-14)
         assert expected == pytest.approx(0.05170918, abs=1e-7)
 
     def test_nominal_intensity_regression(self):
-        delta = bound_interval(DecoyIntensitySet(NOMINAL_INTENSITIES))
+        delta = DecoyIntensitySet(NOMINAL_INTENSITIES).delta
         # Reference computed at 40-digit precision: 0.00108652183049779...
         assert delta == pytest.approx(0.0010865218304977949, abs=1e-11)
 
     def test_shrinks_with_more_levels(self):
-        d1 = bound_interval(DecoyIntensitySet((0.0872,)))
-        d2 = bound_interval(DecoyIntensitySet((0.0872, 0.2314)))
-        d3 = bound_interval(DecoyIntensitySet(NOMINAL_INTENSITIES))
+        d1 = DecoyIntensitySet((0.0872,)).delta
+        d2 = DecoyIntensitySet((0.0872, 0.2314)).delta
+        d3 = DecoyIntensitySet(NOMINAL_INTENSITIES).delta
         assert d1 > d2 > d3 > 0
 
     def test_saturating_sequence_attains_bound(self):
@@ -110,7 +109,7 @@ class TestBoundInterval:
             yields[1] = 0.0
             est = estimate_single_photon_statistic(gains_from_yields(yields, iset), iset)
             sign = 1.0 if iset.num_levels % 2 == 1 else -1.0
-            assert sign * est == pytest.approx(bound_interval(iset), abs=1e-9)
+            assert sign * est == pytest.approx(iset.delta, abs=1e-9)
 
     @pytest.mark.parametrize("mus", [(0.1,), (0.1, 0.5), NOMINAL_INTENSITIES])
     def test_cached_per_set_with_the_same_bits(self, mus):
@@ -118,22 +117,22 @@ class TestBoundInterval:
         w, w0 = iset.estimator_coefficients
         sign = -1.0 if iset.num_levels % 2 == 0 else 1.0
         expected = max(sign * (float(np.sum(w) + w0) - 1.0), 0.0)
-        assert bound_interval(iset) == expected
-        assert iset.__dict__["_delta"] == expected  # kept on the set, not recomputed
+        assert iset.delta == expected
+        assert iset.__dict__["delta"] == expected  # kept on the set, not recomputed
 
     def test_negative_interval_is_a_fault(self):
         iset = DecoyIntensitySet(NOMINAL_INTENSITIES)
         iset.__dict__["estimator_coefficients"] = (np.zeros(3), -1.0)  # corrupt weights
         for _ in range(2):  # raised on every call, never cached
             with pytest.raises(ArithmeticError):
-                bound_interval(iset)
+                iset.delta
 
 
 class TestBoundStatistic:
     def test_parity_of_interval_side(self):
         _, lower, upper = bound_statistic(0.5, DecoyIntensitySet(NOMINAL_INTENSITIES))
         assert upper == 0.5  # L = 3: estimate is the upper bound
-        assert lower == pytest.approx(0.5 - bound_interval(DecoyIntensitySet(NOMINAL_INTENSITIES)))
+        assert lower == pytest.approx(0.5 - DecoyIntensitySet(NOMINAL_INTENSITIES).delta)
         _, lower, upper = bound_statistic(0.5, DecoyIntensitySet((0.1, 0.5)))
         assert lower == 0.5  # L = 2: estimate is the lower bound
         assert upper > 0.5
@@ -162,7 +161,7 @@ class TestContainment:
     @pytest.mark.parametrize("mus", [NOMINAL_INTENSITIES, (0.1, 0.5)])
     def test_random_yield_sequences(self, mus):
         iset = DecoyIntensitySet(mus)
-        delta = bound_interval(iset)
+        delta = iset.delta
         rng = np.random.default_rng(2024)
         yields = rng.uniform(0.0, 1.0, size=(41, 1000))
         gains = [exact_gains(yields, mu) for mu in (0.0, *mus)]

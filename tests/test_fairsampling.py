@@ -9,9 +9,9 @@ from scipy.special import erf, erfc
 
 from pathent.cli import EXIT_OK, main
 from pathent.fairsampling import THRESHOLDS, verification_report
-from pathent.fock import build_postselection_operators, hermite_functions
+from pathent.fock import hermite_functions
 
-from helpers import psd_operator_sqrt
+from helpers import postselection_at, psd_operator_sqrt
 
 THETAS = np.linspace(0.0, 2 * np.pi, 8, endpoint=False)
 
@@ -21,7 +21,7 @@ THETAS = np.linspace(0.0, 2 * np.pi, 8, endpoint=False)
 
 @lru_cache(maxsize=512)
 def _sqrt_pair(T: float, cutoff: int, theta: float):
-    q_disc, q_pass = build_postselection_operators(T, cutoff, theta)
+    q_disc, q_pass = postselection_at(T, cutoff, theta)
     return psd_operator_sqrt(q_pass), psd_operator_sqrt(q_disc)
 
 
@@ -46,10 +46,10 @@ def random_qubit_subspace_state(rng, cutoff=1):
 def theta_independence_residual(T, theta_grid, cutoff=1, columns=slice(None)):
     """Max entrywise deviation, in `columns`, of Q_discard built at each theta
     from the theta = 0 operator."""
-    ref, _ = build_postselection_operators(T, cutoff, 0.0)
+    ref, _ = postselection_at(T, cutoff, 0.0)
     worst = 0.0
     for theta in theta_grid:
-        q, _ = build_postselection_operators(T, cutoff, float(theta))
+        q, _ = postselection_at(T, cutoff, float(theta))
         worst = max(worst, float(np.max(np.abs(q - ref)[:, columns])))
     return worst
 

@@ -9,7 +9,7 @@ from pathent.fock import (
     overlap_matrices,
 )
 
-from helpers import psd_operator_sqrt, wavefunction_value, window_overlap
+from helpers import postselection_at, psd_operator_sqrt, wavefunction_value, window_overlap
 
 
 def is_hermitian(op, tol=1e-12):
@@ -196,7 +196,7 @@ class TestPostselectionOperators:
 
     @pytest.mark.parametrize("T, cutoff, theta", [(0.82, 3, 0.0), (1.0, 4, 1.3), (2.0, 6, -2.2)])
     def test_matches_entrywise_window_overlaps(self, T, cutoff, theta):
-        q_disc, _ = build_postselection_operators(T, cutoff, theta)
+        q_disc, _ = postselection_at(T, cutoff, theta)
         d = cutoff + 1
         ref = np.array(
             [[window_overlap(m, n, T) * np.exp(1j * (n - m) * theta) for n in range(d)] for m in range(d)]
@@ -208,7 +208,7 @@ class TestPostselectionOperators:
         assert np.all(q_disc[(m + n) % 2 == 1] == 0.0)
 
     def test_hermitian_with_phase(self):
-        q_disc, q_pass = build_postselection_operators(1.0, 4, theta=1.3)
+        q_disc, q_pass = postselection_at(1.0, 4, 1.3)
         assert is_hermitian(q_disc)
         assert is_hermitian(q_pass)
 

@@ -488,7 +488,7 @@ class TestJointPdf:
                 lambda xb: joint_pdf_fock(n, x, xb, 0.7), -np.inf, np.inf, limit=200
             )
             marg[x_idx] = val
-        coeffs = splitter_output(n, n).amplitudes
+        coeffs = splitter_output(n, n)
         phi = hermite_functions(n, xa)
         expect = sum(abs(coeffs[k, n - k]) ** 2 * phi[k] ** 2 for k in range(n + 1))
         assert np.allclose(marg, expect, atol=1e-8)

@@ -8,7 +8,6 @@ from scipy.stats import ks_2samp, poisson
 from pathent.homodyne import MeasurementSettings, sample_batch
 from pathent.states import (
     NoiseModel,
-    TwoModeFockState,
     bell_state,
     compensated_intensity,
 )
@@ -135,23 +134,23 @@ def brute_force_splitter(n):
 class TestSplitter:
     def test_vacuum_passthrough(self):
         st = splitter_output(0, 2)
-        assert st.amplitudes[0, 0] == 1.0
+        assert st[0, 0] == 1.0
 
     def test_single_photon_is_bell_state(self):
         st = splitter_output(1, 1)
-        assert np.allclose(st.amplitudes, bell_state(1).amplitudes)
-        assert st.amplitudes[0, 1] == pytest.approx(1.0 / math.sqrt(2.0))
+        assert np.allclose(st.reshape(-1), bell_state(1))
+        assert st[0, 1] == pytest.approx(1.0 / math.sqrt(2.0))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_matches_operator_algebra(self, n):
         st = splitter_output(n, n)
-        assert np.allclose(st.amplitudes.real, brute_force_splitter(n), atol=1e-12)
+        assert np.allclose(st.real, brute_force_splitter(n), atol=1e-12)
 
     @pytest.mark.parametrize("n", [0, 1, 2, 4])
     def test_unit_norm_and_support(self, n):
         st = splitter_output(n, n + 2)
-        assert np.sum(np.abs(st.amplitudes) ** 2) == pytest.approx(1.0, abs=1e-13)
-        j, k = np.nonzero(np.abs(st.amplitudes) > 0)
+        assert np.sum(np.abs(st) ** 2) == pytest.approx(1.0, abs=1e-13)
+        j, k = np.nonzero(np.abs(st) > 0)
         assert np.all(j + k == n)
 
     def test_rejects_above_cutoff(self):
@@ -159,18 +158,15 @@ class TestSplitter:
             splitter_output(3, 2)
 
 
-class TestTwoModeFockState:
-    def test_rejects_bad_norm(self):
-        amps = np.zeros((2, 2), dtype=complex)
-        amps[0, 0] = 0.5
-        with pytest.raises(ValueError):
-            TwoModeFockState(1, amps)
-
+class TestBellState:
     def test_vector_layout(self):
-        st = bell_state(1)
-        vec = st.vector()
-        assert vec[1] == pytest.approx(1.0 / math.sqrt(2.0))  # |01>
-        assert vec[2] == pytest.approx(1.0 / math.sqrt(2.0))  # |10>
+        # Index (j, k) -> j * (cutoff + 1) + k.
+        for cutoff in (1, 3):
+            vec, d = bell_state(cutoff), cutoff + 1
+            assert vec.shape == (d * d,)
+            assert vec[0 * d + 1] == pytest.approx(1.0 / math.sqrt(2.0))  # |01>
+            assert vec[1 * d + 0] == pytest.approx(1.0 / math.sqrt(2.0))  # |10>
+            assert np.sum(np.abs(vec) ** 2) == pytest.approx(1.0, abs=1e-15)
 
 
 class TestLossEquivalence:

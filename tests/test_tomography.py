@@ -7,8 +7,8 @@ from pathent.cli import _csv_line, _write_lines
 from pathent.config import ExperimentConfig
 from pathent.decoy import DecoyIntensitySet
 from pathent.fock import hermite_functions
-from pathent.homodyne import MeasurementSettings, sample_batch
-from pathent.states import TwoModeFockState, bell_state
+from pathent.homodyne import CountTable, MeasurementSettings, sample_batch
+from pathent.states import bell_state
 from pathent.tomography import (
     BinnedHistogram,
     build_povm_elements,
@@ -27,7 +27,8 @@ def histogram_counts(x_a, x_b, edges):
     """Count table of the records (x_a[i], x_b[i]) under
     `histogram_binning(edges)`, binned by the reference binning."""
     binning = histogram_binning(edges)
-    return binning.table(reference_cells("histogram", edges, x_a, x_b), len(x_a))
+    cells = reference_cells("histogram", edges, x_a, x_b)
+    return CountTable(binning.grid, binning.finish(cells), len(x_a))
 
 
 PHASE_PAIRS_4 = [
@@ -166,9 +167,9 @@ def reference_mle(hist, povm, max_iterations, tolerance):
 
 
 def vacuum_state(cutoff):
-    amps = np.zeros((cutoff + 1, cutoff + 1), dtype=complex)
-    amps[0, 0] = 1.0
-    return TwoModeFockState(cutoff, amps)
+    vec = np.zeros((cutoff + 1) ** 2, dtype=complex)
+    vec[0] = 1.0
+    return vec
 
 
 class TestPovm:
@@ -505,7 +506,7 @@ class TestMle:
 class TestFidelityAndMass:
     def test_pure_target_fidelity(self):
         target = bell_state(1)
-        rho = np.outer(target.vector(), target.vector().conj())
+        rho = np.outer(target, target.conj())
         assert fidelity(rho, target) == pytest.approx(1.0)
 
     def test_orthogonal_state(self):
@@ -516,6 +517,17 @@ class TestFidelityAndMass:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             fidelity(np.eye(9) / 9.0, bell_state(1))
+        with pytest.raises(ValueError):  # a target of the wrong length
+            fidelity(np.eye(4) / 4.0, bell_state(2))
+        with pytest.raises(ValueError):  # an amplitude grid, not a vector
+            fidelity(np.eye(4) / 4.0, bell_state(1).reshape(2, 2))
+
+    def test_rejects_unnormalised_target(self):
+        rho = np.eye(4) / 4.0
+        for scale in (0.5, 1.0 + 1e-11, 0.0):  # the norm must be 1 within 1e-12
+            with pytest.raises(ValueError):
+                fidelity(rho, scale * bell_state(1))
+        assert fidelity(rho, (1.0 + 1e-13) * bell_state(1)) == pytest.approx(0.25)
 
     def test_multiphoton_mass(self):
         d = 3
